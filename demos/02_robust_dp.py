@@ -27,8 +27,8 @@ res = robust_value(freeze_or_spread, 2, f)
 print(f"robust E[f(S_2/2)] = {res.value}   (brute force agrees: "
       f"{brute_force_value(freeze_or_spread, 2, f)})")
 print("worst-case kernel choices (level, state) -> generator:")
-for key in sorted(res.policy.entries):
-    print(f"  {key} -> {res.policy.entries[key]}")
+for key, g in sorted(res.policy.entries.items()):
+    print(f"  {key} -> {g}")
 print(f"re-running the fixed policy reproduces the value bitwise: "
       f"{policy_value(freeze_or_spread, res.policy, 2, f) == res.value}")
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -64,20 +65,78 @@ class ValueTable:
     entries: Dict[int, float]
 
 
-@dataclass(frozen=True)
+def _choice_dtype(generator_count: int) -> np.dtype:
+    """Smallest signed integer dtype holding indices below ``generator_count`` and -1."""
+    return np.min_scalar_type(-generator_count)
+
+
+@dataclass(frozen=True, eq=False)
 class KernelPolicy:
-    """Per (level, pre-step state) choice of generator index."""
+    """Deterministic Markov kernel policy: one generator index per (level, pre-step state).
+
+    ``levels[k - 1] = (lo, choice)`` covers level ``k``: ``choice[i]`` is the
+    generator designated at state ``lo + i``, and ``-1`` designates none.
+    The arrays are read-only.
+    """
 
     n: int
-    entries: Dict[Tuple[int, int], int]
+    levels: Tuple[Tuple[int, np.ndarray], ...]
+
+    def __post_init__(self):
+        for _, choice in self.levels:
+            choice.flags.writeable = False
+
+    @classmethod
+    def from_entries(cls, n: int, entries: Mapping[Tuple[int, int], int]) -> "KernelPolicy":
+        """Policy from a ``{(level, state): generator index}`` mapping."""
+        per_level: List[Dict[int, int]] = [{} for _ in range(n)]
+        for (level, state), g in entries.items():
+            if not 1 <= level <= n or g < 0:
+                raise InputError(
+                    "BAD_POLICY", f"entry ({level}, {state}) -> {g} is not a level"
+                    f" in 1..{n} mapped to a generator index"
+                )
+            per_level[level - 1][state] = g
+        dtype = _choice_dtype(max(entries.values(), default=0) + 1)
+        levels = []
+        for level_entries in per_level:
+            lo, hi = min(level_entries, default=0), max(level_entries, default=-1)
+            choice = np.full(hi - lo + 1, -1, dtype=dtype)
+            for state, g in level_entries.items():
+                choice[state - lo] = g
+            levels.append((lo, choice))
+        return cls(n, tuple(levels))
+
+    @property
+    def entries(self) -> Mapping[Tuple[int, int], int]:
+        """Read-only ``{(level, state): generator index}`` view of the designated states."""
+        return MappingProxyType(
+            {
+                (k, lo + int(i)): int(choice[i])
+                for k, (lo, choice) in enumerate(self.levels, start=1)
+                for i in np.flatnonzero(choice >= 0)
+            }
+        )
 
     def get(self, level: int, state: int) -> int:
-        try:
-            return self.entries[(level, state)]
-        except KeyError:
-            raise InputError(
-                "POLICY_GAP", f"no generator designated at level {level}, state {state}"
-            ) from None
+        if 1 <= level <= len(self.levels):
+            lo, choice = self.levels[level - 1]
+            if 0 <= state - lo < len(choice) and choice[state - lo] >= 0:
+                return int(choice[state - lo])
+        raise InputError(
+            "POLICY_GAP", f"no generator designated at level {level}, state {state}"
+        )
+
+    def level_choices(self, level: int, lo: int, length: int) -> np.ndarray:
+        """Choices at ``level`` over states ``lo .. lo + length - 1``, -1 where none."""
+        plo, choice = self.levels[level - 1]
+        if plo == lo and len(choice) == length:
+            return choice
+        out = np.full(length, -1, dtype=choice.dtype)
+        a, b = max(lo, plo), min(lo + length, plo + len(choice))
+        if a < b:
+            out[a - lo : b - lo] = choice[a - plo : b - plo]
+        return out
 
 
 @dataclass(frozen=True)
@@ -176,12 +235,13 @@ def robust_value(
     _, masks = reachable_masks(set_, n)
     u = _terminal_values(set_, n, f, normalize, bounds)
     tables = [ValueTable(n, _as_table(bounds[n][0], u))] if keep_tables else None
-    entries: Dict[Tuple[int, int], int] = {}
+    dtype = _choice_dtype(len(set_.generators))
+    levels = [None] * n
     for k in range(n, 0, -1):
         lo_prev, len_prev = bounds[k - 1]
         lo_k, _ = bounds[k]
         best = None
-        arg = np.zeros(len_prev, dtype=np.int64)
+        arg = np.zeros(len_prev, dtype=dtype)
         for g, (gc, gen) in enumerate(zip(set_.coords, set_.generators)):
             cand = _shift_combine(u, gen.weights, gc, lo_prev + 0 - lo_k, len_prev)
             if best is None:
@@ -189,16 +249,16 @@ def robust_value(
             else:
                 better = cand > best
                 best = np.where(better, cand, best)
-                arg = np.where(better, g, arg)
+                arg[better] = g
         u = best
-        for i in np.flatnonzero(masks[k - 1]):
-            entries[(k, lo_prev + int(i))] = int(arg[i])
+        arg[~masks[k - 1]] = -1
+        levels[k - 1] = (lo_prev, arg)
         if keep_tables:
             tables.append(ValueTable(k - 1, _as_table(lo_prev, u)))
     if keep_tables:
         tables.reverse()
     value = float(u[0 - bounds[0][0]])
-    return RobustResult(value, KernelPolicy(n, entries), state_count, tables)
+    return RobustResult(value, KernelPolicy(n, tuple(levels)), state_count, tables)
 
 
 def _shift_combine(u, weights, coords, base_offset, length):
@@ -233,21 +293,22 @@ def policy_value(
     bounds = _level_bounds(set_, n)
     _check_budget(bounds, 1, state_budget)
     _, masks = reachable_masks(set_, n)
+    choices = []
     for k in range(1, n + 1):
-        lo_prev, _ = bounds[k - 1]
-        for i in np.flatnonzero(masks[k - 1]):
-            if (k, lo_prev + int(i)) not in policy.entries:
-                raise InputError(
-                    "POLICY_GAP",
-                    f"reachable state {lo_prev + int(i)} at level {k} has no generator",
-                )
+        lo_prev, len_prev = bounds[k - 1]
+        choice = policy.level_choices(k, lo_prev, len_prev)
+        gap = masks[k - 1] & ((choice < 0) | (choice >= len(set_.generators)))
+        if gap.any():
+            state = lo_prev + int(np.argmax(gap))
+            raise InputError(
+                "POLICY_GAP", f"reachable state {state} at level {k} has no generator"
+            )
+        choices.append(choice)
     u = _terminal_values(set_, n, f, normalize, bounds)
     for k in range(n, 0, -1):
         lo_prev, len_prev = bounds[k - 1]
         lo_k, _ = bounds[k]
-        genidx = np.zeros(len_prev, dtype=np.int64)
-        for i in range(len_prev):
-            genidx[i] = policy.entries.get((k, lo_prev + i), 0)
+        genidx = choices[k - 1]
         out = None
         for g, (gc, gen) in enumerate(zip(set_.coords, set_.generators)):
             cand = _shift_combine(u, gen.weights, gc, lo_prev + 0 - lo_k, len_prev)

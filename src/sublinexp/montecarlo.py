@@ -20,7 +20,7 @@ import numpy as np
 from .ambiguity import AmbiguitySet
 from .errors import InputError
 from .functions import TestFunction
-from .lattice_dp import KernelPolicy, reachable_masks
+from .lattice_dp import KernelPolicy, _choice_dtype, _level_bounds, reachable_masks
 
 __all__ = ["SimConfig", "SimResult", "simulate", "constant_policy"]
 
@@ -56,12 +56,14 @@ def constant_policy(set_: AmbiguitySet, n: int, generator_index: int) -> KernelP
     if not 0 <= generator_index < len(set_.generators):
         raise InputError("POLICY_GAP", f"generator index {generator_index} out of range")
     bounds, masks = reachable_masks(set_, n)
-    entries = {}
-    for k in range(1, n + 1):
-        lo, _ = bounds[k - 1]
-        for i in np.flatnonzero(masks[k - 1]):
-            entries[(k, lo + int(i))] = generator_index
-    return KernelPolicy(n, entries)
+    dtype = _choice_dtype(len(set_.generators))
+    return KernelPolicy(
+        n,
+        tuple(
+            (bounds[k - 1][0], np.where(masks[k - 1], generator_index, -1).astype(dtype))
+            for k in range(1, n + 1)
+        ),
+    )
 
 
 def simulate(
@@ -75,27 +77,19 @@ def simulate(
     """
     set_ = config.set
     n, m = config.n, config.paths
-    bounds, masks = reachable_masks(set_, n)
-    # dense per-level lookup tables; -1 marks states the policy must never visit
-    tables = []
-    for k in range(1, n + 1):
-        lo, length = bounds[k - 1]
-        tab = np.full(length, -1, dtype=np.int64)
-        for i in np.flatnonzero(masks[k - 1]):
-            g = config.policy.entries.get((k, lo + int(i)))
-            if g is not None:
-                tab[i] = g
-        tables.append((lo, tab))
+    bounds = _level_bounds(set_, n)
     cumw = [np.cumsum(g.weight_array) for g in set_.generators]
     coords = [np.asarray(gc, dtype=np.int64) for gc in set_.coords]
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     u = rng.random((m, n))
     s = np.zeros(m, dtype=np.int64)
     for k in range(1, n + 1):
-        lo, tab = tables[k - 1]
-        gen_idx = tab[s - lo]
-        if np.any(gen_idx < 0):
-            bad = int(s[gen_idx < 0][0])
+        lo, length = bounds[k - 1]
+        # every path stays inside the level's bounds, so the index is in range
+        gen_idx = config.policy.level_choices(k, lo, length)[s - lo]
+        gap = (gen_idx < 0) | (gen_idx >= len(set_.generators))
+        if gap.any():
+            bad = int(s[np.argmax(gap)])
             raise InputError(
                 "POLICY_GAP", f"visited state {bad} at level {k} has no generator"
             )

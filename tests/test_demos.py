@@ -1,0 +1,25 @@
+"""Smoke test of the demos that consume extracted kernel policies."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["02_robust_dp.py", "06_inequalities_and_simulation.py"])
+def test_policy_demo_runs(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if demo.startswith("02"):
+        assert "  (2, 0) -> 1\n" in proc.stdout

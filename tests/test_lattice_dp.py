@@ -107,16 +107,16 @@ class TestCapacity:
 
 class TestPolicyValue:
     def test_constant_uniform_policy(self, coin_or_rest):
-        pol = KernelPolicy(2, {(1, 0): 1, (2, -1): 1, (2, 0): 1, (2, 1): 1})
+        pol = KernelPolicy.from_entries(2, {(1, 0): 1, (2, -1): 1, (2, 0): 1, (2, 1): 1})
         f = piecewise_linear([(-1, 1), (0, 0), (1, 1)])
         assert policy_value(coin_or_rest, pol, 2, f) == 0.5
 
     def test_constant_freeze_policy(self, coin_or_rest):
-        pol = KernelPolicy(2, {(1, 0): 0, (2, -1): 0, (2, 0): 0, (2, 1): 0})
+        pol = KernelPolicy.from_entries(2, {(1, 0): 0, (2, -1): 0, (2, 0): 0, (2, 1): 0})
         assert policy_value(coin_or_rest, pol, 2, ABS_CLIPPED) == 0.0
 
     def test_policy_gap(self, coin_or_rest):
-        pol = KernelPolicy(2, {(1, 0): 1})
+        pol = KernelPolicy.from_entries(2, {(1, 0): 1})
         with pytest.raises(InputError) as e:
             policy_value(coin_or_rest, pol, 2, ABS_CLIPPED)
         assert e.value.code == "POLICY_GAP"
@@ -129,6 +129,12 @@ class TestPolicyValue:
             n = int(rng.integers(1, 5))
             res = robust_value(s, n, f)
             assert policy_value(s, res.policy, n, f) == res.value
+        for n in (64, 256):
+            for _ in range(3):
+                s = random_set(rng)
+                f = random_pwl(rng)
+                res = robust_value(s, n, f)
+                assert policy_value(s, res.policy, n, f) == res.value
 
 
 class TestOracleEquivalence:

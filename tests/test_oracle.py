@@ -82,5 +82,5 @@ class TestPolicyDominance:
                 entries = {
                     key: gi for key in res.policy.entries
                 }
-                val = policy_value(s, KernelPolicy(n, entries), n, f)
+                val = policy_value(s, KernelPolicy.from_entries(n, entries), n, f)
                 assert val <= res.value + 1e-9
