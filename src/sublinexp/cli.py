@@ -9,6 +9,7 @@ mirror under ``--out`` and prints a one-line summary.  Exit statuses:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -432,6 +433,7 @@ _HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sublinexp",

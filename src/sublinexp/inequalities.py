@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .ambiguity import AmbiguitySet
 from .errors import InputError
-from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity
+from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, final_abs_capacities
 
 _TOL = 1e-12
 
@@ -37,20 +37,6 @@ class OttavianiReport:
     status: str
 
 
-def _increment_capacity(set_: AmbiguitySet, horizon: int, alpha, state_budget: int) -> float:
-    """V(|S_n - S_k| >= alpha) computed as a horizon-(n-k) quantity.
-
-    Increments are i.i.d., so the capacity depends only on the number of
-    remaining steps; the equality with the in-place TAIL_SUM event is
-    certified by the lattice-DP stationarity invariant.
-    """
-    if horizon == 0:
-        return 1.0 if alpha <= 0 else 0.0
-    return capacity(
-        set_, horizon, PathEvent("FINAL_ABS_GE", alpha), "UPPER", state_budget=state_budget
-    )
-
-
 def ottaviani_check(
     set_: AmbiguitySet,
     n: int,
@@ -70,20 +56,11 @@ def ottaviani_check(
         raise InputError("BAD_ALPHA", "alpha must be positive")
     if n < 1:
         raise InputError("BAD_HORIZON", "horizon must be >= 1")
-    premise = max(
-        _increment_capacity(set_, n - k, alpha, state_budget) for k in range(1, n + 1)
-    )
-    lhs = capacity(
-        set_,
-        n,
-        PathEvent("MAX_PARTIAL_ABS_GE", 2 * alpha),
-        "UPPER",
-        state_budget=state_budget,
-    )
-    final = capacity(
-        set_, n, PathEvent("FINAL_ABS_GE", alpha), "UPPER", state_budget=state_budget
-    )
-    rhs = final / (1.0 - c)
+    # increments are i.i.d., so V(|S_n - S_k| >= alpha) is the horizon-(n - k) capacity
+    by_horizon = final_abs_capacities(set_, n, alpha, state_budget)
+    premise = max(by_horizon[:n])
+    lhs = capacity(set_, n, PathEvent("MAX_PARTIAL_ABS_GE", 2 * alpha), "UPPER", state_budget)
+    rhs = by_horizon[n] / (1.0 - c)
     if premise > c + _TOL:
         status = VACUOUS
     elif lhs <= rhs + _TOL:

@@ -8,12 +8,14 @@ a generator per (level, state); restricting to these sum-dependent
 brute-force oracle rather than assumed (see :mod:`sublinexp.oracle`).
 
 State values are exact: partial sums are integers on the common lattice,
-and event indicators compare exact rationals, so no mollification or
-floating-state merging is ever needed.
+and event indicators compare them with integer thresholds computed from
+exact rationals, so no mollification or floating-state merging is ever
+needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -150,13 +152,20 @@ class RobustResult:
 # -- shared helpers ----------------------------------------------------
 
 
-def _level_bounds(set_: AmbiguitySet, n: int, frozen_below: int = 0):
-    """(lo_k, length_k) per level; levels <= frozen_below contribute no movement."""
+def _level_bounds(set_: AmbiguitySet, n: int, frozen_below: int = 0, hold_zero: bool = False):
+    """(lo_k, length_k) per level; levels <= frozen_below contribute no movement.
+
+    ``hold_zero`` widens level k to hold state ``-k * origin``, where S_k = 0.
+    """
     minc, maxc = set_.min_coord, set_.max_coord
+    origin = set_.lattice.origin
     bounds = []
     for k in range(n + 1):
         steps = max(0, k - frozen_below)
-        bounds.append((steps * minc, steps * (maxc - minc) + 1))
+        lo, hi = steps * minc, steps * maxc
+        if hold_zero:
+            lo, hi = min(lo, -k * origin), max(hi, -k * origin)
+        bounds.append((lo, hi - lo + 1))
     return bounds
 
 
@@ -191,11 +200,6 @@ def reachable_states(set_: AmbiguitySet, n: int) -> List[List[int]]:
     return [
         [bounds[k][0] + int(i) for i in np.flatnonzero(masks[k])] for k in range(n + 1)
     ]
-
-
-def _state_fraction(set_: AmbiguitySet, level: int, state: int) -> Fraction:
-    """Exact real value of a level-k partial-sum state."""
-    return (state + level * set_.lattice.origin) * set_.lattice.step
 
 
 def _terminal_values(set_: AmbiguitySet, n: int, f: TestFunction, normalize: bool, bounds):
@@ -320,6 +324,24 @@ def policy_value(
 # -- capacities --------------------------------------------------------
 
 
+def _event_hit(kind: str, t: Fraction, step: Fraction):
+    """The event's test on a real value ``x * step``, as a test on the integer ``x``.
+
+    For ``step > 0`` and any ``t``: ``|x step| >= t`` iff ``|x| >= ceil(t / step)``,
+    ``x step > t`` iff ``x > floor(t / step)`` and ``x step < t`` iff
+    ``x < ceil(t / step)``.  The running-max and tail kinds test ``|.| >= t``.
+    """
+    ceil_t = math.ceil(t / step)
+    if kind == "FINAL_GT":
+        floor_t = math.floor(t / step)
+        return lambda x: x > floor_t
+    if kind == "FINAL_LT":
+        return lambda x: x < ceil_t
+    if kind == "FINAL_ABS_LT":
+        return lambda x: np.abs(x) < ceil_t
+    return lambda x: np.abs(x) >= ceil_t
+
+
 def capacity(
     set_: AmbiguitySet,
     n: int,
@@ -337,33 +359,38 @@ def capacity(
     if side not in ("UPPER", "LOWER"):
         raise InputError("BAD_SIDE", f"side must be UPPER or LOWER, got {side!r}")
     maximize = side == "UPPER"
-    kind, t = event.kind, event.threshold
-    if kind == "TAIL_SUM_ABS_GE":
-        if event.from_index > n:
-            raise InputError(
-                "UNSUPPORTED_EVENT", f"from_index {event.from_index} beyond horizon {n}"
-            )
-        return _final_capacity(
-            set_, n, lambda v: abs(v) >= t, maximize, state_budget, event.from_index
+    hit = _event_hit(event.kind, event.threshold, set_.lattice.step)
+    if event.kind in _FLAG_KINDS:
+        return _flagged_capacity(set_, n, event.kind, hit, maximize, state_budget)
+    if event.kind == "TAIL_SUM_ABS_GE" and event.from_index > n:
+        raise InputError(
+            "UNSUPPORTED_EVENT", f"from_index {event.from_index} beyond horizon {n}"
         )
-    if kind in _FINAL_KINDS:
-        pred = {
-            "FINAL_ABS_GE": lambda v: abs(v) >= t,
-            "FINAL_ABS_LT": lambda v: abs(v) < t,
-            "FINAL_GT": lambda v: v > t,
-            "FINAL_LT": lambda v: v < t,
-        }[kind]
-        return _final_capacity(set_, n, pred, maximize, state_budget, 0)
-    return _flagged_capacity(set_, n, event, maximize, state_budget)
+    return _final_capacity(set_, n, hit, maximize, state_budget, event.from_index or 0)
 
 
-def _final_capacity(set_, n, pred, maximize, state_budget, frozen_below):
-    bounds = _level_bounds(set_, n, frozen_below)
+def final_abs_capacities(
+    set_: AmbiguitySet, n: int, t, state_budget: int = DEFAULT_STATE_BUDGET
+) -> List[float]:
+    """``[V(|S_h| >= t) for h = 0..n]`` from one horizon-``n`` sweep.
+
+    The kernel is stationary, so the level-k value at the state where
+    S_k = 0 is the horizon-(n - k) capacity.
+    """
+    hit = _event_hit("FINAL_ABS_GE", to_fraction(t), set_.lattice.step)
+    return _final_capacity(set_, n, hit, True, state_budget, 0, hold_zero=True)
+
+
+def _final_capacity(set_, n, hit, maximize, state_budget, frozen_below, hold_zero=False):
+    """Capacity of ``hit`` on the sum of the increments after level ``frozen_below``,
+    or with ``hold_zero`` the value at the state where S_k = 0 per level, level n first."""
+    bounds = _level_bounds(set_, n, frozen_below, hold_zero)
     _check_budget(bounds, 1, state_budget)
+    origin = set_.lattice.origin
+    better = np.greater if maximize else np.less
     lo_n, len_n = bounds[n]
-    u = np.array(
-        [1.0 if pred(_state_fraction(set_, n, s)) else 0.0 for s in range(lo_n, lo_n + len_n)]
-    )
+    u = hit(np.arange(lo_n, lo_n + len_n) + (n - frozen_below) * origin).astype(float)
+    at_zero = [float(u[-n * origin - lo_n])] if hold_zero else None
     for k in range(n, 0, -1):
         lo_prev, len_prev = bounds[k - 1]
         lo_k, _ = bounds[k]
@@ -372,56 +399,47 @@ def _final_capacity(set_, n, pred, maximize, state_budget, frozen_below):
         for gc, gen in zip(set_.coords, set_.generators):
             coords = gc if moves else (0,) * len(gc)
             cand = _shift_combine(u, gen.weights, coords, lo_prev + 0 - lo_k, len_prev)
-            if best is None:
-                best = cand
-            elif maximize:
-                best = np.where(cand > best, cand, best)
-            else:
-                best = np.where(cand < best, cand, best)
+            best = cand if best is None else np.where(better(cand, best), cand, best)
         u = best
-    return float(u[0 - bounds[0][0]])
+        if hold_zero:
+            at_zero.append(float(u[-(k - 1) * origin - lo_prev]))
+    return at_zero if hold_zero else float(u[0 - bounds[0][0]])
 
 
-def _flagged_capacity(set_, n, event, maximize, state_budget):
-    kind, t = event.kind, event.threshold
-    bounds = _level_bounds(set_, n)
-    _check_budget(bounds, 2, state_budget)
-    lo_n, len_n = bounds[n]
-    # u[:, 0] = value with trigger unset, u[:, 1] = value with trigger set
-    u = np.zeros((len_n, 2))
-    u[:, 1] = 1.0
-    step = set_.lattice.step
+def _flagged_capacity(set_, n, kind, hit, maximize, state_budget):
+    """Running-max capacity; ``unset`` holds the values with the trigger unset.
+
+    With the trigger set the event is certain and every state takes the same
+    sums and extremes, so ``set_value`` is one float per level.  An increment
+    trigger ignores the state, so that kind runs on one state per level.
+    """
+    _check_budget(_level_bounds(set_, n), 2, state_budget)
+    partial = kind == "MAX_PARTIAL_ABS_GE"
+    bounds = _level_bounds(set_, n, 0 if partial else n)
     origin = set_.lattice.origin
+    better = np.greater if maximize else np.less
+    atom_trig = [hit(np.array(gc) + origin) for gc in set_.coords]
+    unset = np.zeros(bounds[n][1])
+    set_value = 1.0
     for k in range(n, 0, -1):
         lo_prev, len_prev = bounds[k - 1]
         lo_k, len_k = bounds[k]
-        if kind == "MAX_PARTIAL_ABS_GE":
-            trig_level = np.array(
-                [abs(_state_fraction(set_, k, s)) >= t for s in range(lo_k, lo_k + len_k)]
-            )
-        best = None
-        for gc, gen in zip(set_.coords, set_.generators):
-            cand = np.empty((len_prev, 2))
-            acc0 = None
-            acc1 = None
-            for w, c in zip(gen.weights, gc):
-                a = lo_prev + c - lo_k
-                nxt0 = u[a : a + len_prev, 0]
-                nxt1 = u[a : a + len_prev, 1]
-                if kind == "MAX_PARTIAL_ABS_GE":
-                    trig = trig_level[a : a + len_prev]
-                else:  # MAX_INCREMENT_ABS_GE: trigger depends on the increment only
-                    trig = abs((c + origin) * step) >= t
-                from_unset = np.where(trig, nxt1, nxt0)
+        if partial:
+            level_trig = hit(np.arange(lo_k, lo_k + len_k) + k * origin)
+        best = best_set = None
+        for gc, gen, trigs in zip(set_.coords, set_.generators, atom_trig):
+            acc0 = acc1 = None
+            for w, c, trig in zip(gen.weights, gc, trigs):
+                a = lo_prev + (c if partial else 0) - lo_k
+                if partial:
+                    trig = level_trig[a : a + len_prev]
+                from_unset = np.where(trig, set_value, unset[a : a + len_prev])
                 acc0 = w * from_unset if acc0 is None else acc0 + w * from_unset
-                acc1 = w * nxt1 if acc1 is None else acc1 + w * nxt1
-            cand[:, 0] = acc0
-            cand[:, 1] = acc1
+                acc1 = w * set_value if acc1 is None else acc1 + w * set_value
             if best is None:
-                best = cand
-            elif maximize:
-                best = np.where(cand > best, cand, best)
+                best, best_set = acc0, acc1
             else:
-                best = np.where(cand < best, cand, best)
-        u = best
-    return float(u[0 - bounds[0][0], 0])
+                best = np.where(better(acc0, best), acc0, best)
+                best_set = acc1 if better(acc1, best_set) else best_set
+        unset, set_value = best, best_set
+    return float(unset[0 - bounds[0][0]])

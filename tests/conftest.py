@@ -4,10 +4,11 @@ import pytest
 from sublinexp import AmbiguitySet, DiscreteDistribution, LatticeSpec, piecewise_linear
 
 
-def make_set(*generators, step=1):
-    """Ambiguity set from lists of (point, weight) pairs on an integer lattice."""
+def make_set(*generators, step=1, origin=0):
+    """Ambiguity set from lists of (point, weight) pairs on the lattice ``(origin + k) * step``."""
     return AmbiguitySet(
-        LatticeSpec(step), tuple(DiscreteDistribution.from_pairs(g) for g in generators)
+        LatticeSpec(step, origin),
+        tuple(DiscreteDistribution.from_pairs(g) for g in generators),
     )
 
 
@@ -34,16 +35,17 @@ def biased_pair():
     return make_set([(-1, 0.5), (1, 0.5)], [(-1, 0.25), (1, 0.75)])
 
 
-def random_set(rng, max_generators=3, max_atoms=3, span=3):
-    """Random integer-lattice ambiguity set with exactly normalized weights."""
+def random_set(rng, max_generators=3, max_atoms=3, span=3, step=1, origin=0):
+    """Random ambiguity set with exactly normalized weights on coordinates -span..span."""
     gens = []
     for _ in range(rng.integers(1, max_generators + 1)):
         k = int(rng.integers(1, max_atoms + 1))
-        points = rng.choice(np.arange(-span, span + 1), size=k, replace=False)
+        coords = rng.choice(np.arange(-span, span + 1), size=k, replace=False)
+        points = (origin + coords) * step
         weights = rng.random(k) + 0.05
         weights = weights / weights.sum()
         gens.append(list(zip(points.tolist(), weights.tolist())))
-    return make_set(*gens)
+    return make_set(*gens, step=step, origin=origin)
 
 
 def random_pwl(rng, lo=-3.0, hi=3.0, max_breaks=5, scale=2.0):

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,11 @@ class TestExitCodes:
         payload = dict(PAIR_SET, function={"kind": "abs"}, n=6, budgets={"enumeration": 3})
         assert run(tmp_path, "oracle", payload) == 2
 
+    def test_ottaviani_budget_is_2(self, tmp_path, capsys):
+        payload = dict(PAIR_SET, n=8, alpha=2.0, c=0.5, budgets={"states": 20})
+        assert run(tmp_path, "ottaviani", payload) == 2
+        assert "STATE_BUDGET_EXCEEDED" in capsys.readouterr().err
+
     def test_family_and_generators_exclusive(self, tmp_path):
         payload = dict(PAIR_SET, family={"name": "HEAVY", "truncation": 5}, n_max=3)
         assert run(tmp_path, "conditions", payload) == 1
@@ -194,3 +203,42 @@ class TestReports:
         run(tmp_path, "eval", dict(PAIR_SET, function={"kind": "identity"}))
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".eval")]
         assert leftovers == []
+
+
+class TestInProcessCalls:
+    JOBS = [
+        ("eval", dict(PAIR_SET, function={"kind": "identity"})),
+        ("capacity", dict(PAIR_SET, n=3, event={"kind": "MAX_PARTIAL_ABS_GE", "threshold": 2})),
+        ("counterexample", {"K": 50, "n": 5}, "heavy"),
+        ("ottaviani", dict(PAIR_SET, n=4, alpha=2.0, c=0.5)),
+        ("eval", dict(PAIR_SET, function={"kind": "abs"})),
+    ]
+
+    def test_consecutive_calls_write_what_separate_processes_write(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for i, (cmd, payload, *extra) in enumerate(self.JOBS):
+            cfg = write_config(tmp_path, f"job{i}.json", payload)
+            together, alone = tmp_path / f"together{i}", tmp_path / f"alone{i}"
+            assert main([cmd, *extra, "--config", cfg, "--out", str(together), "--quiet"]) == 0
+            proc = subprocess.run(
+                [sys.executable, "-m", "sublinexp.cli", cmd, *extra]
+                + ["--config", cfg, "--out", str(alone), "--quiet"],
+                env=dict(os.environ, PYTHONPATH=path),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            names = sorted(p.name for p in alone.iterdir())
+            assert names and sorted(p.name for p in together.iterdir()) == names
+            for name in names:
+                assert (together / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_bad_argv_exits_2_with_usage(self, tmp_path, capsys):
+        for argv in (["no-such-command"], ["eval", "--n", "many"], []):
+            assert run(tmp_path, "eval", dict(PAIR_SET, function={"kind": "identity"})) == 0
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 2
+            assert "usage: sublinexp" in capsys.readouterr().err

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from sublinexp import (
+    BudgetError,
     InputError,
+    PathEvent,
+    capacity,
     capacity_product_identity,
     ottaviani_check,
 )
@@ -50,6 +53,38 @@ class TestOttaviani:
             assert rep.status != VIOLATED
             if rep.status == HOLDS:
                 assert rep.premise_value <= c + 1e-12
+
+
+class TestOttavianiSweep:
+    """The one-sweep premise and final capacity against one capacity DP per horizon."""
+
+    CASES = [
+        # support {1, 2, 3}: 0 lies outside the hull of every generator
+        (make_set([(1, 0.5), (2, 0.5)], [(2, 0.25), (3, 0.75)]), 3.0),
+        (make_set([(-1, 0.5), (1, 0.5)], [(-1, 0.25), (1, 0.75)], origin=1), 2.0),
+        (make_set([(-0.25, 0.5), (1.0, 0.5)], [(0.25, 1.0)], step="1/4", origin=2), 0.5),
+        (make_set([(-0.25, 0.5), (1.0, 0.5)], [(0.25, 1.0)], step="1/4", origin=2), 0.3),
+        # points 0.1 and 0.3 on origin -1: positive support off a zero origin
+        (make_set([(0.1, 0.5), (0.3, 0.5)], [(0.3, 1.0)], step=0.1, origin=-1), 0.4),
+    ]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_premise_and_final_match_per_horizon_capacities(self, case, n):
+        s, alpha = self.CASES[case]
+        ev = PathEvent("FINAL_ABS_GE", alpha)
+        rep = ottaviani_check(s, n, alpha, 0.5)
+        assert rep.premise_value == max([0.0] + [capacity(s, h, ev) for h in range(1, n)])
+        assert rep.rhs == capacity(s, n, ev) / (1.0 - 0.5)
+
+    def test_budget_counts_the_widened_sweep(self):
+        # a point mass at 5: level k holds 1 state, widened to the 5k + 1 states of 0..5k
+        s = make_set([(5, 1.0)])
+        widened = sum(5 * k + 1 for k in range(11))
+        ottaviani_check(s, 10, 1.0, 0.5, state_budget=widened)
+        with pytest.raises(BudgetError) as e:
+            ottaviani_check(s, 10, 1.0, 0.5, state_budget=widened - 1)
+        assert e.value.code == "STATE_BUDGET_EXCEEDED"
 
 
 class TestProductIdentity:

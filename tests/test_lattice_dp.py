@@ -1,10 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublinexp import (
+    AmbiguitySet,
     BudgetError,
     InputError,
     KernelPolicy,
+    LatticeSpec,
     PathEvent,
     SQUARE,
     brute_force_capacity,
@@ -16,10 +22,23 @@ from sublinexp import (
     sublinear_expect,
     tent,
 )
+from sublinexp.lattice_dp import EVENT_KINDS, _event_hit, final_abs_capacities
 
 from conftest import make_set, random_pwl, random_set
 
 ABS_CLIPPED = piecewise_linear([(-1, 1), (0, 0), (1, 1)])
+KINDS = sorted(EVENT_KINDS)
+
+
+def fraction_hit(kind, value: Fraction, t: Fraction) -> bool:
+    """The event's test on an exact real value: the reference for the integer tests."""
+    if kind == "FINAL_ABS_LT":
+        return abs(value) < t
+    if kind == "FINAL_GT":
+        return value > t
+    if kind == "FINAL_LT":
+        return value < t
+    return abs(value) >= t
 
 
 class TestRobustValue:
@@ -73,12 +92,37 @@ class TestCapacity:
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_increment_stationarity(self, biased_pair):
-        for k in (0, 1, 2):
-            tail = capacity(
-                biased_pair, 4, PathEvent("TAIL_SUM_ABS_GE", 2, from_index=k), "UPPER"
-            )
-            fresh = capacity(biased_pair, 4 - k, PathEvent("FINAL_ABS_GE", 2), "UPPER")
-            assert tail == fresh
+        for origin in (0, 1, -2):
+            s = AmbiguitySet(LatticeSpec(1, origin), biased_pair.generators)
+            for k in (0, 1, 2):
+                tail = capacity(s, 4, PathEvent("TAIL_SUM_ABS_GE", 2, from_index=k), "UPPER")
+                fresh = capacity(s, 4 - k, PathEvent("FINAL_ABS_GE", 2), "UPPER")
+                assert tail == fresh
+
+    def test_tail_sum_on_shifted_lattice(self):
+        # coordinates 0 and 1 are the points 1 and 2: a frozen level adds no real value
+        s = make_set([(1, 0.5), (2, 0.5)], origin=1)
+        empty_tail = PathEvent("TAIL_SUM_ABS_GE", 1, from_index=3)
+        beyond_max = PathEvent("TAIL_SUM_ABS_GE", 5, from_index=1)
+        assert capacity(s, 3, empty_tail) == 0.0
+        assert capacity(s, 3, beyond_max) == 0.0
+        for t, k in [(2, 1), (3, 1), (4, 1), (2, 2), (1, 2), (0, 3)]:
+            ev = PathEvent("TAIL_SUM_ABS_GE", t, from_index=k)
+            assert capacity(s, 3, ev) == brute_force_capacity(s, 3, ev)
+
+    def test_final_abs_capacities_match_per_horizon_capacity(self):
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            origin = int(rng.integers(-2, 3))
+            step = Fraction(int(rng.integers(1, 4)), int(rng.choice([1, 4, 10])))
+            s = random_set(rng, step=step, origin=origin)
+            n = int(rng.integers(1, 25))
+            t = Fraction(int(rng.integers(-4, 3 * n)), 2) * step
+            by_h = final_abs_capacities(s, n, t)
+            assert len(by_h) == n + 1
+            assert by_h[0] == (1.0 if t <= 0 else 0.0)
+            ev = PathEvent("FINAL_ABS_GE", t)
+            assert by_h[1:] == [capacity(s, h, ev) for h in range(1, n + 1)]
 
     def test_singleton_collapse(self, coin):
         for kind, t in [("FINAL_ABS_GE", 2), ("MAX_PARTIAL_ABS_GE", 1), ("FINAL_GT", 0)]:
@@ -103,6 +147,42 @@ class TestCapacity:
             v = capacity(s, 3, ev, "UPPER")
             w = capacity(s, 3, ev, "LOWER")
             assert 0.0 <= w <= v <= 1.0 + 1e-12
+
+
+class TestEventPredicates:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(KINDS),
+        st.sampled_from([Fraction("0.1"), Fraction("0.05"), Fraction(1, 4), Fraction(3)]),
+        st.integers(-2, 2),
+        st.integers(0, 12),
+        st.one_of(st.integers(-40, 40), st.fractions(-40, 40, max_denominator=12)),
+    )
+    def test_integer_test_equals_fraction_test(self, kind, step, origin, level, units):
+        # integer units are lattice multiples of the step, including 0 and negatives
+        t = units * step
+        states = np.arange(-60, 61)
+        got = _event_hit(kind, t, step)(states + level * origin)
+        want = [fraction_hit(kind, (int(s) + level * origin) * step, t) for s in states]
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("origin", [-1, 0, 1, 2])
+@pytest.mark.parametrize("side", ["UPPER", "LOWER"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_capacity_matches_brute_force_on_integer_steps(kind, side, origin):
+    # integer steps keep the oracle's float partial sums exact
+    rng = np.random.default_rng([KINDS.index(kind), origin + 1, side == "UPPER"])
+    for _ in range(4):
+        step = int(rng.integers(1, 4))
+        s = random_set(rng, max_generators=2, step=step, origin=origin)
+        n = int(rng.integers(1, 6))
+        t = Fraction(int(rng.integers(-2, 2 * (3 + abs(origin)) * n)), 2) * step
+        k = int(rng.integers(0, n + 1)) if kind == "TAIL_SUM_ABS_GE" else None
+        ev = PathEvent(kind, t, k)
+        assert capacity(s, n, ev, side) == pytest.approx(
+            brute_force_capacity(s, n, ev, side), abs=1e-12
+        )
 
 
 class TestPolicyValue:
