@@ -35,12 +35,11 @@ def to_fraction(x: RationalLike) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(x))
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, float, str)):
+        try:
+            return Fraction(repr(x) if isinstance(x, float) else x)
+        except (ValueError, ZeroDivisionError):  # inf, nan, "abc", "1/0"
+            pass
     raise InputError("BAD_RATIONAL", f"cannot interpret {x!r} as a rational")
 
 

@@ -31,9 +31,6 @@ FAMILY_NAMES = ("EXM3", "HEAVY")
 #: 1 ∧ (1 - x)^+, the bounded ramp certifying the HEAVY family's LLN failure
 RAMP_DOWN = piecewise_linear([(0.0, 1.0), (1.0, 0.0)])
 
-_CHUNK_ATOMS = 1_000_000
-
-
 @dataclass(frozen=True)
 class ParametricFamily:
     """A truncated countably-indexed generator family."""
@@ -74,77 +71,90 @@ class ParametricFamily:
     # -- vectorized per-index scans ------------------------------------
 
     def per_index_expectations(self, f: TestFunction) -> np.ndarray:
-        """E_j[f] for j = 1..truncation, as one array."""
+        """E_j[f] for j = 1..truncation, as one array.
+
+        EXM3 index j >= 2 weighs the atoms k*j, k = 1..j, by 1/j^3.  Every kind
+        but ``square`` is linear between consecutive knots, so the atoms of one
+        segment form an arithmetic series, summed from its first and last term;
+        ``square`` sums (k j)^2 by Faulhaber's formula.
+        """
         n = self.truncation
         if self.name == "HEAVY":
             ks = np.arange(1, n + 1, dtype=float)
             return (1.0 - 1.0 / ks) * float(f(0.0)) + np.asarray(f(ks)) / ks
-        out = np.empty(n)
         f1 = float(f(1.0))
+        js = np.arange(2, n + 1, dtype=float)
+        if f.kind == "square":
+            sums = js**2 * (js * (js + 1) * (2 * js + 1) / 6)
+        else:
+            # segment edges: per positive knot x the first k with k*j >= x; a correctly
+            # rounded x / j never lands on an integer it does not equal, so its ceil is exact
+            edges = [np.ones_like(js)]
+            for x in sorted(x for x in f.knots() if x > 0):
+                edges.append(np.clip(np.ceil(x / js), 1, js + 1))
+            edges.append(js + 1)
+            sums = np.zeros_like(js)
+            for lo, hi in zip(edges, edges[1:]):
+                sums += (hi - lo) * (f(lo * js) + f((hi - 1) * js)) * 0.5
+        out = np.empty(n)
         out[0] = f1
-        j = 2
-        while j <= n:
-            hi = j
-            atoms = j
-            while hi < n and atoms + hi + 1 <= _CHUNK_ATOMS:
-                hi += 1
-                atoms += hi
-            js = np.arange(j, hi + 1)
-            lens = js
-            starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-            total = int(lens.sum())
-            kk = np.arange(total) - np.repeat(starts, lens) + 1
-            points = kk * np.repeat(js, lens).astype(float)
-            fv = np.asarray(f(points), dtype=float)
-            sums = np.add.reduceat(fv, starts)
-            out[j - 1 : hi] = (1.0 - 1.0 / js.astype(float) ** 2) * f1 + sums / js.astype(
-                float
-            ) ** 3
-            j = hi + 1
+        out[1:] = (1.0 - 1.0 / js**2) * f1 + sums / js**3
         return out
+
+    def _tail_counts(self, threshold) -> Tuple[np.ndarray, int]:
+        """``(c, p)`` with P_j(|X| >= threshold) = c[j - 1] / j**p for j = 1..truncation.
+
+        Every atom is an integer, so ``|x| >= t`` iff ``|x| >= ceil(t)``.
+        """
+        t = Fraction(threshold)
+        n = self.truncation
+        if t <= (0 if self.name == "HEAVY" else 1):
+            return np.ones(n, dtype=np.int64), 0
+        c = min(math.ceil(t), n * n + 1)  # past every atom either way
+        js = np.arange(1, n + 1, dtype=np.int64)
+        if self.name == "HEAVY":
+            return (js >= c).astype(np.int64), 1
+        # atoms k*j >= c for k >= ceil(c / j) = -((-c) // j)
+        return np.maximum(0, js + 1 + (-c) // js), 3
 
     def tail_fractions(self, threshold) -> List[Fraction]:
         """P_j(|X| >= threshold) for j = 1..truncation, exact counting."""
-        t = Fraction(threshold) if not isinstance(threshold, Fraction) else threshold
-        n = self.truncation
-        out: List[Fraction] = []
-        if self.name == "HEAVY":
-            for k in range(1, n + 1):
-                mass = Fraction(1, k) if k >= t else Fraction(0)
-                if t <= 0:
-                    mass = Fraction(1)
-                out.append(mass)
-            return out
-        out.append(Fraction(1) if t <= 1 else Fraction(0))
-        for j in range(2, n + 1):
-            k0 = max(1, math.ceil(t / j))
-            count = j - k0 + 1 if k0 <= j else 0
-            mass = Fraction(count, j**3)
-            if t <= 1:
-                mass += 1 - Fraction(1, j * j)
-            out.append(mass)
-        return out
-
-    def per_index_tail(self, threshold) -> np.ndarray:
-        return np.array([float(m) for m in self.tail_fractions(threshold)])
+        counts, p = self._tail_counts(threshold)
+        return [Fraction(c, j**p) for j, c in enumerate(counts.tolist(), start=1)]
 
     def tail_capacity_fraction(self, threshold) -> Tuple[Fraction, int]:
-        """Exact sup over indices of the tail mass, with the attaining index."""
-        tails = self.tail_fractions(threshold)
-        best = max(tails)
-        return best, tails.index(best) + 1
+        """Exact sup over indices of the tail mass, with the first attaining index.
+
+        Floats shortlist the indices within 1e-9 relative of the largest mass;
+        exact rationals pick among them.
+        """
+        counts, p = self._tail_counts(threshold)
+        if p == 0:
+            return Fraction(1), 1
+        approx = counts / np.arange(1, len(counts) + 1, dtype=float) ** p
+        top = approx.max()
+        if top == 0:
+            return Fraction(0), 1
+        near = np.flatnonzero(approx >= top * (1 - 1e-9)).tolist()
+        exact = [Fraction(int(counts[i]), (i + 1) ** p) for i in near]
+        best = exact.index(max(exact))
+        return exact[best], near[best] + 1
 
     def tail_capacity(self, threshold) -> Tuple[float, int]:
         """sup over indices of the tail mass, with the attaining index."""
         value, arg = self.tail_capacity_fraction(threshold)
         return float(value), arg
 
-    def truncation_binding_for_tail(self, threshold) -> bool:
-        """Whether the truncation visibly limits the tail supremum."""
+    def truncation_binding_for_tail(self, threshold, arg: Optional[int] = None) -> bool:
+        """Whether the truncation visibly limits the tail supremum.
+
+        ``arg`` is the attaining index from :meth:`tail_capacity`, when known.
+        """
         if self.name == "HEAVY":
             # untruncated supremum sits at index ceil(threshold)
             return math.ceil(max(float(threshold), 1.0)) > self.truncation
-        _, arg = self.tail_capacity(threshold)
+        if arg is None:
+            _, arg = self.tail_capacity(threshold)
         return arg >= self.truncation - 5
 
 
@@ -155,14 +165,18 @@ class FamilyExpectation:
     tail_note: str
 
 
-def family_expect(family: ParametricFamily, f: TestFunction) -> FamilyExpectation:
+def family_expect(
+    family: ParametricFamily, f: TestFunction, values: Optional[np.ndarray] = None
+) -> FamilyExpectation:
     """Upper expectation sup over indices <= truncation of E_j[f].
 
+    ``values`` are the per-index expectations, when already computed.
     Raises TRUNCATION_TOO_SMALL when the running maximum is still
     strictly increasing across the last 10 indices, i.e. the supremum is
     visibly escaping past the truncation boundary.
     """
-    values = family.per_index_expectations(f)
+    if values is None:
+        values = family.per_index_expectations(f)
     running = np.maximum.accumulate(values)
     if len(running) >= 10 and np.all(np.diff(running[-10:]) > 0):
         raise BudgetError(
@@ -227,8 +241,8 @@ def exm3_report(
     m_rows = []
     for m in ms:
         psi_val = family_expect(fam, TestFunction("psi", (int(m),))).value
-        tail, _ = fam.tail_capacity(int(m))
-        if fam.truncation_binding_for_tail(int(m)):
+        tail, arg = fam.tail_capacity(int(m))
+        if fam.truncation_binding_for_tail(int(m), arg):
             warnings.append(f"FAMILY_TRUNCATION_WARNING: tail sup at m={m} hits truncation")
         m_rows.append((int(m), psi_val, m * tail))
     return Exm3Report(truncation, lambda_rows, m_rows, tuple(warnings))

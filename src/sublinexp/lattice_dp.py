@@ -411,11 +411,12 @@ def _flagged_capacity(set_, n, kind, hit, maximize, state_budget):
 
     With the trigger set the event is certain and every state takes the same
     sums and extremes, so ``set_value`` is one float per level.  An increment
-    trigger ignores the state, so that kind runs on one state per level.
+    trigger ignores the state, so that kind runs on one state per level.  The
+    budget counts both flag values over the levels the sweep runs on.
     """
-    _check_budget(_level_bounds(set_, n), 2, state_budget)
     partial = kind == "MAX_PARTIAL_ABS_GE"
     bounds = _level_bounds(set_, n, 0 if partial else n)
+    _check_budget(bounds, 2, state_budget)
     origin = set_.lattice.origin
     better = np.greater if maximize else np.less
     atom_trig = [hit(np.array(gc) + origin) for gc in set_.coords]

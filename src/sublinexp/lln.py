@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .ambiguity import AmbiguitySet, sublinear_expect
-from .counterexamples import ParametricFamily, family_expect, family_lower_expect
+from .counterexamples import ParametricFamily, family_expect
 from .errors import InputError
 from .functions import TestFunction, clamp, psi_fn
 from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, robust_value
@@ -40,9 +40,7 @@ def psi(n: int, x):
     """
     if n < 1:
         raise InputError("BAD_LEVEL", "psi level must be >= 1")
-    x = np.asarray(x, dtype=float)
-    out = n * np.clip(np.abs(x) - (n - 1), 0.0, 1.0)
-    return out if out.ndim else float(out)
+    return psi_fn(n)(x)
 
 
 def psi_grid_sup(n: int, x, y_step: float = 1e-3, y_pad: float = 1.5):
@@ -83,20 +81,18 @@ def truncated_means(source: Source, n: int) -> TruncatedMeans:
         raise InputError("BAD_LEVEL", "truncation level must be >= 1")
     f = clamp(n)
     if isinstance(source, ParametricFamily):
-        upper = family_expect(source, f).value
-        lower = family_lower_expect(source, f)
+        values = source.per_index_expectations(f)
+        upper = family_expect(source, f, values).value
+        lower = float(np.min(values))
     else:
         sv = sublinear_expect(source, f)
         upper, lower = sv.upper, sv.lower
     return TruncatedMeans(n, lower, upper)
 
 
-def _single_step_tail_capacity(source: Source, threshold) -> Fraction:
+def _single_step_tail_capacity(set_: AmbiguitySet, threshold) -> Fraction:
     """V(|X_1| >= threshold) for one coordinate, as an exact rational."""
-    if isinstance(source, ParametricFamily):
-        value, _ = source.tail_capacity_fraction(threshold)
-        return value
-    return max(g.tail_mass_fraction(threshold) for g in source.generators)
+    return max(g.tail_mass_fraction(threshold) for g in set_.generators)
 
 
 def _psi_expect(source: Source, n: int) -> float:
@@ -141,11 +137,14 @@ def peng_condition_report(source: Source, n_max: int) -> ConditionReport:
     warnings: List[str] = []
     rows = []
     for n in range(1, n_max + 1):
-        tail = _single_step_tail_capacity(source, n)
-        if isinstance(source, ParametricFamily) and source.truncation_binding_for_tail(n):
-            warnings.append(
-                f"FAMILY_TRUNCATION_WARNING: tail sup at n={n} limited by truncation"
-            )
+        if isinstance(source, ParametricFamily):
+            tail, arg = source.tail_capacity_fraction(n)
+            if source.truncation_binding_for_tail(n, arg):
+                warnings.append(
+                    f"FAMILY_TRUNCATION_WARNING: tail sup at n={n} limited by truncation"
+                )
+        else:
+            tail = _single_step_tail_capacity(source, n)
         tm = truncated_means(source, n)
         rows.append(
             ConditionRow(n, float(n * tail), _psi_expect(source, n), tm.mu_lower, tm.mu_upper)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from sublinexp import (
     tent,
     validate_ambiguity_set,
 )
+from sublinexp.ambiguity import to_fraction
 from sublinexp.functions import pwl_add, pwl_negate, pwl_scale
 
 from conftest import make_set, random_pwl, random_set
@@ -64,6 +67,21 @@ class TestValidation:
         s = validate_ambiguity_set({"step": 1, "generators": [[(1, 0.25), (1, 0.25), (0, 0.5)]]})
         assert s.generators[0].points == (0.0, 1.0)
         assert s.generators[0].weights == (0.5, 0.5)
+
+
+class TestRationals:
+    @pytest.mark.parametrize(
+        "x", [float("inf"), float("-inf"), float("nan"), "abc", "1/0", "", "inf", None, [1]]
+    )
+    def test_malformed_rational_is_coded(self, x):
+        with pytest.raises(InputError) as e:
+            to_fraction(x)
+        assert e.value.code == "BAD_RATIONAL"
+
+    def test_well_formed_rationals(self):
+        assert to_fraction(0.1) == Fraction(1, 10)
+        assert to_fraction("-1/3") == Fraction(-1, 3)
+        assert to_fraction(7) == 7 and to_fraction(Fraction(2, 3)) == Fraction(2, 3)
 
 
 class TestLinearExpect:

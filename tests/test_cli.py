@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +176,29 @@ class TestExitCodes:
         payload = dict(PAIR_SET, n=8, alpha=2.0, c=0.5, budgets={"states": 20})
         assert run(tmp_path, "ottaviani", payload) == 2
         assert "STATE_BUDGET_EXCEEDED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cmd, payload",
+        [
+            ("capacity", dict(PAIR_SET, n=2, event={"kind": "FINAL_ABS_GE", "threshold": math.inf})),
+            ("ottaviani", dict(PAIR_SET, n=4, alpha=math.nan, c=0.5)),
+            ("capacity", dict(PAIR_SET, n=2, event={"kind": "FINAL_GT", "threshold": "1/0"})),
+            ("eval", dict(PAIR_SET, lattice={"step": "abc"}, function={"kind": "abs"})),
+        ],
+    )
+    def test_malformed_rational_is_coded(self, tmp_path, cmd, payload):
+        cfg = write_config(tmp_path, "bad.json", payload)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sublinexp.cli", cmd, "--config", cfg, "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "BAD_RATIONAL" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_family_and_generators_exclusive(self, tmp_path):
         payload = dict(PAIR_SET, family={"name": "HEAVY", "truncation": 5}, n_max=3)

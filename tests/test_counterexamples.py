@@ -1,23 +1,127 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublinexp import (
+    ABS,
     BudgetError,
     IDENTITY,
     InputError,
     ParametricFamily,
     RAMP_DOWN,
+    SQUARE,
     abs_excess,
+    clamp,
     exm3_report,
     family_expect,
     family_lower_expect,
     heavy_lln_lower_bound,
     heavy_lln_value,
     linear_expect,
+    piecewise_linear,
     psi_fn,
+    tent,
 )
+
+# -- oracles: the atom-by-atom scans the closed forms replace ------------
+
+
+def atom_scan_expectations(truncation, fs, chunk_atoms=1_000_000):
+    """E_j[f] over EXM3 indices 1..truncation for each callable in ``fs``, summing
+    all T(T+1)/2 atoms k*j in chunks."""
+    outs = [np.empty(truncation) for _ in fs]
+    f1s = [float(f(1.0)) for f in fs]
+    for out, f1 in zip(outs, f1s):
+        out[0] = f1
+    j = 2
+    while j <= truncation:
+        hi, atoms = j, j
+        while hi < truncation and atoms + hi + 1 <= chunk_atoms:
+            hi += 1
+            atoms += hi
+        js = np.arange(j, hi + 1)
+        starts = np.concatenate(([0], np.cumsum(js)[:-1]))
+        kk = np.arange(int(js.sum())) - np.repeat(starts, js) + 1
+        points = kk * np.repeat(js, js).astype(float)
+        jf = js.astype(float)
+        for f, f1, out in zip(fs, f1s, outs):
+            sums = np.add.reduceat(np.asarray(f(points), dtype=float), starts)
+            out[j - 1 : hi] = (1.0 - 1.0 / jf**2) * f1 + sums / jf**3
+        j = hi + 1
+    return outs
+
+
+def fraction_tails(family, threshold):
+    """P_j(|X| >= threshold) for j = 1..truncation, one Fraction per index."""
+    t = Fraction(threshold)
+    out = []
+    for j in range(1, family.truncation + 1):
+        if family.name == "HEAVY":
+            out.append(Fraction(1) if t <= 0 else Fraction(1, j) if j >= t else Fraction(0))
+        elif j == 1:
+            out.append(Fraction(1) if t <= 1 else Fraction(0))
+        else:
+            k0 = max(1, math.ceil(t / j))
+            mass = Fraction(j - k0 + 1 if k0 <= j else 0, j**3)
+            out.append(mass + 1 - Fraction(1, j * j) if t <= 1 else mass)
+    return out
+
+
+def scan_tolerance(truncation, f, abs_scan):
+    """1e-12 of E_j[|f|], or of f's height on [1, T^2] times the 1/j^2 mass past the atom 1.
+
+    A bounded kind rounds relative to its height (a tent's 1 - |x - c|/h near
+    its edges), so where E_j[|f|] is far below it neither scan is closer to
+    the exact value than that; unbounded kinds are nonnegative on the atoms.
+    """
+    height = 0.0
+    if f.bounded:
+        top = float(truncation) ** 2
+        height = max(abs(float(f(x))) for x in [1.0, top] + [x for x in f.knots() if 1 < x < top])
+    js = np.arange(1, truncation + 1, dtype=float)
+    return 1e-12 * np.maximum(abs_scan, height / js**2)
+
+
+def assert_matches_atom_scan(truncation, f, closed):
+    (scan, abs_scan) = atom_scan_expectations(truncation, [f, lambda x: np.abs(f(x))])
+    assert np.all(np.abs(closed - scan) <= scan_tolerance(truncation, f, abs_scan)), (
+        f.describe(),
+        truncation,
+    )
+
+
+KINDS = ("abs", "square", "identity", "clamp", "tent", "psi", "abs_excess", "pwl")
+FIXED = {"abs": ABS, "square": SQUARE, "identity": IDENTITY}
+
+
+@st.composite
+def exm3_functions(draw):
+    """A truncation T <= 2000 and a function of any kind, knots on atoms k*j or anywhere."""
+    T = draw(st.integers(1, 2000))
+    on_atom = st.tuples(st.integers(1, T), st.integers(1, T)).map(lambda kj: float(kj[0] * kj[1]))
+    anywhere = st.floats(-5.0, T * T + 5.0, allow_nan=False)
+    knot = st.one_of(on_atom, anywhere)
+    positive = st.one_of(on_atom, st.floats(0.01, T * T + 5.0))
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "clamp":
+        f = clamp(draw(positive))
+    elif kind == "tent":
+        f = tent(draw(knot), draw(positive))
+    elif kind == "psi":
+        f = psi_fn(draw(st.one_of(on_atom.map(int), st.integers(1, T * T + 2))))
+    elif kind == "abs_excess":
+        f = abs_excess(draw(st.one_of(on_atom, st.floats(0.0, T * T + 5.0))))
+    elif kind == "pwl":
+        xs = sorted(set(draw(st.lists(knot, min_size=1, max_size=6))))
+        ys = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(xs), max_size=len(xs)))
+        f = piecewise_linear(zip(xs, ys))
+    else:
+        f = FIXED[kind]
+    return T, f
 
 
 class TestGenerators:
@@ -90,6 +194,56 @@ class TestFamilyExpect:
         with pytest.raises(BudgetError) as e:
             family_expect(ParametricFamily("HEAVY", 50), abs_excess(1.0))
         assert e.value.code == "TRUNCATION_TOO_SMALL"
+        fam, f = ParametricFamily("HEAVY", 50), abs_excess(1.0)
+        with pytest.raises(BudgetError) as e:
+            family_expect(fam, f, fam.per_index_expectations(f))
+        assert e.value.code == "TRUNCATION_TOO_SMALL"
+
+
+class TestClosedFormScan:
+    @settings(max_examples=120, deadline=None)
+    @given(exm3_functions())
+    def test_matches_atom_scan(self, case):
+        T, f = case
+        assert_matches_atom_scan(T, f, ParametricFamily("EXM3", T).per_index_expectations(f))
+
+    def test_every_kind_at_truncation_ten_thousand(self):
+        T = 10_000
+        fs = [
+            ABS,
+            SQUARE,
+            IDENTITY,
+            clamp(5_000),  # on the atoms 50 * 100, ...
+            tent(250_000.0, 40_000.5),  # integer centre, edges off the atoms
+            psi_fn(100),
+            abs_excess(99.5),
+            piecewise_linear([(0.0, 1.0), (3_000.0, -2.0), (77_777.7, 4.0), (5e7, 0.5)]),
+        ]
+        fam = ParametricFamily("EXM3", T)
+        scans = atom_scan_expectations(T, fs + [lambda x, f=f: np.abs(f(x)) for f in fs])
+        for f, scan, abs_scan in zip(fs, scans, scans[len(fs) :]):
+            closed = fam.per_index_expectations(f)
+            assert np.all(np.abs(closed - scan) <= scan_tolerance(T, f, abs_scan)), f.describe()
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(1, 10**6),
+        st.one_of(st.integers(1, 10**7), st.floats(1e-300, 1e13)),
+        st.sampled_from([-1, 0, 1]),
+    )
+    def test_float_ceil_of_a_knot_over_an_index_is_exact(self, j, m, nudge):
+        # the segment edges take ceil(x / j) in floats, also one ulp off a multiple of j
+        x = float(m * j) if isinstance(m, int) else m
+        x = float(np.nextafter(x, nudge * np.inf)) if nudge else x
+        assert math.ceil(x / j) == math.ceil(Fraction(x) / j)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 40])
+    def test_integer_valued_atoms_sum_bitwise(self, T):
+        # integer knots on integer atoms: every partial sum is an exact integer
+        fam = ParametricFamily("EXM3", T)
+        fs = [psi_fn(4), clamp(6), abs_excess(3.0), ABS, tent(12.0, 4.0)]
+        for f, scan in zip(fs, atom_scan_expectations(T, fs)):
+            assert np.array_equal(fam.per_index_expectations(f), scan), f.describe()
 
 
 class TestTailCapacity:
@@ -107,6 +261,44 @@ class TestTailCapacity:
                 for g in (fam.generator(j) for j in range(1, 61))
             )
             assert value == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["EXM3", "HEAVY"])
+    @pytest.mark.parametrize("T", [1, 2, 3, 13, 200, 10_000])
+    def test_exact_supremum_matches_fraction_oracle(self, name, T):
+        fam = ParametricFamily(name, T)
+        thresholds = [-3, 0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(77, 3), 100,
+                      T - 1, T, T + 1, Fraction(2 * T * T - 1, 2), T * T, T * T + 1, 10**30]
+        for t in thresholds:
+            tails = fraction_tails(fam, t)
+            best = max(tails)
+            assert fam.tail_capacity_fraction(t) == (best, tails.index(best) + 1), t
+            assert fam.tail_fractions(t) == tails, t
+
+    def test_near_ties_pick_the_exact_maximum(self):
+        # indices 2528 and 2530 carry 1263/2528^3 and 1266/2530^3 at t = 3199874,
+        # within 1e-9 of each other: both are shortlisted and compared exactly
+        fam = ParametricFamily("EXM3", 5000)
+        for t in (3199874, 3224873, 3266538, 3291537):
+            tails = fraction_tails(fam, t)
+            best = max(tails)
+            assert fam.tail_capacity_fraction(t) == (best, tails.index(best) + 1)
+
+    def test_first_index_wins_ties(self):
+        # below the smallest atom every index carries mass 1; past the largest, 0
+        for name, low, T in (("EXM3", 1, 30), ("HEAVY", 0, 30)):
+            fam = ParametricFamily(name, T)
+            for t in (low, Fraction(low) - Fraction(1, 3), -10):
+                assert fam.tail_capacity_fraction(t) == (1, 1)
+            beyond = T * T + 1 if name == "EXM3" else T + 1
+            assert fam.tail_capacity_fraction(beyond) == (0, 1)
+            assert fam.tail_capacity_fraction(Fraction(2 * beyond - 1, 2)) == (0, 1)
+
+    def test_binding_from_a_known_argmax(self):
+        fam = ParametricFamily("EXM3", 40)
+        for t in (2, 30, 900, 1500, 1601):
+            _, arg = fam.tail_capacity(t)
+            assert fam.truncation_binding_for_tail(t, arg) == fam.truncation_binding_for_tail(t)
+            assert fam.truncation_binding_for_tail(t, arg) == (arg >= 35)
 
     def test_binding_detection(self):
         assert ParametricFamily("HEAVY", 5).truncation_binding_for_tail(8)

@@ -134,6 +134,30 @@ class TestCapacity:
         assert capacity(coin, 3, PathEvent("MAX_INCREMENT_ABS_GE", 1), "UPPER") == 1.0
         assert capacity(coin, 3, PathEvent("MAX_INCREMENT_ABS_GE", 2), "UPPER") == 0.0
 
+    def test_increment_budget_counts_one_state_per_level(self):
+        # V(max_k |X_k| >= 2) = 1 - (1 - p)^n, p the largest (smallest) one-step tail
+        s = make_set([(0, 0.999), (2, 0.001)], [(-1, 0.5), (1, 0.4995), (3, 0.0005)])
+        n, budget = 3000, 10_000  # the former charge, 2 * (n + 1)^2 states, is refused
+        ev = PathEvent("MAX_INCREMENT_ABS_GE", 2)
+        assert capacity(s, n, ev, "UPPER", state_budget=budget) == pytest.approx(
+            1 - 0.999**n, rel=1e-12
+        )
+        assert capacity(s, n, ev, "LOWER", state_budget=budget) == pytest.approx(
+            1 - 0.9995**n, rel=1e-12
+        )
+        with pytest.raises(BudgetError) as e:
+            capacity(s, n, ev, state_budget=2 * (n + 1) - 1)
+        assert e.value.code == "STATE_BUDGET_EXCEEDED"
+
+    def test_partial_budget_refusals_unchanged(self, biased_pair):
+        n = 40
+        charged = 2 * sum(2 * k + 1 for k in range(n + 1))  # both flags over every level's range
+        ev = PathEvent("MAX_PARTIAL_ABS_GE", 3)
+        with pytest.raises(BudgetError) as e:
+            capacity(biased_pair, n, ev, state_budget=charged - 1)
+        assert e.value.message == f"{charged} level-states exceed budget {charged - 1}"
+        assert 0.0 < capacity(biased_pair, n, ev, state_budget=charged) <= 1.0
+
     def test_unsupported_event(self):
         with pytest.raises(InputError) as e:
             PathEvent("FINAL_EQ", 1)

@@ -11,6 +11,8 @@ from sublinexp import (
     SQUARE,
     chebyshev_bound_check,
     clamp,
+    family_expect,
+    family_lower_expect,
     linear_expect,
     lln_sweep,
     maximal_dist_value,
@@ -47,6 +49,16 @@ class TestPsi:
         lower = n * (abs(x) >= n)
         upper = n * (abs(x) >= n - 1)
         assert lower <= psi(n, x) <= upper
+
+    def test_bitwise_equal_to_the_closed_form(self):
+        xs = np.concatenate([np.linspace(-12.0, 12.0, 2401), [-0.0, np.inf, -np.inf]])
+        for n in (1, 2, 5, 10, 100):
+            former = n * np.clip(np.abs(xs) - (n - 1), 0.0, 1.0)
+            assert psi(n, xs).tobytes() == former.tobytes()
+            for x in xs[::97]:
+                got = psi(n, float(x))
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(former[xs == x][0]).tobytes()
 
     def test_matches_function_object(self):
         xs = np.linspace(-8, 8, 101)
@@ -94,6 +106,14 @@ class TestTruncatedMeans:
         with pytest.raises(InputError):
             truncated_means(coin, 0)
 
+    @pytest.mark.parametrize("name, T", [("EXM3", 1), ("EXM3", 57), ("HEAVY", 1), ("HEAVY", 90)])
+    def test_family_bounds_from_one_scan(self, name, T):
+        fam = ParametricFamily(name, T)
+        for n in (1, 2, 7, 40, 5000):
+            tm = truncated_means(fam, n)
+            assert tm.mu_upper == family_expect(fam, clamp(n)).value
+            assert tm.mu_lower == family_lower_expect(fam, clamp(n))
+
 
 class TestConditionReport:
     def test_bounded_set_all_conditions_clean(self, biased_pair):
@@ -128,6 +148,20 @@ class TestConditionReport:
             )
             assert r.psi_expect == pytest.approx(direct_psi, abs=1e-12)
             assert r.mu_upper_n == pytest.approx(direct_mu, abs=1e-12)
+
+    @pytest.mark.parametrize("name, T", [("EXM3", 3), ("EXM3", 12), ("HEAVY", 9)])
+    def test_warnings_follow_the_tail_argmax(self, name, T):
+        fam = ParametricFamily(name, T)
+        rep = peng_condition_report(fam, 30)
+        expected = [
+            f"FAMILY_TRUNCATION_WARNING: tail sup at n={n} limited by truncation"
+            for n in range(1, 31)
+            if fam.truncation_binding_for_tail(n)
+        ]
+        assert list(rep.warnings) == expected
+        for r in rep.rows:
+            value, _ = fam.tail_capacity_fraction(r.n)
+            assert r.nV_tail == float(r.n * value)
 
     def test_truncation_warning_surfaces(self):
         rep = peng_condition_report(ParametricFamily("HEAVY", 4), 6)
