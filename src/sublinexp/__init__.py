@@ -49,10 +49,8 @@ from .lattice_dp import (
     KernelPolicy,
     PathEvent,
     RobustResult,
-    ValueTable,
     capacity,
     policy_value,
-    reachable_states,
     robust_value,
 )
 from .lln import (

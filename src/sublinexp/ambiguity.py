@@ -65,9 +65,6 @@ class LatticeSpec:
             )
         return int(q)
 
-    def value(self, coordinate: int) -> float:
-        return float((self.origin + coordinate) * self.step)
-
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
@@ -108,9 +105,6 @@ class DiscreteDistribution:
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
 
-    def mean(self) -> float:
-        return linear_expect(self, TestFunction("identity"))
-
     def tail_mass_fraction(self, threshold: RationalLike) -> Fraction:
         """P(|X| >= threshold) as an exact rational over the float weights."""
         t = to_fraction(threshold)
@@ -119,10 +113,6 @@ class DiscreteDistribution:
             if abs(Fraction(p)) >= t:
                 acc += Fraction(w)
         return acc
-
-    def tail_mass(self, threshold: RationalLike) -> float:
-        """P(|X| >= threshold), evaluated exactly on the support."""
-        return float(self.tail_mass_fraction(threshold))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import Dict, Optional
 
 from .ambiguity import AmbiguitySet, sublinear_expect, validate_ambiguity_set
 from .counterexamples import (
+    RAMP_DOWN,
     ParametricFamily,
     exm3_report,
     heavy_lln_lower_bound,
@@ -62,7 +63,18 @@ _TOP_KEYS = {
 }
 
 
+_SECTION_KEYS = {
+    "lattice": {"step", "origin"},
+    "family": {"name", "truncation"},
+    "function": {"kind", "params"},
+    "event": {"kind", "threshold", "from_index"},
+    "budgets": {"states", "enumeration"},
+}
+
+
 def _check_keys(obj: Dict, allowed, where: str):
+    if not isinstance(obj, dict):
+        raise InputError("BAD_CONFIG", f"{where} must be a JSON object")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise InputError("BAD_CONFIG", f"unknown key {unknown[0]!r} in {where}")
@@ -81,16 +93,11 @@ def load_config(path: Optional[str]) -> Dict:
     if not isinstance(cfg, dict):
         raise InputError("BAD_CONFIG", "config root must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
-    if "lattice" in cfg:
-        _check_keys(cfg["lattice"], {"step", "origin"}, "config.lattice")
-    if "family" in cfg:
-        _check_keys(cfg["family"], {"name", "truncation"}, "config.family")
-    if "function" in cfg:
-        _check_keys(cfg["function"], {"kind", "params"}, "config.function")
-    if "event" in cfg:
-        _check_keys(cfg["event"], {"kind", "threshold", "from_index"}, "config.event")
-    if "budgets" in cfg:
-        _check_keys(cfg["budgets"], {"states", "enumeration"}, "config.budgets")
+    for key, allowed in _SECTION_KEYS.items():
+        if key in cfg:
+            _check_keys(cfg[key], allowed, f"config.{key}")
+    if not isinstance(cfg.get("generators", []), list):
+        raise InputError("BAD_CONFIG", "config.generators must be a JSON list")
     return cfg
 
 
@@ -175,6 +182,11 @@ def _require(cfg: Dict, key: str, what: str):
     if cfg.get(key) is None:
         raise InputError("BAD_CONFIG", f"config key {key!r} is required for {what}")
     return cfg[key]
+
+
+def _first(*values):
+    """The first value that is not None: 0 is a value, not an unset option."""
+    return next((v for v in values if v is not None), None)
 
 
 def _out_dir(cfg: Dict) -> Path:
@@ -320,9 +332,9 @@ def _cmd_chebyshev(cfg, args) -> int:
 
 
 def _cmd_counterexample(cfg, args) -> int:
-    which = args.which
-    if which == "exm3":
-        truncation = int(args.K or cfg.get("K") or cfg.get("family", {}).get("truncation", 10_000))
+    K = _first(args.K, cfg.get("K"), cfg.get("family", {}).get("truncation"))
+    if args.which == "exm3":
+        truncation = int(_first(K, 10_000))
         lambdas = [float(x) for x in cfg.get("lambdas", [10, 20, 50, 100])]
         ms = [int(x) for x in cfg.get("ms", [10, 20, 50, 100])]
         report = exm3_report(truncation, lambdas, ms)
@@ -345,13 +357,11 @@ def _cmd_counterexample(cfg, args) -> int:
         _say(args, f"counterexample exm3: E[(|X|-{lam:g})^+] = {v:.6g}")
         return 0
     # HEAVY
-    K = int(args.K or cfg.get("K") or cfg.get("family", {}).get("truncation", 200))
-    n = int(args.n or cfg.get("n") or 20)
+    K = int(_first(K, 200))
+    n = int(_first(cfg.get("n"), 20))
     value = heavy_lln_value(K, n, state_budget=_state_budget(cfg))
     bound = heavy_lln_lower_bound(K, n)
-    limit = maximal_dist_value(
-        piecewise_linear([(0.0, 1.0), (1.0, 0.0)]), 1.0, 1.0
-    )
+    limit = maximal_dist_value(RAMP_DOWN, 1.0, 1.0)
     write_report(
         _out_dir(cfg),
         "heavy",

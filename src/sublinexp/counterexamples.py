@@ -23,8 +23,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ambiguity import DiscreteDistribution
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, check_budget
 from .functions import TestFunction, piecewise_linear
+from .lattice_dp import _sweep
 
 FAMILY_NAMES = ("EXM3", "HEAVY")
 
@@ -256,28 +257,23 @@ def heavy_lln_value(
 ) -> float:
     """Exact E_K[ramp(S_n / n)] for the K-truncated HEAVY family.
 
-    Dedicated integer-state DP: supports {0, k} for k <= K make level-k
-    states the integers [0, k*K].  The result is a certified lower bound
-    for the untruncated supremum and itself obeys
-    ``value >= (1 - 1/K)^n`` (each step loses at most that factor).
+    A certified lower bound for the untruncated supremum, itself at least
+    ``(1 - 1/K)^n``.  Sums never fall and the ramp is 0 from n on, so level k
+    stores [0, min(k*K, n - 1)] and every state >= n absorbs at 0.0.  A jump
+    k >= n lands there from every stored state, so its candidate
+    ``fl(1 - 1/k) * u(s)`` is largest at k = K: only k < n and k = K are swept.
+    The weights are not :meth:`ParametricFamily.generator`'s: its
+    ``float(Fraction(k - 1, k))`` differs from ``1.0 - 1.0/k`` at k = 3, 7, 19, ...
     """
     K = truncation
     if K < 1 or n < 1:
         raise InputError("BAD_FAMILY", "need truncation >= 1 and horizon >= 1")
-    states = (n + 1) * (n * K + 1)
-    if states > state_budget:
-        raise BudgetError(
-            "STATE_BUDGET_EXCEEDED", f"{states} level-states exceed budget {state_budget}"
-        )
-    u = np.asarray(RAMP_DOWN(np.arange(n * K + 1) / n), dtype=float)
-    for level in range(n, 0, -1):
-        length = (level - 1) * K + 1
-        best = None
-        for k in range(1, K + 1):
-            cand = (1.0 - 1.0 / k) * u[:length] + (1.0 / k) * u[k : k + length]
-            best = cand if best is None else np.where(cand > best, cand, best)
-        u = best
-    return float(u[0])
+    check_budget((n + 1) * (n * K + 1), state_budget)
+    ks = list(range(1, min(K, n - 1) + 1)) + ([K] if K >= n else [])
+    weights = [(1.0 - 1.0 / k, 1.0 / k) for k in ks]
+    bounds = [(0, min(level * K, n - 1) + 1) for level in range(n + 1)]
+    u = np.asarray(RAMP_DOWN(np.arange(bounds[n][1]) / n), dtype=float)
+    return _sweep([tuple((0, k) for k in ks)] * n, weights, bounds, u, np.greater, absorb=0.0)
 
 
 def heavy_lln_lower_bound(truncation: int, n: int) -> float:

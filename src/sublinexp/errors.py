@@ -31,6 +31,15 @@ class BudgetError(EngineError):
     exit_status = 2
 
 
+def check_budget(
+    count: int, budget: int, unit: str = "level-states", code: str = "STATE_BUDGET_EXCEEDED"
+) -> int:
+    """``count``, or a :class:`BudgetError` when it exceeds ``budget``."""
+    if count > budget:
+        raise BudgetError(code, f"{count} {unit} exceed budget {budget}")
+    return count
+
+
 class PropertyViolation(EngineError):
     """A mathematical property that must hold was observed to fail.
 

@@ -126,13 +126,22 @@ class TestFunction:
 
 # -- constructors ------------------------------------------------------
 
+
+def _real(x, what: str) -> float:
+    """``float(x)``, or BAD_FUNCTION when ``x`` is not a number."""
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise InputError("BAD_FUNCTION", f"{what} must be a number, got {x!r}") from None
+
+
 ABS = TestFunction("abs")
 SQUARE = TestFunction("square")
 IDENTITY = TestFunction("identity")
 
 
 def piecewise_linear(breakpoints: Iterable[Tuple[float, float]]) -> TestFunction:
-    pts = sorted((float(x), float(y)) for x, y in breakpoints)
+    pts = sorted((_real(x, "breakpoint"), _real(y, "breakpoint value")) for x, y in breakpoints)
     xs = tuple(p[0] for p in pts)
     ys = tuple(p[1] for p in pts)
     if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -142,30 +151,32 @@ def piecewise_linear(breakpoints: Iterable[Tuple[float, float]]) -> TestFunction
 
 def clamp(n: float) -> TestFunction:
     """x clipped to [-n, n]."""
-    return TestFunction("clamp", (float(n),))
+    return TestFunction("clamp", (_real(n, "clamp level"),))
 
 
 def tent(center: float, halfwidth: float) -> TestFunction:
     """Unit-height tent supported on [center - halfwidth, center + halfwidth]."""
+    center, halfwidth = _real(center, "tent center"), _real(halfwidth, "tent halfwidth")
     if halfwidth <= 0:
         raise InputError("BAD_FUNCTION", "tent halfwidth must be positive")
-    return TestFunction("tent", (float(center), float(halfwidth)))
+    return TestFunction("tent", (center, halfwidth))
 
 
 def psi_fn(n: int) -> TestFunction:
     """The Lipschitz tail surrogate at level n (see :func:`sublinexp.lln.psi`)."""
-    if n < 1:
-        raise InputError("BAD_FUNCTION", "psi level must be >= 1")
-    return TestFunction("psi", (int(n),))
+    level = _real(n, "psi level")
+    if not level.is_integer() or level < 1:
+        raise InputError("BAD_FUNCTION", f"psi level must be an integer >= 1, got {n!r}")
+    return TestFunction("psi", (int(level),))
 
 
 def abs_excess(lam: float) -> TestFunction:
     """(|x| - lam)^+, the tail-excess moment integrand (unbounded)."""
-    return TestFunction("abs_excess", (float(lam),))
+    return TestFunction("abs_excess", (_real(lam, "abs_excess lambda"),))
 
 
 def constant(c: float) -> TestFunction:
-    return TestFunction("pwl", ((0.0,), (float(c),)))
+    return TestFunction("pwl", ((0.0,), (_real(c, "constant value"),)))
 
 
 # -- piecewise-linear algebra (used heavily by the property suites) ----

@@ -16,7 +16,7 @@ needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .ambiguity import AmbiguitySet, to_fraction
-from .errors import BudgetError, InputError
+from .errors import InputError, check_budget
 from .functions import TestFunction
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -57,14 +57,6 @@ class PathEvent:
     def describe(self) -> str:
         extra = f", from {self.from_index}" if self.from_index is not None else ""
         return f"{self.kind}({self.threshold}{extra})"
-
-
-@dataclass(frozen=True)
-class ValueTable:
-    """Backward-induction values at one level, keyed by lattice state."""
-
-    level: int
-    entries: Dict[int, float]
 
 
 def _choice_dtype(generator_count: int) -> np.dtype:
@@ -146,7 +138,6 @@ class RobustResult:
     value: float
     policy: KernelPolicy
     state_count: int
-    tables: Optional[List[ValueTable]] = field(default=None, compare=False)
 
 
 # -- shared helpers ----------------------------------------------------
@@ -169,46 +160,91 @@ def _level_bounds(set_: AmbiguitySet, n: int, frozen_below: int = 0, hold_zero: 
     return bounds
 
 
-def _check_budget(bounds, width: int, budget: int):
-    total = width * sum(length for _, length in bounds)
-    if total > budget:
-        raise BudgetError(
-            "STATE_BUDGET_EXCEEDED", f"{total} level-states exceed budget {budget}"
-        )
-    return total
+def _states(bounds) -> int:
+    return sum(length for _, length in bounds)
 
 
-def reachable_masks(set_: AmbiguitySet, n: int, frozen_below: int = 0):
+def reachable_masks(set_: AmbiguitySet, n: int):
     """Boolean reachability per level over the level's state range."""
-    bounds = _level_bounds(set_, n, frozen_below)
+    bounds = _level_bounds(set_, n)
     masks = [np.zeros(length, dtype=bool) for _, length in bounds]
     masks[0][0 - bounds[0][0]] = True
     for k in range(1, n + 1):
         lo_prev, len_prev = bounds[k - 1]
         lo_k, _ = bounds[k]
-        moves = set_.coords if k > frozen_below else ((0,),) * len(set_.coords)
-        for gc in moves:
+        for gc in set_.coords:
             for c in gc:
                 a = lo_prev + c - lo_k
                 masks[k][a : a + len_prev] |= masks[k - 1]
     return bounds, masks
 
 
-def reachable_states(set_: AmbiguitySet, n: int) -> List[List[int]]:
-    """Reachable lattice states per level 0..n."""
-    bounds, masks = reachable_masks(set_, n)
-    return [
-        [bounds[k][0] + int(i) for i in np.flatnonzero(masks[k])] for k in range(n + 1)
-    ]
-
-
-def _terminal_values(set_: AmbiguitySet, n: int, f: TestFunction, normalize: bool, bounds):
-    lo, length = bounds[n]
-    states = np.arange(lo, lo + length)
+def _terminal_values(set_: AmbiguitySet, n: int, f: TestFunction, normalize: bool, states):
+    """``f(S_n / n)``, or ``f(S_n)`` without ``normalize``, at level-n lattice states."""
     xs = (states + n * set_.lattice.origin) * float(set_.lattice.step)
     if normalize:
         xs = xs / n
     return np.asarray(f(xs), dtype=float)
+
+
+def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None) -> float:
+    """Backward induction ``u_{k-1}(s) = extremize_g sum_j w_j u_k(s + x_j)``; u_0 at state 0.
+
+    ``moves[k - 1][g]``: generator g's integer atom moves into level k (zeros on
+    frozen levels); ``weights[g]``: its atom weights; ``bounds[k] = (lo, length)``:
+    the states stored at level k; ``u``: the last level's values.  ``rule`` is
+    ``np.greater`` (max), ``np.less`` (min) or a fixed policy's per-level choices.
+    With ``absorb`` (max or min), a move off level k's stored states reads one
+    float, which follows the same recursion.  ``record`` gets the argmax per
+    level and ``visit(k, u)`` every level.  The order is fixed (states,
+    generators, then atoms in increasing-point order), so results are bitwise
+    reproducible.
+    """
+    n = len(bounds) - 1
+    fixed = not callable(rule)
+    dtype = _choice_dtype(len(weights))
+    if visit is not None:
+        visit(n, u)
+    for k in range(n, 0, -1):
+        lo_prev, len_prev = bounds[k - 1]
+        lo_k, len_k = bounds[k]
+        if absorb is not None:
+            pad = np.full(len_prev, absorb)
+            u = np.concatenate((pad, u, pad))
+        if record is not None:
+            arg = record[k - 1] = np.zeros(len_prev, dtype=dtype)
+        best = best_absorb = None
+        for g, (gm, gw) in enumerate(zip(moves[k - 1], weights)):
+            cand = None
+            for w, c in zip(gw, gm):
+                a = lo_prev + c - lo_k
+                if absorb is not None:  # a slice wholly off the stored states reads padding
+                    a = min(max(a, -len_prev), len_k) + len_prev
+                sl = u[a : a + len_prev]
+                cand = w * sl if cand is None else cand + w * sl
+            if fixed:
+                best = np.where(rule[k - 1] == g, cand, cand if best is None else best)
+            elif best is None:
+                best = cand
+            else:
+                better = rule(cand, best)
+                best = np.where(better, cand, best)
+                if record is not None:
+                    arg[better] = g
+            if absorb is not None:
+                acc = None
+                for w in gw:
+                    acc = w * absorb if acc is None else acc + w * absorb
+                if best_absorb is None or rule(acc, best_absorb):
+                    best_absorb = acc
+        u, absorb = best, best_absorb
+        if visit is not None:
+            visit(k - 1, u)
+    return float(u[0 - bounds[0][0]])
+
+
+def _weights(set_: AmbiguitySet):
+    return [gen.weights for gen in set_.generators]
 
 
 # -- robust value and policy evaluation --------------------------------
@@ -220,62 +256,28 @@ def robust_value(
     f: TestFunction,
     normalize: bool = True,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    keep_tables: bool = False,
 ) -> RobustResult:
     """Upper expectation of ``f(S_n / n)`` (or ``f(S_n)`` with ``normalize=False``).
 
     Backward induction ``u_n(s) = f(s/n)``, ``u_{k-1}(s) = max_g sum_j
     w_j u_k(s + x_j)``, with the argmax recorded as the extracted
-    worst-case kernel policy.  Evaluation order is fixed (states
-    ascending, generators ascending, atoms in increasing-point order) so
-    results are bitwise reproducible.
+    worst-case kernel policy.
     """
     if n < 1:
         raise InputError("BAD_HORIZON", "horizon must be >= 1")
     if normalize and not f.bounded:
         raise InputError("UNBOUNDED_F", f"{f.describe()} is unbounded; use moment mode")
     bounds = _level_bounds(set_, n)
-    state_count = _check_budget(bounds, 1, state_budget)
+    state_count = check_budget(_states(bounds), state_budget)
     _, masks = reachable_masks(set_, n)
-    u = _terminal_values(set_, n, f, normalize, bounds)
-    tables = [ValueTable(n, _as_table(bounds[n][0], u))] if keep_tables else None
-    dtype = _choice_dtype(len(set_.generators))
-    levels = [None] * n
-    for k in range(n, 0, -1):
-        lo_prev, len_prev = bounds[k - 1]
-        lo_k, _ = bounds[k]
-        best = None
-        arg = np.zeros(len_prev, dtype=dtype)
-        for g, (gc, gen) in enumerate(zip(set_.coords, set_.generators)):
-            cand = _shift_combine(u, gen.weights, gc, lo_prev + 0 - lo_k, len_prev)
-            if best is None:
-                best = cand
-            else:
-                better = cand > best
-                best = np.where(better, cand, best)
-                arg[better] = g
-        u = best
-        arg[~masks[k - 1]] = -1
-        levels[k - 1] = (lo_prev, arg)
-        if keep_tables:
-            tables.append(ValueTable(k - 1, _as_table(lo_prev, u)))
-    if keep_tables:
-        tables.reverse()
-    value = float(u[0 - bounds[0][0]])
-    return RobustResult(value, KernelPolicy(n, tuple(levels)), state_count, tables)
-
-
-def _shift_combine(u, weights, coords, base_offset, length):
-    """sum_j w_j * u[s + c_j], accumulated in increasing-point order."""
-    acc = None
-    for w, c in zip(weights, coords):
-        sl = u[base_offset + c : base_offset + c + length]
-        acc = w * sl if acc is None else acc + w * sl
-    return acc
-
-
-def _as_table(lo, u):
-    return {lo + i: float(v) for i, v in enumerate(u)}
+    lo, length = bounds[n]
+    u = _terminal_values(set_, n, f, normalize, np.arange(lo, lo + length))
+    args = [None] * n
+    value = _sweep([set_.coords] * n, _weights(set_), bounds, u, np.greater, record=args)
+    for k, arg in enumerate(args):
+        arg[~masks[k]] = -1
+    levels = tuple((bounds[k][0], arg) for k, arg in enumerate(args))
+    return RobustResult(value, KernelPolicy(n, levels), state_count)
 
 
 def policy_value(
@@ -295,7 +297,7 @@ def policy_value(
     if policy.n != n:
         raise InputError("POLICY_GAP", f"policy is for horizon {policy.n}, not {n}")
     bounds = _level_bounds(set_, n)
-    _check_budget(bounds, 1, state_budget)
+    check_budget(_states(bounds), state_budget)
     _, masks = reachable_masks(set_, n)
     choices = []
     for k in range(1, n + 1):
@@ -308,17 +310,9 @@ def policy_value(
                 "POLICY_GAP", f"reachable state {state} at level {k} has no generator"
             )
         choices.append(choice)
-    u = _terminal_values(set_, n, f, normalize, bounds)
-    for k in range(n, 0, -1):
-        lo_prev, len_prev = bounds[k - 1]
-        lo_k, _ = bounds[k]
-        genidx = choices[k - 1]
-        out = None
-        for g, (gc, gen) in enumerate(zip(set_.coords, set_.generators)):
-            cand = _shift_combine(u, gen.weights, gc, lo_prev + 0 - lo_k, len_prev)
-            out = np.where(genidx == g, cand, cand if out is None else out)
-        u = out
-    return float(u[0 - bounds[0][0]])
+    lo, length = bounds[n]
+    u = _terminal_values(set_, n, f, normalize, np.arange(lo, lo + length))
+    return _sweep([set_.coords] * n, _weights(set_), bounds, u, choices)
 
 
 # -- capacities --------------------------------------------------------
@@ -352,21 +346,21 @@ def capacity(
     """Upper capacity V(event) or lower capacity v(event) at horizon ``n``.
 
     UPPER maximizes the event's indicator by robust DP, LOWER minimizes.
-    Running-max events fold one boolean trigger flag into the state.
+    Running-max events keep the triggered paths as one absorbing value.
     """
     if n < 1:
         raise InputError("BAD_HORIZON", "horizon must be >= 1")
     if side not in ("UPPER", "LOWER"):
         raise InputError("BAD_SIDE", f"side must be UPPER or LOWER, got {side!r}")
-    maximize = side == "UPPER"
-    hit = _event_hit(event.kind, event.threshold, set_.lattice.step)
+    better = np.greater if side == "UPPER" else np.less
     if event.kind in _FLAG_KINDS:
-        return _flagged_capacity(set_, n, event.kind, hit, maximize, state_budget)
+        return _flagged_capacity(set_, n, event, better, state_budget)
     if event.kind == "TAIL_SUM_ABS_GE" and event.from_index > n:
         raise InputError(
             "UNSUPPORTED_EVENT", f"from_index {event.from_index} beyond horizon {n}"
         )
-    return _final_capacity(set_, n, hit, maximize, state_budget, event.from_index or 0)
+    hit = _event_hit(event.kind, event.threshold, set_.lattice.step)
+    return _final_capacity(set_, n, hit, better, state_budget, event.from_index or 0)
 
 
 def final_abs_capacities(
@@ -378,69 +372,49 @@ def final_abs_capacities(
     S_k = 0 is the horizon-(n - k) capacity.
     """
     hit = _event_hit("FINAL_ABS_GE", to_fraction(t), set_.lattice.step)
-    return _final_capacity(set_, n, hit, True, state_budget, 0, hold_zero=True)
+    return _final_capacity(set_, n, hit, np.greater, state_budget, 0, hold_zero=True)
 
 
-def _final_capacity(set_, n, hit, maximize, state_budget, frozen_below, hold_zero=False):
+def _final_capacity(set_, n, hit, better, state_budget, frozen_below, hold_zero=False):
     """Capacity of ``hit`` on the sum of the increments after level ``frozen_below``,
     or with ``hold_zero`` the value at the state where S_k = 0 per level, level n first."""
     bounds = _level_bounds(set_, n, frozen_below, hold_zero)
-    _check_budget(bounds, 1, state_budget)
+    check_budget(_states(bounds), state_budget)
     origin = set_.lattice.origin
-    better = np.greater if maximize else np.less
     lo_n, len_n = bounds[n]
     u = hit(np.arange(lo_n, lo_n + len_n) + (n - frozen_below) * origin).astype(float)
-    at_zero = [float(u[-n * origin - lo_n])] if hold_zero else None
-    for k in range(n, 0, -1):
-        lo_prev, len_prev = bounds[k - 1]
-        lo_k, _ = bounds[k]
-        moves = k > frozen_below
-        best = None
-        for gc, gen in zip(set_.coords, set_.generators):
-            coords = gc if moves else (0,) * len(gc)
-            cand = _shift_combine(u, gen.weights, coords, lo_prev + 0 - lo_k, len_prev)
-            best = cand if best is None else np.where(better(cand, best), cand, best)
-        u = best
-        if hold_zero:
-            at_zero.append(float(u[-(k - 1) * origin - lo_prev]))
-    return at_zero if hold_zero else float(u[0 - bounds[0][0]])
+    still = tuple((0,) * len(gc) for gc in set_.coords)
+    moves = [still] * frozen_below + [set_.coords] * (n - frozen_below)
+    at_zero = []
+
+    def visit(k, values):
+        at_zero.append(float(values[-k * origin - bounds[k][0]]))
+
+    value = _sweep(moves, _weights(set_), bounds, u, better, visit=visit if hold_zero else None)
+    return at_zero if hold_zero else value
 
 
-def _flagged_capacity(set_, n, kind, hit, maximize, state_budget):
-    """Running-max capacity; ``unset`` holds the values with the trigger unset.
+def _flagged_capacity(set_, n, event, better, state_budget):
+    """Running-max capacity; triggered paths share one absorbing value, 1.0 at level n.
 
-    With the trigger set the event is certain and every state takes the same
-    sums and extremes, so ``set_value`` is one float per level.  An increment
-    trigger ignores the state, so that kind runs on one state per level.  The
-    budget counts both flag values over the levels the sweep runs on.
+    Level k stores only the untriggered partial sums ``|S_k| < t``.  An increment
+    trigger ignores the state, so that kind runs on state 0 and a triggering atom
+    moves to state 1.  The budget counts two flag values per ordinary level-state,
+    or per level for increments.
     """
-    partial = kind == "MAX_PARTIAL_ABS_GE"
-    bounds = _level_bounds(set_, n, 0 if partial else n)
-    _check_budget(bounds, 2, state_budget)
-    origin = set_.lattice.origin
-    better = np.greater if maximize else np.less
-    atom_trig = [hit(np.array(gc) + origin) for gc in set_.coords]
-    unset = np.zeros(bounds[n][1])
-    set_value = 1.0
-    for k in range(n, 0, -1):
-        lo_prev, len_prev = bounds[k - 1]
-        lo_k, len_k = bounds[k]
-        if partial:
-            level_trig = hit(np.arange(lo_k, lo_k + len_k) + k * origin)
-        best = best_set = None
-        for gc, gen, trigs in zip(set_.coords, set_.generators, atom_trig):
-            acc0 = acc1 = None
-            for w, c, trig in zip(gen.weights, gc, trigs):
-                a = lo_prev + (c if partial else 0) - lo_k
-                if partial:
-                    trig = level_trig[a : a + len_prev]
-                from_unset = np.where(trig, set_value, unset[a : a + len_prev])
-                acc0 = w * from_unset if acc0 is None else acc0 + w * from_unset
-                acc1 = w * set_value if acc1 is None else acc1 + w * set_value
-            if best is None:
-                best, best_set = acc0, acc1
-            else:
-                best = np.where(better(acc0, best), acc0, best)
-                best_set = acc1 if better(acc1, best_set) else best_set
-        unset, set_value = best, best_set
-    return float(unset[0 - bounds[0][0]])
+    origin, step = set_.lattice.origin, set_.lattice.step
+    if event.kind == "MAX_PARTIAL_ABS_GE":
+        bounds = _level_bounds(set_, n)
+        check_budget(2 * _states(bounds), state_budget)
+        ceil_t = math.ceil(event.threshold / step)  # as in _event_hit
+        for k in range(1, n + 1):
+            lo, length = bounds[k]
+            a, b = max(lo, 1 - ceil_t - k * origin), min(lo + length, ceil_t - k * origin)
+            bounds[k] = (a, max(0, b - a))
+        moves = [set_.coords] * n
+    else:
+        bounds = [(0, 1)] * (n + 1)
+        check_budget(2 * _states(bounds), state_budget)
+        hit = _event_hit(event.kind, event.threshold, step)
+        moves = [tuple(tuple(int(hit(c + origin)) for c in gc) for gc in set_.coords)] * n
+    return _sweep(moves, _weights(set_), bounds, np.zeros(bounds[n][1]), better, absorb=1.0)

@@ -38,9 +38,11 @@ def psi(n: int, x):
     Equals the supremum over y of ``n * [|y| >= n] - n * |y - x|`` and is
     sandwiched between ``n * [|x| >= n]`` and ``n * [|x| >= n - 1]``.
     """
-    if n < 1:
-        raise InputError("BAD_LEVEL", "psi level must be >= 1")
-    return psi_fn(n)(x)
+    try:
+        f = psi_fn(n)
+    except InputError as e:
+        raise InputError("BAD_LEVEL", e.message) from None
+    return f(x)
 
 
 def psi_grid_sup(n: int, x, y_step: float = 1e-3, y_pad: float = 1.5):

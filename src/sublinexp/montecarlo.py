@@ -20,7 +20,9 @@ import numpy as np
 from .ambiguity import AmbiguitySet
 from .errors import InputError
 from .functions import TestFunction
-from .lattice_dp import KernelPolicy, _choice_dtype, _level_bounds, reachable_masks
+from .lattice_dp import (
+    KernelPolicy, _choice_dtype, _level_bounds, _terminal_values, reachable_masks
+)
 
 __all__ = ["SimConfig", "SimResult", "simulate", "constant_policy"]
 
@@ -101,11 +103,7 @@ def simulate(
                 j = np.minimum(j, len(coords[g]) - 1)  # guard the w-sum rounding edge
                 inc[sel] = coords[g][j]
         s += inc
-    step = float(set_.lattice.step)
-    xs = (s + n * set_.lattice.origin) * step
-    if normalize:
-        xs = xs / n
-    vals = np.asarray(f(xs), dtype=float)
+    vals = _terminal_values(set_, n, f, normalize, s)
     estimate = float(np.add.reduce(vals) / m)
     if m > 1:
         stderr = float(np.std(vals, ddof=1) / np.sqrt(m))

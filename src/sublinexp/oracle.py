@@ -20,7 +20,7 @@ from itertools import product
 from typing import Optional
 
 from .ambiguity import AmbiguitySet
-from .errors import BudgetError, InputError
+from .errors import InputError, check_budget
 from .functions import TestFunction
 from .lattice_dp import PathEvent
 
@@ -37,12 +37,25 @@ def _tree_size(set_: AmbiguitySet, n: int) -> int:
     return total + width
 
 
-def _check_budget(set_: AmbiguitySet, n: int, budget: int):
-    size = _tree_size(set_, n)
-    if size > budget:
-        raise BudgetError(
-            "ENUMERATION_BUDGET_EXCEEDED", f"{size} history nodes exceed budget {budget}"
-        )
+def _history_extreme(set_: AmbiguitySet, n: int, leaf, maximize: bool, budget: int) -> float:
+    """Node-wise extreme over the history tree of E[leaf(draws, their sum)]."""
+    if n < 1:
+        raise InputError("BAD_HORIZON", "horizon must be >= 1")
+    check_budget(_tree_size(set_, n), budget, "history nodes", "ENUMERATION_BUDGET_EXCEEDED")
+    choose = max if maximize else min
+
+    def walk(path: tuple, partial: float) -> float:
+        if len(path) == n:
+            return leaf(path, partial)
+        values = []
+        for g in set_.generators:
+            acc = 0.0
+            for p, w in zip(g.points, g.weights):
+                acc += w * walk(path + (p,), partial + p)
+            values.append(acc)
+        return choose(values)
+
+    return walk((), 0.0)
 
 
 def brute_force_value(
@@ -54,23 +67,9 @@ def brute_force_value(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> float:
     """Extreme over all history-dependent kernel selections of E[f(S_n/n)]."""
-    if n < 1:
-        raise InputError("BAD_HORIZON", "horizon must be >= 1")
-    _check_budget(set_, n, budget)
-    choose = max if maximize else min
-
-    def walk(depth: int, partial: float) -> float:
-        if depth == n:
-            return float(f(partial / n if normalize else partial))
-        values = []
-        for g in set_.generators:
-            acc = 0.0
-            for p, w in zip(g.points, g.weights):
-                acc += w * walk(depth + 1, partial + p)
-            values.append(acc)
-        return choose(values)
-
-    return walk(0, 0.0)
+    return _history_extreme(
+        set_, n, lambda _, s: float(f(s / n if normalize else s)), maximize, budget
+    )
 
 
 def brute_force_capacity(
@@ -85,17 +84,13 @@ def brute_force_capacity(
     The event is evaluated directly on the explicit path of partial sums,
     so running-max events need no trigger-flag machinery here.
     """
-    if n < 1:
-        raise InputError("BAD_HORIZON", "horizon must be >= 1")
     if side not in ("UPPER", "LOWER"):
         raise InputError("BAD_SIDE", f"side must be UPPER or LOWER, got {side!r}")
-    _check_budget(set_, n, budget)
-    choose = max if side == "UPPER" else min
     t = float(event.threshold)
     kind = event.kind
     fi = event.from_index or 0
 
-    def indicator(increments) -> float:
+    def indicator(increments, _) -> float:
         sums = []
         s = 0.0
         for x in increments:
@@ -119,18 +114,7 @@ def brute_force_capacity(
             raise InputError("UNSUPPORTED_EVENT", kind)
         return 1.0 if hit else 0.0
 
-    def walk(path: tuple) -> float:
-        if len(path) == n:
-            return indicator(path)
-        values = []
-        for g in set_.generators:
-            acc = 0.0
-            for p, w in zip(g.points, g.weights):
-                acc += w * walk(path + (p,))
-            values.append(acc)
-        return choose(values)
-
-    return walk(())
+    return _history_extreme(set_, n, indicator, side == "UPPER", budget)
 
 
 def enumerate_selections_value(
@@ -154,11 +138,7 @@ def enumerate_selections_value(
     histories = []
     for depth in range(n):
         histories.extend(product(range(fanout), repeat=depth))
-    count = len(gens) ** len(histories)
-    if count > budget:
-        raise BudgetError(
-            "ENUMERATION_BUDGET_EXCEEDED", f"{count} selections exceed budget {budget}"
-        )
+    check_budget(len(gens) ** len(histories), budget, "selections", "ENUMERATION_BUDGET_EXCEEDED")
     best = None
     for assignment in product(range(len(gens)), repeat=len(histories)):
         selection = dict(zip(histories, assignment))

@@ -33,6 +33,21 @@ def run(tmp_path, cmd, payload, *extra):
     return main([cmd, *extra, "--config", cfg, "--out", str(tmp_path), "--quiet"])
 
 
+def run_process(tmp_path, cmd, payload, *extra):
+    """``python -m sublinexp.cli`` in a separate process, so a traceback would show."""
+    cfg = write_config(tmp_path, "bad.json", payload)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sublinexp.cli", cmd, *extra, "--config", cfg]
+        + ["--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestSubcommands:
     def test_eval(self, tmp_path):
         payload = dict(PAIR_SET, function={"kind": "identity"})
@@ -187,18 +202,64 @@ class TestExitCodes:
         ],
     )
     def test_malformed_rational_is_coded(self, tmp_path, cmd, payload):
-        cfg = write_config(tmp_path, "bad.json", payload)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sublinexp.cli", cmd, "--config", cfg, "--out", str(tmp_path)],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_process(tmp_path, cmd, payload)
         assert proc.returncode == 1
         assert "BAD_RATIONAL" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            {"kind": "psi", "params": {"n": 2.5}},
+            {"kind": "psi", "params": {"n": "x"}},
+            {"kind": "clamp", "params": {"n": "x"}},
+            {"kind": "tent", "params": {"center": "x", "halfwidth": 1}},
+            {"kind": "tent", "params": {"center": 0, "halfwidth": [1]}},
+            {"kind": "abs_excess", "params": {"lambda": None}},
+            {"kind": "constant", "params": {"value": "x"}},
+        ],
+    )
+    def test_bad_function_parameter_is_coded(self, tmp_path, function):
+        payload = {"generators": [[[-3, 0.5], [3, 0.5]]], "function": function}
+        proc = run_process(tmp_path, "eval", payload)
+        assert proc.returncode == 1
+        assert "BAD_FUNCTION" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "eval.csv").exists()
+
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            (dict(PAIR_SET, lattice=5, function={"kind": "abs"}), "config.lattice"),
+            (dict(PAIR_SET, generators=3, function={"kind": "abs"}), "config.generators"),
+            (dict(PAIR_SET, function="abs"), "config.function"),
+            (dict(PAIR_SET, function={"kind": "abs"}, budgets=[1]), "config.budgets"),
+            (dict(PAIR_SET, function={"kind": "abs"}, event=None), "config.event"),
+            ({"family": "HEAVY", "function": {"kind": "abs"}}, "config.family"),
+        ],
+    )
+    def test_config_shape_is_checked(self, tmp_path, payload, where):
+        proc = run_process(tmp_path, "eval", payload)
+        assert proc.returncode == 1
+        assert "BAD_CONFIG" in proc.stderr and where in proc.stderr
+        assert "unknown key" not in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "payload, extra",
+        [
+            ({}, ["--n", "0"]),
+            ({}, ["--K", "0"]),
+            ({"K": 0}, []),
+            ({"n": 0}, []),
+            ({"family": {"name": "HEAVY", "truncation": 0}}, []),
+        ],
+    )
+    def test_heavy_zero_is_not_unset(self, tmp_path, capsys, payload, extra):
+        assert run(tmp_path, "counterexample", payload, "heavy", *extra) == 1
+        assert "BAD_FAMILY" in capsys.readouterr().err
+        assert not (tmp_path / "heavy.csv").exists()
+
+    def test_exm3_zero_truncation_is_not_unset(self, tmp_path, capsys):
+        assert run(tmp_path, "counterexample", {}, "exm3", "--K", "0") == 2
+        assert "TRUNCATION_TOO_SMALL" in capsys.readouterr().err
 
     def test_family_and_generators_exclusive(self, tmp_path):
         payload = dict(PAIR_SET, family={"name": "HEAVY", "truncation": 5}, n_max=3)

@@ -71,6 +71,19 @@ def fraction_tails(family, threshold):
     return out
 
 
+def heavy_full_sweep(K, n):
+    """E_K[ramp(S_n / n)] maximized over every index k = 1..K at every state 0..level*K."""
+    u = np.asarray(RAMP_DOWN(np.arange(n * K + 1) / n), dtype=float)
+    for level in range(n, 0, -1):
+        length = (level - 1) * K + 1
+        best = None
+        for k in range(1, K + 1):
+            cand = (1.0 - 1.0 / k) * u[:length] + (1.0 / k) * u[k : k + length]
+            best = cand if best is None else np.where(cand > best, cand, best)
+        u = best
+    return float(u[0])
+
+
 def scan_tolerance(truncation, f, abs_scan):
     """1e-12 of E_j[|f|], or of f's height on [1, T^2] times the 1/j^2 mass past the atom 1.
 
@@ -352,3 +365,17 @@ class TestHeavyLln:
             heavy_lln_value(0, 5)
         with pytest.raises(InputError):
             heavy_lln_value(5, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 24])
+    def test_bitwise_equal_to_the_full_sweep(self, n):
+        # K = n - 1, n, n + 1 pin the dominance list: only k < n and k = K are swept
+        for K in sorted({1, 2, 3, 7, 19, 27, 63, n - 1, n, n + 1, 200} - {0}):
+            got, want = heavy_lln_value(K, n), heavy_full_sweep(K, n)
+            assert got.hex() == want.hex(), (K, n)
+
+    def test_generator_weights_differ_in_the_last_bit(self):
+        # why heavy_lln_value builds its own weights instead of using the generators
+        differ = [k for k in range(2, 400) if float(Fraction(k - 1, k)) != 1.0 - 1.0 / k]
+        assert differ[:6] == [3, 7, 19, 27, 63, 171]
+        fam = ParametricFamily("HEAVY", 3)
+        assert fam.generator(3).weights[0] != 1.0 - 1.0 / 3

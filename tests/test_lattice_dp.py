@@ -22,7 +22,7 @@ from sublinexp import (
     sublinear_expect,
     tent,
 )
-from sublinexp.lattice_dp import EVENT_KINDS, _event_hit, final_abs_capacities
+from sublinexp.lattice_dp import EVENT_KINDS, _FLAG_KINDS, _event_hit, final_abs_capacities
 
 from conftest import make_set, random_pwl, random_set
 
@@ -61,11 +61,6 @@ class TestRobustValue:
         with pytest.raises(BudgetError) as e:
             robust_value(coin, 10, ABS_CLIPPED, state_budget=10)
         assert e.value.code == "STATE_BUDGET_EXCEEDED"
-
-    def test_tables_cover_all_levels(self, coin):
-        res = robust_value(coin, 3, ABS_CLIPPED, keep_tables=True)
-        assert [t.level for t in res.tables] == [0, 1, 2, 3]
-        assert res.tables[0].entries[0] == res.value
 
 
 class TestCapacity:
@@ -133,6 +128,26 @@ class TestCapacity:
         # every increment has |X| = 1
         assert capacity(coin, 3, PathEvent("MAX_INCREMENT_ABS_GE", 1), "UPPER") == 1.0
         assert capacity(coin, 3, PathEvent("MAX_INCREMENT_ABS_GE", 2), "UPPER") == 0.0
+
+    @pytest.mark.parametrize("side", ["UPPER", "LOWER"])
+    def test_jumps_past_the_stored_partial_sums_absorb(self, side):
+        # atoms far beyond the few untriggered states of each level
+        s = make_set([(-1000, 0.3), (0, 0.5), (1, 0.2)], [(0, 0.6), (2, 0.4)])
+        for n in (1, 2, 3, 4):
+            for t in (-1, 0, 1, 2, 3, 999, 1000, 1001, 3000):
+                ev = PathEvent("MAX_PARTIAL_ABS_GE", t)
+                assert capacity(s, n, ev, side) == pytest.approx(
+                    brute_force_capacity(s, n, ev, side), abs=1e-12
+                )
+
+    @pytest.mark.parametrize("kind", sorted(_FLAG_KINDS))
+    @pytest.mark.parametrize("side", ["UPPER", "LOWER"])
+    def test_absorbing_value_is_extremized_bitwise(self, kind, side):
+        # weight sums 1 -/+ 4e-13 make the triggered value differ by generator
+        s = make_set([(-5, 0.5), (0, 0.5 - 4e-13)], [(0, 0.5 + 4e-13), (5, 0.5)])
+        for n in (1, 2, 3, 4):
+            ev = PathEvent(kind, 5)
+            assert capacity(s, n, ev, side) == brute_force_capacity(s, n, ev, side)
 
     def test_increment_budget_counts_one_state_per_level(self):
         # V(max_k |X_k| >= 2) = 1 - (1 - p)^n, p the largest (smallest) one-step tail

@@ -43,6 +43,19 @@ class TestPsi:
         with pytest.raises(InputError):
             psi(0, 1.0)
 
+    @pytest.mark.parametrize("level", [2.5, 0.5, "x", None, float("nan"), float("inf")])
+    def test_non_integral_or_non_numeric_level(self, level):
+        with pytest.raises(InputError) as e:
+            psi(level, 3.0)
+        assert e.value.code == "BAD_LEVEL"
+        with pytest.raises(InputError) as e:
+            psi_fn(level)
+        assert e.value.code == "BAD_FUNCTION"
+
+    def test_integral_float_level_is_that_integer(self):
+        assert psi_fn(3.0) == psi_fn(3)
+        assert psi(3.0, 2.5) == psi(3, 2.5) == 1.5
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 100), st.floats(-250, 250, allow_nan=False))
     def test_indicator_sandwich(self, n, x):
