@@ -52,6 +52,7 @@ from .lattice_dp import (
     capacity,
     policy_value,
     robust_value,
+    upper_value,
 )
 from .lln import (
     ChebyshevCheck,

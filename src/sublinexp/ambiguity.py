@@ -12,6 +12,7 @@ integers with no floating-state heuristics.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import InputError
-from .functions import TestFunction, UNBOUNDED_KINDS
+from .functions import TestFunction, UNBOUNDED_KINDS, _real
 
 WEIGHT_TOL = 1e-12
 
@@ -35,7 +36,7 @@ def to_fraction(x: RationalLike) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, float, str)):
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
         try:
             return Fraction(repr(x) if isinstance(x, float) else x)
         except (ValueError, ZeroDivisionError):  # inf, nan, "abc", "1/0"
@@ -92,8 +93,8 @@ class DiscreteDistribution:
         """Build from (point, weight) pairs, coalescing duplicate points."""
         merged: dict = {}
         for point, weight in atoms:
-            key = float(point)
-            merged[key] = merged.get(key, 0.0) + float(weight)
+            key = _real(point, "point", "BAD_CONFIG")
+            merged[key] = merged.get(key, 0.0) + _real(weight, "weight", "BAD_CONFIG")
         pts = sorted(merged)
         return cls(tuple(pts), tuple(merged[p] for p in pts))
 
@@ -177,10 +178,21 @@ def validate_ambiguity_set(
         raise InputError("BAD_SET", f"unknown keys {sorted(unknown)}")
     if "generators" not in raw or not raw["generators"]:
         raise InputError("EMPTY_SET", "no generators given")
-    lattice = LatticeSpec(to_fraction(raw.get("step", 1)), int(raw.get("origin", 0)))
+    origin = raw.get("origin", 0)
+    if not isinstance(origin, numbers.Integral) or isinstance(origin, bool):
+        raise InputError("BAD_LATTICE", f"lattice origin must be an integer, got {origin!r}")
+    lattice = LatticeSpec(to_fraction(raw.get("step", 1)), int(origin))
+    if not isinstance(raw["generators"], (list, tuple)):
+        raise InputError("BAD_CONFIG", "generators must be a list of generators")
     gens = []
     for i, g in enumerate(raw["generators"]):
-        atoms = g.items() if isinstance(g, dict) else g
+        atoms = list(g.items()) if isinstance(g, dict) else g
+        if not isinstance(atoms, (list, tuple)) or not all(
+            isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms
+        ):
+            raise InputError(
+                "BAD_CONFIG", f"generator {i} must be a list of [point, weight] pairs, got {g!r}"
+            )
         try:
             gens.append(DiscreteDistribution.from_pairs(atoms))
         except InputError as e:

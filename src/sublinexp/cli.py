@@ -24,7 +24,16 @@ from .counterexamples import (
     heavy_lln_value,
 )
 from .errors import EngineError, InputError, PropertyViolation
-from .functions import TestFunction, abs_excess, clamp, constant, piecewise_linear, psi_fn, tent
+from .functions import (
+    TestFunction,
+    _real,
+    abs_excess,
+    clamp,
+    constant,
+    piecewise_linear,
+    psi_fn,
+    tent,
+)
 from .inequalities import VIOLATED, capacity_product_identity, ottaviani_check
 from .lattice_dp import (
     DEFAULT_STATE_BUDGET,
@@ -32,6 +41,7 @@ from .lattice_dp import (
     capacity,
     policy_value,
     robust_value,
+    upper_value,
 )
 from .lln import lln_sweep, maximal_dist_value, peng_condition_report, chebyshev_bound_check
 from .montecarlo import SimConfig, constant_policy, simulate
@@ -98,6 +108,8 @@ def load_config(path: Optional[str]) -> Dict:
             _check_keys(cfg[key], allowed, f"config.{key}")
     if not isinstance(cfg.get("generators", []), list):
         raise InputError("BAD_CONFIG", "config.generators must be a JSON list")
+    for key in cfg.get("budgets", {}):  # checked here, so commands without a budget refuse it too
+        _number(cfg, f"budgets.{key}")
     return cfg
 
 
@@ -120,7 +132,7 @@ def build_family(cfg: Dict) -> ParametricFamily:
         raise InputError("BAD_CONFIG", "config key 'family' is required here")
     if "name" not in fam or "truncation" not in fam:
         raise InputError("BAD_CONFIG", "config.family needs 'name' and 'truncation'")
-    return ParametricFamily(str(fam["name"]).upper(), int(fam["truncation"]))
+    return ParametricFamily(str(fam["name"]).upper(), _number(cfg, "family.truncation"))
 
 
 def build_source(cfg: Dict):
@@ -139,9 +151,18 @@ def build_function(cfg: Dict) -> TestFunction:
         raise InputError("BAD_CONFIG", "config key 'function' is required here")
     kind = spec.get("kind")
     params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise InputError("BAD_CONFIG", "config.function.params must be a JSON object")
     try:
         if kind == "pwl":
-            return piecewise_linear([tuple(p) for p in params["breakpoints"]])
+            points = params["breakpoints"]
+            if not isinstance(points, list) or not points or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 for p in points
+            ):
+                raise InputError(
+                    "BAD_FUNCTION", f"pwl breakpoints must be a non-empty list of [x, y] pairs, got {points!r}"
+                )
+            return piecewise_linear(points)
         if kind == "tent":
             return tent(params["center"], params["halfwidth"])
         if kind == "clamp":
@@ -170,18 +191,55 @@ def build_event(cfg: Dict) -> PathEvent:
     return PathEvent(spec["kind"], spec["threshold"], spec.get("from_index"))
 
 
+_ABSENT = object()
+
+
+def _as_number(value, key: str, kind):
+    """``value`` as a float, or with ``kind=int`` as an int (integral values only).
+
+    Ints, floats and numeric strings are numbers; booleans, null, lists and
+    objects are not, and end in BAD_CONFIG naming ``key``.
+    """
+    x = _real(value, f"config key {key!r}", "BAD_CONFIG")
+    if kind is float:
+        return x
+    if not x.is_integer():
+        raise InputError("BAD_CONFIG", f"config key {key!r} must be an integer, got {value!r}")
+    return value if isinstance(value, int) else int(x)
+
+
+def _lookup(cfg: Dict, key: str, required: bool, what: str):
+    """The raw value at the dotted ``key``, or ``_ABSENT``."""
+    *sections, last = key.split(".")
+    for section in sections:
+        cfg = cfg.get(section, {})
+    if required and last not in cfg:
+        raise InputError("BAD_CONFIG", f"config key {key!r} is required for {what}")
+    return cfg.get(last, _ABSENT)
+
+
+def _number(cfg: Dict, key: str, kind=int, default=_ABSENT, what: str = ""):
+    """The config scalar at the dotted ``key``; without a ``default`` it is required."""
+    value = _lookup(cfg, key, default is _ABSENT, what)
+    return default if value is _ABSENT else _as_number(value, key, kind)
+
+
+def _numbers(cfg: Dict, key: str, kind=int, default=_ABSENT, what: str = ""):
+    """The non-empty list of config scalars at ``key``; without a ``default`` it is required."""
+    values = _lookup(cfg, key, default is _ABSENT, what)
+    if values is _ABSENT:
+        return default
+    if not isinstance(values, list) or not values:
+        raise InputError("BAD_CONFIG", f"config key {key!r} must be a non-empty list, got {values!r}")
+    return [_as_number(v, key, kind) for v in values]
+
+
 def _state_budget(cfg: Dict) -> int:
-    return int(cfg.get("budgets", {}).get("states", DEFAULT_STATE_BUDGET))
+    return _number(cfg, "budgets.states", default=DEFAULT_STATE_BUDGET)
 
 
 def _enum_budget(cfg: Dict) -> int:
-    return int(cfg.get("budgets", {}).get("enumeration", DEFAULT_ENUMERATION_BUDGET))
-
-
-def _require(cfg: Dict, key: str, what: str):
-    if cfg.get(key) is None:
-        raise InputError("BAD_CONFIG", f"config key {key!r} is required for {what}")
-    return cfg[key]
+    return _number(cfg, "budgets.enumeration", default=DEFAULT_ENUMERATION_BUDGET)
 
 
 def _first(*values):
@@ -190,7 +248,10 @@ def _first(*values):
 
 
 def _out_dir(cfg: Dict) -> Path:
-    return Path(cfg.get("out") or ".")
+    out = cfg.get("out", ".")
+    if not isinstance(out, str):
+        raise InputError("BAD_CONFIG", f"config key 'out' must be a path, got {out!r}")
+    return Path(out or ".")
 
 
 def _say(args, text: str):
@@ -218,7 +279,7 @@ def _cmd_eval(cfg, args) -> int:
 
 def _cmd_capacity(cfg, args) -> int:
     set_ = build_set(cfg)
-    n = int(_require(cfg, "n", "capacity"))
+    n = _number(cfg, "n", what="capacity")
     event = build_event(cfg)
     side = str(cfg.get("side", "UPPER")).upper()
     value = capacity(set_, n, event, side, state_budget=_state_budget(cfg))
@@ -236,7 +297,7 @@ def _cmd_capacity(cfg, args) -> int:
 def _cmd_lln_sweep(cfg, args) -> int:
     set_ = build_set(cfg)
     f = build_function(cfg)
-    horizons = [int(n) for n in _require(cfg, "horizons", "lln-sweep")]
+    horizons = _numbers(cfg, "horizons", what="lln-sweep")
     report = lln_sweep(set_, f, horizons, state_budget=_state_budget(cfg))
     write_report(
         _out_dir(cfg),
@@ -252,7 +313,7 @@ def _cmd_lln_sweep(cfg, args) -> int:
 
 def _cmd_conditions(cfg, args) -> int:
     source = build_source(cfg)
-    n_max = int(_require(cfg, "n_max", "conditions"))
+    n_max = _number(cfg, "n_max", what="conditions")
     report = peng_condition_report(source, n_max)
     meta = {
         "source": report.source_description,
@@ -274,9 +335,9 @@ def _cmd_conditions(cfg, args) -> int:
 
 def _cmd_ottaviani(cfg, args) -> int:
     set_ = build_set(cfg)
-    n = int(_require(cfg, "n", "ottaviani"))
-    alpha = float(_require(cfg, "alpha", "ottaviani"))
-    c = float(_require(cfg, "c", "ottaviani"))
+    n = _number(cfg, "n", what="ottaviani")
+    alpha = _number(cfg, "alpha", float, what="ottaviani")
+    c = _number(cfg, "c", float, what="ottaviani")
     report = ottaviani_check(set_, n, alpha, c, state_budget=_state_budget(cfg))
     write_report(
         _out_dir(cfg),
@@ -295,8 +356,8 @@ def _cmd_ottaviani(cfg, args) -> int:
 
 def _cmd_product_identity(cfg, args) -> int:
     set_ = build_set(cfg)
-    n = int(_require(cfg, "n", "product-identity"))
-    threshold = float(_require(cfg, "threshold", "product-identity"))
+    n = _number(cfg, "n", what="product-identity")
+    threshold = _number(cfg, "threshold", float, what="product-identity")
     report = capacity_product_identity(set_, n, threshold, state_budget=_state_budget(cfg))
     write_report(
         _out_dir(cfg),
@@ -315,8 +376,8 @@ def _cmd_product_identity(cfg, args) -> int:
 
 def _cmd_chebyshev(cfg, args) -> int:
     set_ = build_set(cfg)
-    n = int(_require(cfg, "n", "chebyshev"))
-    eps = float(_require(cfg, "eps", "chebyshev"))
+    n = _number(cfg, "n", what="chebyshev")
+    eps = _number(cfg, "eps", float, what="chebyshev")
     check = chebyshev_bound_check(set_, n, eps, state_budget=_state_budget(cfg))
     write_report(
         _out_dir(cfg),
@@ -332,11 +393,13 @@ def _cmd_chebyshev(cfg, args) -> int:
 
 
 def _cmd_counterexample(cfg, args) -> int:
-    K = _first(args.K, cfg.get("K"), cfg.get("family", {}).get("truncation"))
+    K = _first(
+        args.K, _number(cfg, "K", default=None), _number(cfg, "family.truncation", default=None)
+    )
     if args.which == "exm3":
-        truncation = int(_first(K, 10_000))
-        lambdas = [float(x) for x in cfg.get("lambdas", [10, 20, 50, 100])]
-        ms = [int(x) for x in cfg.get("ms", [10, 20, 50, 100])]
+        truncation = _first(K, 10_000)
+        lambdas = _numbers(cfg, "lambdas", float, default=[10.0, 20.0, 50.0, 100.0])
+        ms = _numbers(cfg, "ms", default=[10, 20, 50, 100])
         report = exm3_report(truncation, lambdas, ms)
         meta = {"truncation": truncation, "warnings": sorted(set(report.warnings))}
         write_report(
@@ -357,8 +420,8 @@ def _cmd_counterexample(cfg, args) -> int:
         _say(args, f"counterexample exm3: E[(|X|-{lam:g})^+] = {v:.6g}")
         return 0
     # HEAVY
-    K = int(_first(K, 200))
-    n = int(_first(cfg.get("n"), 20))
+    K = _first(K, 200)
+    n = _number(cfg, "n", default=20)
     value = heavy_lln_value(K, n, state_budget=_state_budget(cfg))
     bound = heavy_lln_lower_bound(K, n)
     limit = maximal_dist_value(RAMP_DOWN, 1.0, 1.0)
@@ -380,14 +443,14 @@ def _cmd_counterexample(cfg, args) -> int:
 def _cmd_simulate(cfg, args) -> int:
     set_ = build_set(cfg)
     f = build_function(cfg)
-    n = int(args.n or _require(cfg, "n", "simulate"))
-    paths = int(_require(cfg, "paths", "simulate"))
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    n = _number(cfg, "n", what="simulate")
+    paths = _number(cfg, "paths", what="simulate")
+    seed = _number(cfg, "seed", default=0)
     policy_spec = cfg.get("policy", "robust")
     if policy_spec == "robust":
         policy = robust_value(set_, n, f, state_budget=_state_budget(cfg)).policy
     elif isinstance(policy_spec, dict) and "constant" in policy_spec:
-        policy = constant_policy(set_, n, int(policy_spec["constant"]))
+        policy = constant_policy(set_, n, _number(cfg, "policy.constant"))
     else:
         raise InputError(
             "BAD_CONFIG", "config key 'policy' must be \"robust\" or {\"constant\": index}"
@@ -412,9 +475,9 @@ def _cmd_simulate(cfg, args) -> int:
 def _cmd_oracle(cfg, args) -> int:
     set_ = build_set(cfg)
     f = build_function(cfg)
-    n = int(args.n or _require(cfg, "n", "oracle"))
+    n = _number(cfg, "n", what="oracle")
     oracle_value = brute_force_value(set_, n, f, budget=_enum_budget(cfg))
-    dp = robust_value(set_, n, f, state_budget=_state_budget(cfg)).value
+    dp = upper_value(set_, n, f, state_budget=_state_budget(cfg))
     delta = abs(oracle_value - dp)
     write_report(
         _out_dir(cfg),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ambiguity import DiscreteDistribution
 from .errors import BudgetError, InputError, check_budget
-from .functions import TestFunction, piecewise_linear
+from .functions import TestFunction, piecewise_linear, psi_fn
 from .lattice_dp import _sweep
 
 FAMILY_NAMES = ("EXM3", "HEAVY")
@@ -241,11 +241,13 @@ def exm3_report(
         lambda_rows.append((float(lam), fe.value))
     m_rows = []
     for m in ms:
-        psi_val = family_expect(fam, TestFunction("psi", (int(m),))).value
-        tail, arg = fam.tail_capacity(int(m))
-        if fam.truncation_binding_for_tail(int(m), arg):
+        f = psi_fn(m)  # BAD_FUNCTION unless m is an integer >= 1
+        m = f.params[0]
+        psi_val = family_expect(fam, f).value
+        tail, arg = fam.tail_capacity(m)
+        if fam.truncation_binding_for_tail(m, arg):
             warnings.append(f"FAMILY_TRUNCATION_WARNING: tail sup at m={m} hits truncation")
-        m_rows.append((int(m), psi_val, m * tail))
+        m_rows.append((m, psi_val, m * tail))
     return Exm3Report(truncation, lambda_rows, m_rows, tuple(warnings))
 
 

@@ -127,12 +127,14 @@ class TestFunction:
 # -- constructors ------------------------------------------------------
 
 
-def _real(x, what: str) -> float:
-    """``float(x)``, or BAD_FUNCTION when ``x`` is not a number."""
-    try:
-        return float(x)
-    except (TypeError, ValueError):
-        raise InputError("BAD_FUNCTION", f"{what} must be a number, got {x!r}") from None
+def _real(x, what: str, code: str = "BAD_FUNCTION") -> float:
+    """``float(x)``, or ``code`` when ``x`` is not a decimal number (booleans are not)."""
+    if not isinstance(x, bool):
+        try:
+            return float(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(code, f"{what} must be a decimal number, got {x!r}")
 
 
 ABS = TestFunction("abs")

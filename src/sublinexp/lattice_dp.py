@@ -16,6 +16,7 @@ needed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -43,13 +44,15 @@ class PathEvent:
     from_index: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in EVENT_KINDS:
             raise InputError("UNSUPPORTED_EVENT", f"unknown event kind {self.kind!r}")
         object.__setattr__(self, "threshold", to_fraction(self.threshold))
         if self.kind == "TAIL_SUM_ABS_GE":
-            if self.from_index is None or self.from_index < 0:
+            index = self.from_index
+            if not isinstance(index, numbers.Integral) or isinstance(index, bool) or index < 0:
                 raise InputError(
-                    "UNSUPPORTED_EVENT", "TAIL_SUM_ABS_GE needs from_index >= 0"
+                    "UNSUPPORTED_EVENT",
+                    f"TAIL_SUM_ABS_GE needs an integer from_index >= 0, got {index!r}",
                 )
         elif self.from_index is not None:
             raise InputError("UNSUPPORTED_EVENT", f"{self.kind} takes no from_index")
@@ -169,13 +172,13 @@ def reachable_masks(set_: AmbiguitySet, n: int):
     bounds = _level_bounds(set_, n)
     masks = [np.zeros(length, dtype=bool) for _, length in bounds]
     masks[0][0 - bounds[0][0]] = True
+    moves = sorted({c for gc in set_.coords for c in gc})  # OR is idempotent
     for k in range(1, n + 1):
         lo_prev, len_prev = bounds[k - 1]
         lo_k, _ = bounds[k]
-        for gc in set_.coords:
-            for c in gc:
-                a = lo_prev + c - lo_k
-                masks[k][a : a + len_prev] |= masks[k - 1]
+        for c in moves:
+            a = lo_prev + c - lo_k
+            masks[k][a : a + len_prev] |= masks[k - 1]
     return bounds, masks
 
 
@@ -221,16 +224,17 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
                 if absorb is not None:  # a slice wholly off the stored states reads padding
                     a = min(max(a, -len_prev), len_k) + len_prev
                 sl = u[a : a + len_prev]
-                cand = w * sl if cand is None else cand + w * sl
-            if fixed:
-                best = np.where(rule[k - 1] == g, cand, cand if best is None else best)
-            elif best is None:
+                if cand is None:
+                    cand = w * sl
+                else:
+                    cand += w * sl
+            if best is None:
                 best = cand
-            else:
-                better = rule(cand, best)
-                best = np.where(better, cand, best)
+            else:  # best and cand are this level's own arrays, so update in place
+                better = rule[k - 1] == g if fixed else rule(cand, best)
+                np.putmask(best, better, cand)
                 if record is not None:
-                    arg[better] = g
+                    np.putmask(arg, better, g)
             if absorb is not None:
                 acc = None
                 for w in gw:
@@ -250,6 +254,31 @@ def _weights(set_: AmbiguitySet):
 # -- robust value and policy evaluation --------------------------------
 
 
+def _upper_terminal(set_, n, f, normalize, state_budget):
+    """Checked level bounds, their state count and the terminal values of an upper sweep."""
+    if n < 1:
+        raise InputError("BAD_HORIZON", "horizon must be >= 1")
+    if normalize and not f.bounded:
+        raise InputError("UNBOUNDED_F", f"{f.describe()} is unbounded; use moment mode")
+    bounds = _level_bounds(set_, n)
+    state_count = check_budget(_states(bounds), state_budget)
+    lo, length = bounds[n]
+    u = _terminal_values(set_, n, f, normalize, np.arange(lo, lo + length))
+    return bounds, state_count, u
+
+
+def upper_value(
+    set_: AmbiguitySet,
+    n: int,
+    f: TestFunction,
+    normalize: bool = True,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> float:
+    """``robust_value(...).value`` bitwise, without the policy or reachability masks."""
+    bounds, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
+    return _sweep([set_.coords] * n, _weights(set_), bounds, u, np.greater)
+
+
 def robust_value(
     set_: AmbiguitySet,
     n: int,
@@ -261,17 +290,10 @@ def robust_value(
 
     Backward induction ``u_n(s) = f(s/n)``, ``u_{k-1}(s) = max_g sum_j
     w_j u_k(s + x_j)``, with the argmax recorded as the extracted
-    worst-case kernel policy.
+    worst-case kernel policy.  :func:`upper_value` computes the value alone.
     """
-    if n < 1:
-        raise InputError("BAD_HORIZON", "horizon must be >= 1")
-    if normalize and not f.bounded:
-        raise InputError("UNBOUNDED_F", f"{f.describe()} is unbounded; use moment mode")
-    bounds = _level_bounds(set_, n)
-    state_count = check_budget(_states(bounds), state_budget)
+    bounds, state_count, u = _upper_terminal(set_, n, f, normalize, state_budget)
     _, masks = reachable_masks(set_, n)
-    lo, length = bounds[n]
-    u = _terminal_values(set_, n, f, normalize, np.arange(lo, lo + length))
     args = [None] * n
     value = _sweep([set_.coords] * n, _weights(set_), bounds, u, np.greater, record=args)
     for k, arg in enumerate(args):

@@ -22,7 +22,7 @@ from .ambiguity import AmbiguitySet, sublinear_expect
 from .counterexamples import ParametricFamily, family_expect
 from .errors import InputError
 from .functions import TestFunction, clamp, psi_fn
-from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, robust_value
+from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, upper_value
 
 Source = Union[AmbiguitySet, ParametricFamily]
 
@@ -204,7 +204,7 @@ def lln_sweep(
     """Robust DP value vs. maximal-distribution prediction per horizon."""
     rows = []
     for n in horizons:
-        dp = robust_value(set_, n, f, state_budget=state_budget).value
+        dp = upper_value(set_, n, f, state_budget=state_budget)
         tm = truncated_means(set_, n)
         limit = maximal_dist_value(f, tm.mu_lower, tm.mu_upper)
         rows.append(SweepRow(int(n), dp, limit, abs(dp - limit)))

@@ -40,6 +40,8 @@ class SimConfig:
             raise InputError("BAD_PATHS", "need at least one path")
         if self.n < 1:
             raise InputError("BAD_HORIZON", "horizon must be >= 1")
+        if not 0 <= self.seed < 2**128:  # the Philox key range
+            raise InputError("BAD_SEED", f"seed must be in [0, 2**128), got {self.seed}")
         if self.policy.n != self.n:
             raise InputError(
                 "POLICY_GAP", f"policy is for horizon {self.policy.n}, not {self.n}"
@@ -80,29 +82,38 @@ def simulate(
     set_ = config.set
     n, m = config.n, config.paths
     bounds = _level_bounds(set_, n)
-    cumw = [np.cumsum(g.weight_array) for g in set_.generators]
-    coords = [np.asarray(gc, dtype=np.int64) for gc in set_.coords]
+    # Generator g's atom for a draw x is the number of its inner cumulative
+    # weights <= x: searchsorted(cumsum(w), x, "right") capped at the last atom,
+    # which guards the w-sum rounding edge.  With J the largest atom count,
+    # th[j][g * J] is g's j-th inner cumulative weight (+inf past its atoms) and
+    # co[g * J + j] its j-th coordinate less min_coord, the step of each level's lo.
+    J = max(len(gc) for gc in set_.coords)
+    top = len(set_.generators) * J
+    th = np.full((J - 1, top), np.inf)
+    co = np.zeros(top, dtype=np.intp)
+    for g, (gen, gc) in enumerate(zip(set_.generators, set_.coords)):
+        th[: len(gc) - 1, g * J] = np.cumsum(gen.weight_array)[:-1]
+        co[g * J : g * J + len(gc)] = np.asarray(gc) - set_.min_coord
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     u = rng.random((m, n))
-    s = np.zeros(m, dtype=np.int64)
+    rel = np.zeros(m, dtype=np.intp)  # S_k minus level k's lo
     for k in range(1, n + 1):
         lo, length = bounds[k - 1]
-        # every path stays inside the level's bounds, so the index is in range
-        gen_idx = config.policy.level_choices(k, lo, length)[s - lo]
-        gap = (gen_idx < 0) | (gen_idx >= len(set_.generators))
-        if gap.any():
-            bad = int(s[np.argmax(gap)])
+        choice = config.policy.level_choices(k, lo, length)
+        # widen before scaling: an int8 choice times J overflows; every path
+        # stays inside the level's bounds, so rel indexes the level's states
+        base = (choice.astype(np.intp) * J)[rel]
+        if base.min() < 0 or base.max() >= top:
+            bad = lo + int(rel[np.argmax((base < 0) | (base >= top))])
             raise InputError(
                 "POLICY_GAP", f"visited state {bad} at level {k} has no generator"
             )
-        inc = np.empty(m, dtype=np.int64)
-        for g in range(len(set_.generators)):
-            sel = gen_idx == g
-            if np.any(sel):
-                j = np.searchsorted(cumw[g], u[sel, k - 1], side="right")
-                j = np.minimum(j, len(coords[g]) - 1)  # guard the w-sum rounding edge
-                inc[sel] = coords[g][j]
-        s += inc
+        x = u[:, k - 1].copy()
+        idx = base
+        for row in th:
+            idx = idx + (row[base] <= x)
+        rel += co[idx]
+    s = rel + bounds[n][0]
     vals = _terminal_values(set_, n, f, normalize, s)
     estimate = float(np.add.reduce(vals) / m)
     if m > 1:

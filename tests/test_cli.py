@@ -243,6 +243,58 @@ class TestExitCodes:
         assert "unknown key" not in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "cmd, payload, code, where",
+        [
+            ("capacity", dict(PAIR_SET, n="x", event={"kind": "FINAL_GT", "threshold": 0}),
+             "BAD_CONFIG", "'n'"),
+            ("conditions", {"family": {"name": "HEAVY", "truncation": "x"}, "n_max": 4},
+             "BAD_CONFIG", "'family.truncation'"),
+            ("simulate", dict(PAIR_SET, function={"kind": "abs"}, n=3, paths="x"),
+             "BAD_CONFIG", "'paths'"),
+            ("lln-sweep", dict(PAIR_SET, function={"kind": "abs"}, horizons=["a"]),
+             "BAD_CONFIG", "'horizons'"),
+            ("lln-sweep", dict(PAIR_SET, function={"kind": "abs"}, horizons={}),
+             "BAD_CONFIG", "'horizons'"),
+            ("oracle", dict(PAIR_SET, function={"kind": "abs"}, n=2, budgets={"states": "x"}),
+             "BAD_CONFIG", "'budgets.states'"),
+            ("eval", dict(PAIR_SET, function={"kind": "abs"}, budgets={"enumeration": 1.5}),
+             "BAD_CONFIG", "'budgets.enumeration'"),
+            ("simulate", dict(PAIR_SET, function={"kind": "abs"}, n=3, paths=9, policy={"constant": "x"}),
+             "BAD_CONFIG", "'policy.constant'"),
+            ("simulate", dict(PAIR_SET, function={"kind": "abs"}, n=3, paths=9, seed=-1),
+             "BAD_SEED", "seed"),
+            ("counterexample exm3", {"K": 100, "lambdas": "10"}, "BAD_CONFIG", "'lambdas'"),
+            ("counterexample heavy", {"K": None}, "BAD_CONFIG", "'K'"),
+            ("counterexample exm3", {"K": 100, "lambdas": [1], "ms": [0]}, "BAD_FUNCTION", "psi level"),
+            ("eval", dict(PAIR_SET, generators=[3], function={"kind": "abs"}),
+             "BAD_CONFIG", "generator 0"),
+            ("eval", dict(PAIR_SET, generators=[[[0, "x"]]], function={"kind": "abs"}),
+             "BAD_CONFIG", "weight must be a decimal number, got 'x'"),
+            ("eval", dict(PAIR_SET, generators=[[[[0], 1.0]]], function={"kind": "abs"}),
+             "BAD_CONFIG", "point must be a decimal number, got [0]"),
+            ("eval", dict(PAIR_SET, lattice={"step": 1, "origin": "x"}, function={"kind": "abs"}),
+             "BAD_LATTICE", "origin"),
+            ("eval", dict(PAIR_SET, function={"kind": "pwl", "params": {"breakpoints": [1, 2]}}),
+             "BAD_FUNCTION", "breakpoints"),
+            ("eval", dict(PAIR_SET, function={"kind": "tent", "params": [0, 1]}),
+             "BAD_CONFIG", "config.function.params"),
+            ("capacity", dict(PAIR_SET, n=2, event={"kind": ["FINAL_GT"], "threshold": 0}),
+             "UNSUPPORTED_EVENT", "kind"),
+            ("capacity", dict(PAIR_SET, n=2, event={"kind": "TAIL_SUM_ABS_GE", "threshold": 1,
+                                                   "from_index": "x"}),
+             "UNSUPPORTED_EVENT", "from_index"),
+            ("capacity", dict(PAIR_SET, n=2, event={"kind": "FINAL_GT", "threshold": True}),
+             "BAD_RATIONAL", "True"),
+        ],
+    )
+    def test_malformed_value_is_coded(self, tmp_path, cmd, payload, code, where):
+        command, *which = cmd.split()
+        proc = run_process(tmp_path, command, payload, *which)
+        assert proc.returncode == 1, proc.stderr
+        assert f"error: {code}:" in proc.stderr and where in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
         "payload, extra",
         [
             ({}, ["--n", "0"]),

@@ -341,6 +341,12 @@ class TestExm3Report:
         with pytest.raises(BudgetError):
             exm3_report(10, [5.0], [])
 
+    @pytest.mark.parametrize("m", [0, -3, 2.5])
+    def test_tail_level_must_be_a_positive_integer(self, m):
+        with pytest.raises(InputError) as e:
+            exm3_report(100, [2.0], [m])
+        assert e.value.code == "BAD_FUNCTION"
+
 
 class TestHeavyLln:
     def test_tiny_instances(self):

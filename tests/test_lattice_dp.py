@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,18 @@ from sublinexp import (
     robust_value,
     sublinear_expect,
     tent,
+    upper_value,
 )
-from sublinexp.lattice_dp import EVENT_KINDS, _FLAG_KINDS, _event_hit, final_abs_capacities
+from sublinexp import lattice_dp
+from sublinexp.cli import main
+from sublinexp.lattice_dp import (
+    EVENT_KINDS,
+    _FLAG_KINDS,
+    _event_hit,
+    final_abs_capacities,
+    reachable_masks,
+)
+from sublinexp.lln import lln_sweep
 
 from conftest import make_set, random_pwl, random_set
 
@@ -277,3 +288,82 @@ class TestOracleEquivalence:
             assert capacity(s, n, ev, "UPPER") == pytest.approx(
                 brute_force_capacity(s, n, ev, "UPPER"), abs=1e-9
             )
+
+
+class TestReachableMasks:
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [[(-2, 0.5), (2, 0.5)]],  # gcd 2: odd states never reached
+            [[(-2, 0.5), (2, 0.5)], [(0, 0.5), (2, 0.5)]],  # coordinate 2 shared
+            [[(-1, 0.5), (1, 0.5)], [(-1, 0.25), (1, 0.75)], [(1, 1.0)]],
+            [[(0, 0.2), (3, 0.8)], [(3, 0.5), (5, 0.5)], [(-4, 0.5), (3, 0.5)]],
+        ],
+    )
+    def test_masks_are_the_sumsets(self, gens):
+        s = make_set(*gens)
+        moves = {c for gc in s.coords for c in gc}
+        for n in range(1, 7):
+            bounds, masks = reachable_masks(s, n)
+            level = {0}
+            for k in range(n + 1):
+                lo, length = bounds[k]
+                assert sorted(lo + np.flatnonzero(masks[k])) == sorted(level)
+                assert len(masks[k]) == length
+                level = {x + c for x in level for c in moves}
+
+
+class TestUpperValue:
+    def test_equals_robust_value_bitwise(self):
+        rng = np.random.default_rng(808)
+        for n in (1, 8, 64, 256):
+            for _ in range(4):
+                s = random_set(rng, max_generators=4, max_atoms=4)
+                f = random_pwl(rng)
+                assert upper_value(s, n, f) == robust_value(s, n, f).value
+        s = random_set(rng)
+        assert upper_value(s, 6, SQUARE, normalize=False) == robust_value(
+            s, 6, SQUARE, normalize=False
+        ).value
+
+    def test_lln_sweep_and_oracle_build_no_masks(self, monkeypatch, biased_pair, tmp_path):
+        def refuse(*args):
+            raise AssertionError("reachable_masks called")
+
+        monkeypatch.setattr(lattice_dp, "reachable_masks", refuse)
+        f = tent(0.25, 0.25)
+        report = lln_sweep(biased_pair, f, [4, 16, 64])
+        assert [r.dp_value for r in report.rows] == [upper_value(biased_pair, n, f) for n in (4, 16, 64)]
+        cfg = tmp_path / "oracle.json"
+        cfg.write_text(json.dumps({
+            "generators": [[[-1, 0.5], [1, 0.5]], [[-1, 0.25], [1, 0.75]]],
+            "function": {"kind": "abs"}, "n": 3,
+        }))
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        with pytest.raises(AssertionError):
+            robust_value(biased_pair, 4, f)
+
+    def test_refusals_at_the_same_budgets(self, biased_pair, tmp_path, capsys):
+        f = tent(0.25, 0.25)
+        n = 12
+        need = robust_value(biased_pair, n, f).state_count
+        assert need == sum(k * 2 + 1 for k in range(n + 1))
+        for call in (
+            lambda b: robust_value(biased_pair, n, f, state_budget=b),
+            lambda b: upper_value(biased_pair, n, f, state_budget=b),
+            lambda b: lln_sweep(biased_pair, f, [2, n], state_budget=b),
+        ):
+            call(need)
+            with pytest.raises(BudgetError) as e:
+                call(need - 1)
+            assert e.value.code == "STATE_BUDGET_EXCEEDED"
+        cfg = tmp_path / "oracle.json"
+        need = robust_value(biased_pair, 4, f).state_count  # the oracle enumerates histories
+        for budget, status in ((need, 0), (need - 1, 2)):
+            cfg.write_text(json.dumps({
+                "generators": [[[-1, 0.5], [1, 0.5]], [[-1, 0.25], [1, 0.75]]],
+                "function": {"kind": "abs"}, "n": 4, "budgets": {"states": budget},
+            }))
+            argv = ["oracle", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]
+            assert main(argv) == status
+        assert "STATE_BUDGET_EXCEEDED" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from sublinexp import (
     simulate,
     tent,
 )
+from sublinexp.lattice_dp import _level_bounds, _terminal_values
 
 from conftest import make_set, random_pwl, random_set
 
@@ -149,3 +150,114 @@ class TestValidation:
     def test_bad_generator_index(self, coin):
         with pytest.raises(InputError):
             constant_policy(coin, 2, 5)
+
+
+def reference_simulate(config, f, normalize=True):
+    """The per-generator ``searchsorted`` loop that ``simulate`` replaced, as a reference."""
+    set_, n, m = config.set, config.n, config.paths
+    bounds = _level_bounds(set_, n)
+    cumw = [np.cumsum(g.weight_array) for g in set_.generators]
+    coords = [np.asarray(gc, dtype=np.int64) for gc in set_.coords]
+    u = np.random.Generator(np.random.Philox(key=config.seed)).random((m, n))
+    s = np.zeros(m, dtype=np.int64)
+    for k in range(1, n + 1):
+        lo, length = bounds[k - 1]
+        gen_idx = config.policy.level_choices(k, lo, length)[s - lo]
+        assert np.all((gen_idx >= 0) & (gen_idx < len(set_.generators)))
+        inc = np.empty(m, dtype=np.int64)
+        for g in range(len(set_.generators)):
+            sel = gen_idx == g
+            if np.any(sel):
+                j = np.searchsorted(cumw[g], u[sel, k - 1], side="right")
+                j = np.minimum(j, len(coords[g]) - 1)
+                inc[sel] = coords[g][j]
+        s += inc
+    vals = _terminal_values(set_, n, f, normalize, s)
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    return float(np.add.reduce(vals) / m), stderr
+
+
+def assert_matches_reference(config, f, normalize=True):
+    res = simulate(config, f, normalize)
+    assert (res.estimate, res.stderr) == reference_simulate(config, f, normalize)
+    return res
+
+
+class TestSimulationStep:
+    """``simulate`` counts inner cumulative weights <= u; the reference searches them."""
+
+    def test_sixty_generators_last_index(self):
+        # choice 59 times 3 atoms overflows an int8 product
+        gens = [[(g - 30, 0.25), (g - 29, 0.5), (g - 28, 0.25)] for g in range(60)]
+        s = make_set(*gens)
+        f = piecewise_linear([(-31, 0), (32, 1)])
+        pol = constant_policy(s, 4, 59)
+        assert pol.levels[0][1].dtype == np.int8
+        res = assert_matches_reference(SimConfig(pol, s, 4, 3000, seed=2), f)
+        assert abs(res.estimate - policy_value(s, pol, 4, f)) <= 4 * res.stderr
+
+    def test_zero_weight_atoms(self):
+        s = make_set([(-2, 0.0), (0, 0.5), (1, 0.0), (3, 0.5)], [(-1, 0.0), (2, 1.0)],
+                     [(0, 0.3), (1, 0.7), (2, 0.0)])
+        f = random_pwl(np.random.default_rng(5), lo=-2, hi=3)
+        for g in range(3):
+            assert_matches_reference(SimConfig(constant_policy(s, 5, g), s, 5, 4000, seed=g), f)
+        assert_matches_reference(SimConfig(robust_value(s, 5, f).policy, s, 5, 4000, seed=9), f)
+
+    @pytest.mark.parametrize("excess", [1e-13, -1e-13])
+    def test_rounding_edge_of_the_weight_sum(self, monkeypatch, excess):
+        s = make_set([(-1, 0.3), (0, 0.3), (1, 0.4 + excess)], [(-1, 0.5), (2, 0.5 + excess)])
+        edges = [np.cumsum(g.weight_array) for g in s.generators]
+        draws = np.concatenate([[0.0, np.nextafter(1.0, 0.0)]] + [
+            np.concatenate([e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)]) for e in edges
+        ])
+        draws = draws[(draws >= 0) & (draws < 1)]
+
+        class Drawn:
+            """Stands in for the Philox stream: every draw is on or next to a cumulative weight."""
+
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, shape):
+                return np.resize(draws, shape[0] * shape[1]).reshape(shape)
+
+        monkeypatch.setattr(np.random, "Generator", Drawn)
+        f = piecewise_linear([(-1, 0), (2, 1)])
+        for g in range(2):
+            pol = constant_policy(s, 3, g)
+            assert_matches_reference(SimConfig(pol, s, 3, 3 * len(draws) + 1, seed=0), f)
+
+    def test_generators_with_different_atom_counts(self):
+        s = make_set([(0, 1.0)], [(-1, 0.5), (1, 0.5)], [(-2, 0.1), (-1, 0.2), (1, 0.3), (3, 0.4)])
+        rng = np.random.default_rng(11)
+        f = random_pwl(rng)
+        pol = robust_value(s, 12, f).policy
+        assert_matches_reference(SimConfig(pol, s, 12, 5000, seed=4), f)
+        entries = {key: (key[0] + key[1]) % 3 for key in pol.entries}
+        mixed = KernelPolicy.from_entries(12, entries)
+        assert_matches_reference(SimConfig(mixed, s, 12, 5000, seed=5), f)
+
+    @pytest.mark.parametrize("paths", [1, 20_000])
+    def test_one_and_many_paths(self, biased_pair, paths):
+        f = tent(0.25, 0.25)
+        for pol in (robust_value(biased_pair, 9, f).policy, constant_policy(biased_pair, 9, 1)):
+            res = assert_matches_reference(SimConfig(pol, biased_pair, 9, paths, seed=31), f)
+            assert res.paths == paths
+
+    def test_robust_policy_with_unreachable_states(self):
+        # odd states are unreachable under steps of two, so the policy holds -1 there
+        s = make_set([(-2, 0.5), (2, 0.5)], [(0, 0.5), (2, 0.5)])
+        f = tent(0.5, 1.0)
+        pol = robust_value(s, 7, f).policy
+        assert any(np.any(choice < 0) for _, choice in pol.levels)
+        assert_matches_reference(SimConfig(pol, s, 7, 5000, seed=8), f)
+
+    def test_random_sets_match_reference(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(12):
+            s = random_set(rng, max_generators=4, max_atoms=4)
+            f = random_pwl(rng)
+            n = int(rng.integers(1, 40))
+            pol = robust_value(s, n, f).policy
+            assert_matches_reference(SimConfig(pol, s, n, 1500, seed=trial), f)
