@@ -446,17 +446,18 @@ def _cmd_simulate(cfg, args) -> int:
     n = _number(cfg, "n", what="simulate")
     paths = _number(cfg, "paths", what="simulate")
     seed = _number(cfg, "seed", default=0)
+    budget = _state_budget(cfg)
     policy_spec = cfg.get("policy", "robust")
     if policy_spec == "robust":
-        policy = robust_value(set_, n, f, state_budget=_state_budget(cfg)).policy
+        policy = robust_value(set_, n, f, state_budget=budget).policy
     elif isinstance(policy_spec, dict) and "constant" in policy_spec:
-        policy = constant_policy(set_, n, _number(cfg, "policy.constant"))
+        policy = constant_policy(set_, n, _number(cfg, "policy.constant"), state_budget=budget)
     else:
         raise InputError(
             "BAD_CONFIG", "config key 'policy' must be \"robust\" or {\"constant\": index}"
         )
-    result = simulate(SimConfig(policy, set_, n, paths, seed), f)
-    exact = policy_value(set_, policy, n, f, state_budget=_state_budget(cfg))
+    result = simulate(SimConfig(policy, set_, n, paths, seed), f, state_budget=budget)
+    exact = policy_value(set_, policy, n, f, state_budget=budget)
     write_report(
         _out_dir(cfg),
         "simulate",

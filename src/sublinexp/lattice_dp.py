@@ -15,6 +15,7 @@ needed.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -168,18 +169,48 @@ def _states(bounds) -> int:
 
 
 def reachable_masks(set_: AmbiguitySet, n: int):
-    """Boolean reachability per level over the level's state range."""
-    bounds = _level_bounds(set_, n)
-    masks = [np.zeros(length, dtype=bool) for _, length in bounds]
+    """Boolean reachability per level over the level's state range.
+
+    Reachability depends only on the distinct moves and the horizon, and the
+    last result is kept: the policy builders, ``policy_value`` and
+    ``simulate`` of one job share one forward pass.  The masks are read-only.
+    """
+    return _reachability(tuple(sorted({c for gc in set_.coords for c in gc})), n)
+
+
+@functools.lru_cache(maxsize=1)
+def _reachability(moves: Tuple[int, ...], n: int):
+    minc, maxc = moves[0], moves[-1]
+    bounds = tuple((k * minc, k * (maxc - minc) + 1) for k in range(n + 1))  # as _level_bounds
+    masks = tuple(np.zeros(length, dtype=bool) for _, length in bounds)
     masks[0][0 - bounds[0][0]] = True
-    moves = sorted({c for gc in set_.coords for c in gc})  # OR is idempotent
-    for k in range(1, n + 1):
+    for k in range(1, n + 1):  # OR is idempotent, so each distinct move shifts once
         lo_prev, len_prev = bounds[k - 1]
         lo_k, _ = bounds[k]
         for c in moves:
             a = lo_prev + c - lo_k
             masks[k][a : a + len_prev] |= masks[k - 1]
+    for mask in masks:
+        mask.flags.writeable = False
     return bounds, masks
+
+
+def _reachable_choices(set_: AmbiguitySet, policy: KernelPolicy, n: int):
+    """``(choices, level, chosen, bounds, masks)`` of ``policy`` on ``set_``'s reachability.
+
+    ``choices[k - 1]`` covers level k's states; ``chosen`` lists the choice at
+    every reachable state of levels 1..n, level-major, and ``level`` its level - 1.
+    """
+    bounds, masks = reachable_masks(set_, n)
+    choices = [policy.level_choices(k, *bounds[k - 1]) for k in range(1, n + 1)]
+    reach = np.concatenate(masks[:n])
+    level = np.repeat(np.arange(n), [length for _, length in bounds[:n]])[reach]
+    return choices, level, np.concatenate(choices)[reach], bounds, masks
+
+
+def _invalid(choice, generator_count: int):
+    """Where ``choice`` names no generator: one unsigned test, as -1 wraps above every index."""
+    return choice.astype(np.intp, copy=False).view(np.uintp) >= generator_count
 
 
 def _terminal_values(set_: AmbiguitySet, n: int, f: TestFunction, normalize: bool, states):
@@ -196,7 +227,9 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
     ``moves[k - 1][g]``: generator g's integer atom moves into level k (zeros on
     frozen levels); ``weights[g]``: its atom weights; ``bounds[k] = (lo, length)``:
     the states stored at level k; ``u``: the last level's values.  ``rule`` is
-    ``np.greater`` (max), ``np.less`` (min) or a fixed policy's per-level choices.
+    ``np.greater`` (max), ``np.less`` (min) or a fixed policy's per-level
+    ``(choices, designated generators)``; a fixed level evaluates only the
+    generators it designates, so a state designating none keeps another's value.
     With ``absorb`` (max or min), a move off level k's stored states reads one
     float, which follows the same recursion.  ``record`` gets the argmax per
     level and ``visit(k, u)`` every level.  The order is fixed (states,
@@ -217,7 +250,8 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
         if record is not None:
             arg = record[k - 1] = np.zeros(len_prev, dtype=dtype)
         best = best_absorb = None
-        for g, (gm, gw) in enumerate(zip(moves[k - 1], weights)):
+        for g in rule[k - 1][1] if fixed else range(len(weights)):
+            gm, gw = moves[k - 1][g], weights[g]
             cand = None
             for w, c in zip(gw, gm):
                 a = lo_prev + c - lo_k
@@ -231,7 +265,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
             if best is None:
                 best = cand
             else:  # best and cand are this level's own arrays, so update in place
-                better = rule[k - 1] == g if fixed else rule(cand, best)
+                better = rule[k - 1][0] == g if fixed else rule(cand, best)
                 np.putmask(best, better, cand)
                 if record is not None:
                     np.putmask(arg, better, g)
@@ -316,25 +350,34 @@ def policy_value(
     by the policy's designated generator, so evaluating an extracted
     argmax policy reproduces the robust value bitwise.
     """
+    if n < 1:
+        raise InputError("BAD_HORIZON", "horizon must be >= 1")
     if policy.n != n:
         raise InputError("POLICY_GAP", f"policy is for horizon {policy.n}, not {n}")
     bounds = _level_bounds(set_, n)
     check_budget(_states(bounds), state_budget)
-    _, masks = reachable_masks(set_, n)
-    choices = []
-    for k in range(1, n + 1):
-        lo_prev, len_prev = bounds[k - 1]
-        choice = policy.level_choices(k, lo_prev, len_prev)
-        gap = masks[k - 1] & ((choice < 0) | (choice >= len(set_.generators)))
-        if gap.any():
-            state = lo_prev + int(np.argmax(gap))
-            raise InputError(
-                "POLICY_GAP", f"reachable state {state} at level {k} has no generator"
-            )
-        choices.append(choice)
+    generator_count = len(set_.generators)
+    choices, level, chosen, _, masks = _reachable_choices(set_, policy, n)
+    gap = _invalid(chosen, generator_count)
+    if gap.any():
+        k = int(level[np.argmax(gap)]) + 1
+        state = bounds[k - 1][0] + int(
+            np.argmax(masks[k - 1] & _invalid(choices[k - 1], generator_count))
+        )
+        raise InputError(
+            "POLICY_GAP", f"reachable state {state} at level {k} has no generator"
+        )
+    # unreachable states never feed reachable ones, so each level sweeps only
+    # the generators designated at its reachable states
+    designated = np.zeros((n, generator_count), dtype=bool)
+    designated[level, chosen] = True
+    rule = [
+        (choice, [g for g, used in enumerate(row) if used])
+        for choice, row in zip(choices, designated.tolist())
+    ]
     lo, length = bounds[n]
     u = _terminal_values(set_, n, f, normalize, np.arange(lo, lo + length))
-    return _sweep([set_.coords] * n, _weights(set_), bounds, u, choices)
+    return _sweep([set_.coords] * n, _weights(set_), bounds, u, rule)
 
 
 # -- capacities --------------------------------------------------------

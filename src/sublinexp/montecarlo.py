@@ -18,13 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import AmbiguitySet
-from .errors import InputError
+from .errors import InputError, check_budget
 from .functions import TestFunction
 from .lattice_dp import (
-    KernelPolicy, _choice_dtype, _level_bounds, _terminal_values, reachable_masks
+    DEFAULT_STATE_BUDGET,
+    KernelPolicy,
+    _choice_dtype,
+    _invalid,
+    _level_bounds,
+    _reachable_choices,
+    _states,
+    _terminal_values,
+    reachable_masks,
 )
 
 __all__ = ["SimConfig", "SimResult", "simulate", "constant_policy"]
+
+_BLOCK_DRAWS = 1 << 16  # draws per row block
 
 
 @dataclass(frozen=True)
@@ -55,10 +65,21 @@ class SimResult:
     paths: int
 
 
-def constant_policy(set_: AmbiguitySet, n: int, generator_index: int) -> KernelPolicy:
-    """Policy designating one generator at every reachable state."""
+def constant_policy(
+    set_: AmbiguitySet,
+    n: int,
+    generator_index: int,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> KernelPolicy:
+    """Policy designating one generator at every reachable state.
+
+    Charges the level-states of :func:`~sublinexp.lattice_dp.robust_value`.
+    """
+    if n < 1:
+        raise InputError("BAD_HORIZON", "horizon must be >= 1")
     if not 0 <= generator_index < len(set_.generators):
         raise InputError("POLICY_GAP", f"generator index {generator_index} out of range")
+    check_budget(_states(_level_bounds(set_, n)), state_budget)
     bounds, masks = reachable_masks(set_, n)
     dtype = _choice_dtype(len(set_.generators))
     return KernelPolicy(
@@ -71,48 +92,32 @@ def constant_policy(set_: AmbiguitySet, n: int, generator_index: int) -> KernelP
 
 
 def simulate(
-    config: SimConfig, f: TestFunction, normalize: bool = True
+    config: SimConfig,
+    f: TestFunction,
+    normalize: bool = True,
+    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> SimResult:
     """Sample-mean estimate of E[f(S_n / n)] under the policy's measure.
 
     At step k a path in state s draws its increment from the generator
-    the policy designates at (k, s).  Aggregation order is fixed by path
-    index.
+    the policy designates at (k, s).  A policy designating one generator
+    at every reachable state is the i.i.d. measure, and its paths need no
+    walk.  Aggregation order is fixed by path index.  The ``paths * n``
+    draws are charged against ``state_budget``.
     """
     set_ = config.set
     n, m = config.n, config.paths
-    bounds = _level_bounds(set_, n)
-    # Generator g's atom for a draw x is the number of its inner cumulative
-    # weights <= x: searchsorted(cumsum(w), x, "right") capped at the last atom,
-    # which guards the w-sum rounding edge.  With J the largest atom count,
-    # th[j][g * J] is g's j-th inner cumulative weight (+inf past its atoms) and
-    # co[g * J + j] its j-th coordinate less min_coord, the step of each level's lo.
-    J = max(len(gc) for gc in set_.coords)
-    top = len(set_.generators) * J
-    th = np.full((J - 1, top), np.inf)
-    co = np.zeros(top, dtype=np.intp)
-    for g, (gen, gc) in enumerate(zip(set_.generators, set_.coords)):
-        th[: len(gc) - 1, g * J] = np.cumsum(gen.weight_array)[:-1]
-        co[g * J : g * J + len(gc)] = np.asarray(gc) - set_.min_coord
+    check_budget(m * n, state_budget, "draws")
+    choices, _, chosen, bounds, _ = _reachable_choices(set_, config.policy, n)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    u = rng.random((m, n))
-    rel = np.zeros(m, dtype=np.intp)  # S_k minus level k's lo
-    for k in range(1, n + 1):
-        lo, length = bounds[k - 1]
-        choice = config.policy.level_choices(k, lo, length)
-        # widen before scaling: an int8 choice times J overflows; every path
-        # stays inside the level's bounds, so rel indexes the level's states
-        base = (choice.astype(np.intp) * J)[rel]
-        if base.min() < 0 or base.max() >= top:
-            bad = lo + int(rel[np.argmax((base < 0) | (base >= top))])
-            raise InputError(
-                "POLICY_GAP", f"visited state {bad} at level {k} has no generator"
-            )
-        x = u[:, k - 1].copy()
-        idx = base
-        for row in th:
-            idx = idx + (row[base] <= x)
-        rel += co[idx]
+    rows = max(1, _BLOCK_DRAWS // n)
+    # row blocks drawn in turn are the rows of one (m, n) draw
+    blocks = ((r, rng.random((min(rows, m - r), n))) for r in range(0, m, rows))
+    g = int(chosen[0])
+    if chosen.min() == chosen.max() and 0 <= g < len(set_.generators):
+        rel = _iid_sums(set_, g, n, m, blocks)
+    else:
+        rel = _walk(set_, choices, bounds, n, m, blocks)
     s = rel + bounds[n][0]
     vals = _terminal_values(set_, n, f, normalize, s)
     estimate = float(np.add.reduce(vals) / m)
@@ -121,3 +126,56 @@ def simulate(
     else:
         stderr = 0.0
     return SimResult(estimate, stderr, m)
+
+
+# Generator g's atom for a draw x is the number of its inner cumulative weights
+# <= x: searchsorted(cumsum(w), x, "right") capped at the last atom, which guards
+# the w-sum rounding edge.  Both helpers return S_n less level n's lo, n * min_coord.
+
+
+def _iid_sums(set_, g, n, m, blocks):
+    """Terminal states under generator ``g`` at every step: with c its coordinates,
+    ``n (c_0 - min_coord) + sum_j (c_j - c_{j-1}) #{k : u_k >= cumsum(w)_j}``."""
+    gc = set_.coords[g]
+    inner = np.cumsum(set_.generators[g].weight_array)[:-1]
+    rel = np.full(m, n * (gc[0] - set_.min_coord), dtype=np.intp)
+    for r, u in blocks:
+        out = rel[r : r + len(u)]
+        for w, step in zip(inner, np.diff(gc)):
+            out += step * np.count_nonzero(u >= w, axis=1)
+    return rel
+
+
+def _walk(set_, choices, bounds, n, m, blocks):
+    """Terminal states of a per-level walk through the policy's choices.
+
+    With J the largest atom count, th[j][g * J] is g's j-th inner cumulative
+    weight (+inf past its atoms) and co[g * J + j] its j-th coordinate less
+    min_coord, the step of each level's lo.
+    """
+    J = max(len(gc) for gc in set_.coords)
+    top = len(set_.generators) * J
+    th = np.full((J - 1, top), np.inf)
+    co = np.zeros(top, dtype=np.intp)
+    for g, (gen, gc) in enumerate(zip(set_.generators, set_.coords)):
+        th[: len(gc) - 1, g * J] = np.cumsum(gen.weight_array)[:-1]
+        co[g * J : g * J + len(gc)] = np.asarray(gc) - set_.min_coord
+    xs = np.empty((n, m))  # level-major, so each level reads one contiguous row
+    for r, u in blocks:
+        xs[:, r : r + len(u)] = u.T
+    rel = np.zeros(m, dtype=np.intp)  # S_k minus level k's lo
+    for k in range(1, n + 1):
+        # widen before scaling: an int8 choice times J overflows; every path
+        # stays inside the level's bounds, so rel indexes the level's states
+        base = (choices[k - 1].astype(np.intp) * J)[rel]
+        if base.view(np.uintp).max() >= top:  # -1 wraps above every index
+            bad = bounds[k - 1][0] + int(rel[np.argmax(_invalid(base, top))])
+            raise InputError(
+                "POLICY_GAP", f"visited state {bad} at level {k} has no generator"
+            )
+        x = xs[k - 1]
+        idx = base
+        for row in th:
+            idx = idx + (row[base] <= x)
+        rel += co[idx]
+    return rel

@@ -294,6 +294,30 @@ class TestExitCodes:
         assert f"error: {code}:" in proc.stderr and where in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("policy", [{"constant": 0}, "robust"])
+    def test_simulate_horizon_below_one_is_coded(self, tmp_path, policy):
+        payload = dict(PAIR_SET, function={"kind": "abs"}, n=-1, paths=9, policy=policy)
+        proc = run_process(tmp_path, "simulate", payload)
+        assert proc.returncode == 1, proc.stderr
+        assert "error: BAD_HORIZON:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_simulate_draws_beyond_the_budget_are_refused(self, tmp_path):
+        payload = dict(PAIR_SET, function={"kind": "abs"}, n=3, paths=10**12, policy={"constant": 0})
+        proc = run_process(tmp_path, "simulate", payload)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: STATE_BUDGET_EXCEEDED: 3000000000000 draws" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("policy", [{"constant": 1}, "robust"])
+    def test_simulate_budget_covers_policy_and_draws(self, tmp_path, capsys, policy):
+        n, paths = 6, 40  # levels of 1, 3, .., 13 states: 49 level-states; 240 draws
+        for budget, refusal in ((240, None), (239, "240 draws"), (48, "49 level-states")):
+            payload = dict(PAIR_SET, function={"kind": "abs"}, n=n, paths=paths, policy=policy,
+                           budgets={"states": budget})
+            assert run(tmp_path, "simulate", payload) == (2 if refusal else 0)
+            err = capsys.readouterr().err
+            assert refusal is None or f"STATE_BUDGET_EXCEEDED: {refusal} exceed" in err
+
     @pytest.mark.parametrize(
         "payload, extra",
         [

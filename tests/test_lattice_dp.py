@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from sublinexp import (
     brute_force_capacity,
     brute_force_value,
     capacity,
+    constant_policy,
     piecewise_linear,
     policy_value,
     robust_value,
@@ -265,6 +267,105 @@ class TestPolicyValue:
                 f = random_pwl(rng)
                 res = robust_value(s, n, f)
                 assert policy_value(s, res.policy, n, f) == res.value
+
+
+def all_generator_policy_value(set_, policy, n, f, normalize=True):
+    """The fixed-policy sweep that evaluates every generator at every level, as a reference."""
+    bounds = lattice_dp._level_bounds(set_, n)
+    lo, length = bounds[n]
+    u = lattice_dp._terminal_values(set_, n, f, normalize, np.arange(lo, lo + length))
+    for k in range(n, 0, -1):
+        lo_prev, len_prev = bounds[k - 1]
+        choice = policy.level_choices(k, lo_prev, len_prev)
+        best = None
+        for g, (gc, gen) in enumerate(zip(set_.coords, set_.generators)):
+            cand = None
+            for w, c in zip(gen.weights, gc):
+                a = lo_prev + c - bounds[k][0]
+                cand = w * u[a : a + len_prev] if cand is None else cand + w * u[a : a + len_prev]
+            best = cand if best is None else np.where(choice == g, cand, best)
+        u = best
+    return float(u[0 - bounds[0][0]])
+
+
+class TestDesignatedGeneratorsOnly:
+    """``policy_value`` sweeps only the generators a level designates at reachable states."""
+
+    def test_robust_and_constant_policies(self):
+        rng = np.random.default_rng(5150)
+        for n in (1, 3, 17, 90):
+            for _ in range(4):
+                s = random_set(rng, max_generators=4, max_atoms=4)
+                f = random_pwl(rng)
+                policies = [robust_value(s, n, f).policy]
+                policies += [constant_policy(s, n, g) for g in range(len(s.generators))]
+                for pol in policies:
+                    assert policy_value(s, pol, n, f) == all_generator_policy_value(s, pol, n, f)
+                assert policy_value(s, pol, n, SQUARE, False) == all_generator_policy_value(
+                    s, pol, n, SQUARE, False
+                )
+
+    def test_random_gap_free_policies(self):
+        rng = np.random.default_rng(6160)
+        for trial in range(30):
+            s = random_set(rng, max_generators=4, max_atoms=3, span=2 + trial % 3)
+            n = int(rng.integers(1, 25))
+            count = len(s.generators)
+            bounds, masks = reachable_masks(s, n)
+            entries = {}
+            for k in range(1, n + 1):
+                lo, length = bounds[k - 1]
+                for i in range(length):
+                    if masks[k - 1][i]:
+                        entries[k, lo + i] = int(rng.integers(0, count))
+                    elif rng.random() < 0.5:  # unreachable: any index, even one out of range
+                        entries[k, lo + i] = int(rng.integers(0, count + 2))
+            pol = KernelPolicy.from_entries(n, entries)
+            f = random_pwl(rng)
+            assert policy_value(s, pol, n, f) == all_generator_policy_value(s, pol, n, f)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_horizon_below_one(self, biased_pair, n):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError) as e:
+                policy_value(biased_pair, KernelPolicy(n, ()), n, ABS_CLIPPED)
+        assert e.value.code == "BAD_HORIZON"
+
+    def test_first_reachable_gap_is_named(self, coin_or_rest):
+        pol = KernelPolicy.from_entries(3, {(1, 0): 1, (2, -1): 1, (2, 1): 0, (3, 0): 5})
+        with pytest.raises(InputError) as e:
+            policy_value(coin_or_rest, pol, 3, ABS_CLIPPED)
+        assert e.value.message == "reachable state 0 at level 2 has no generator"
+
+
+class TestSharedReachability:
+    @pytest.mark.parametrize("policy", ["robust", {"constant": 1}])
+    def test_one_forward_pass_per_simulate_job(self, monkeypatch, tmp_path, policy):
+        passes = []
+        body = lattice_dp._reachability.__wrapped__
+
+        def counted(moves, n):
+            passes.append((moves, n))
+            return body(moves, n)
+
+        monkeypatch.setattr(lattice_dp, "_reachability", functools.lru_cache(maxsize=1)(counted))
+        cfg = tmp_path / "simulate.json"
+        cfg.write_text(json.dumps({
+            "generators": [[[-1, 0.5], [1, 0.5]], [[-1, 0.25], [0, 0.25], [2, 0.5]]],
+            "function": {"kind": "tent", "params": {"center": 0.25, "halfwidth": 0.5}},
+            "n": 40, "paths": 500, "seed": 3, "policy": policy,
+        }))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        assert passes == [((-1, 0, 1, 2), 40)]
+
+    def test_masks_are_read_only(self, biased_pair):
+        bounds, masks = reachable_masks(biased_pair, 5)
+        assert reachable_masks(biased_pair, 5)[1] is masks
+        with pytest.raises(ValueError):
+            masks[2][0] = True
 
 
 class TestOracleEquivalence:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from sublinexp import (
+    SQUARE,
+    BudgetError,
     InputError,
     KernelPolicy,
     SimConfig,
@@ -12,7 +14,8 @@ from sublinexp import (
     simulate,
     tent,
 )
-from sublinexp.lattice_dp import _level_bounds, _terminal_values
+from sublinexp import montecarlo
+from sublinexp.lattice_dp import DEFAULT_STATE_BUDGET, _level_bounds, _terminal_values
 
 from conftest import make_set, random_pwl, random_set
 
@@ -261,3 +264,172 @@ class TestSimulationStep:
             n = int(rng.integers(1, 40))
             pol = robust_value(s, n, f).policy
             assert_matches_reference(SimConfig(pol, s, n, 1500, seed=trial), f)
+
+
+def walk_simulate(config, f, normalize=True):
+    """The per-level walk over one ``(paths, n)`` draw matrix that ``simulate`` used for every policy."""
+    set_, n, m = config.set, config.n, config.paths
+    bounds = _level_bounds(set_, n)
+    J = max(len(gc) for gc in set_.coords)
+    top = len(set_.generators) * J
+    th = np.full((J - 1, top), np.inf)
+    co = np.zeros(top, dtype=np.intp)
+    for g, (gen, gc) in enumerate(zip(set_.generators, set_.coords)):
+        th[: len(gc) - 1, g * J] = np.cumsum(gen.weight_array)[:-1]
+        co[g * J : g * J + len(gc)] = np.asarray(gc) - set_.min_coord
+    u = np.random.Generator(np.random.Philox(key=config.seed)).random((m, n))
+    rel = np.zeros(m, dtype=np.intp)
+    for k in range(1, n + 1):
+        lo, length = bounds[k - 1]
+        choice = config.policy.level_choices(k, lo, length)
+        base = (choice.astype(np.intp) * J)[rel]
+        if base.min() < 0 or base.max() >= top:
+            bad = lo + int(rel[np.argmax((base < 0) | (base >= top))])
+            raise InputError("POLICY_GAP", f"visited state {bad} at level {k} has no generator")
+        x = u[:, k - 1].copy()
+        idx = base
+        for row in th:
+            idx = idx + (row[base] <= x)
+        rel += co[idx]
+    vals = _terminal_values(set_, n, f, normalize, rel + bounds[n][0])
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    return float(np.add.reduce(vals) / m), stderr
+
+
+def refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return call
+
+
+def assert_takes(monkeypatch, path, config, f, normalize=True):
+    """``simulate`` takes ``path`` ("iid" or "walk") and matches the walk bitwise."""
+    other = {"iid": "_walk", "walk": "_iid_sums"}[path]
+    monkeypatch.setattr(montecarlo, other, refuse(other))
+    res = simulate(config, f, normalize)
+    assert (res.estimate, res.stderr) == walk_simulate(config, f, normalize)
+    monkeypatch.undo()
+    return res
+
+
+class TestIidSums:
+    """A policy designating one generator at every reachable state sums counts, without a walk."""
+
+    @pytest.mark.parametrize("block_draws", [1 << 16, 7])
+    def test_random_sets(self, monkeypatch, block_draws):
+        rng = np.random.default_rng(4242)
+        for trial in range(20):
+            s = random_set(rng, max_generators=3, max_atoms=3)
+            f = random_pwl(rng)
+            n = int(rng.integers(1, 50))
+            m = int(rng.integers(1, 3000))
+            for g in range(len(s.generators)):
+                monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", block_draws)
+                pol = constant_policy(s, n, g)
+                assert_takes(monkeypatch, "iid", SimConfig(pol, s, n, m, seed=trial), f)
+
+    def test_one_two_and_three_atoms_with_zero_weights(self, monkeypatch):
+        s = make_set([(1, 1.0)], [(-1, 0.0), (2, 1.0)], [(-2, 0.4), (0, 0.0), (3, 0.6)],
+                     [(-1, 0.5), (1, 0.5)])
+        f = random_pwl(np.random.default_rng(6), lo=-2, hi=3)
+        for g in range(4):
+            pol = constant_policy(s, 7, g)
+            res = assert_takes(monkeypatch, "iid", SimConfig(pol, s, 7, 2500, seed=g), f)
+            if g == 0:  # a point mass: every path ends at 7
+                assert res.stderr == pytest.approx(0.0, abs=1e-15)
+            assert_takes(monkeypatch, "iid", SimConfig(pol, s, 7, 2500, seed=g), SQUARE, False)
+
+    @pytest.mark.parametrize("excess", [1e-13, -1e-13])
+    def test_weights_summing_off_one(self, monkeypatch, excess):
+        s = make_set([(-1, 0.3), (0, 0.3), (1, 0.4 + excess)], [(-1, 0.5), (2, 0.5 + excess)])
+        f = piecewise_linear([(-1, 0), (2, 1)])
+        for g in range(2):
+            pol = constant_policy(s, 5, g)
+            assert_takes(monkeypatch, "iid", SimConfig(pol, s, 5, 4000, seed=3), f)
+
+    @pytest.mark.parametrize("paths", [1, 2, 9363, 2 * 9362 + 5])
+    def test_path_counts_on_and_off_the_block(self, monkeypatch, biased_pair, paths):
+        n = 7  # 9362 rows per block of 1 << 16 draws
+        pol = constant_policy(biased_pair, n, 1)
+        res = assert_takes(monkeypatch, "iid", SimConfig(pol, biased_pair, n, paths, seed=5),
+                           tent(0.25, 0.25))
+        assert res.paths == paths
+
+    def test_single_generator_robust_policy(self, monkeypatch, biased_pair):
+        # an increasing f makes the upward-biased generator the argmax everywhere
+        f = piecewise_linear([(-1, 0), (1, 1)])
+        pol = robust_value(biased_pair, 40, f).policy
+        assert set(pol.entries.values()) == {1}
+        assert any(np.any(choice < 0) for _, choice in pol.levels)
+        assert_takes(monkeypatch, "iid", SimConfig(pol, biased_pair, 40, 3000, seed=1), f)
+
+
+class TestWalk:
+    def test_unvisited_gap_and_mixed_generators_take_the_walk(self, monkeypatch, coin_or_rest):
+        f = tent(0.5, 1.0)
+        # generator 0 freezes the walk at 0: the other reachable states are never visited
+        frozen = KernelPolicy.from_entries(6, {(k, 0): 0 for k in range(1, 7)})
+        res = assert_takes(monkeypatch, "walk", SimConfig(frozen, coin_or_rest, 6, 500, seed=2), f)
+        assert res.estimate == f(np.zeros(1))[0]
+        with pytest.raises(InputError) as e:
+            policy_value(coin_or_rest, frozen, 6, f)
+        assert e.value.code == "POLICY_GAP"
+        mixed = robust_value(coin_or_rest, 9, f).policy
+        assert set(mixed.entries.values()) == {0, 1}
+        assert_takes(monkeypatch, "walk", SimConfig(mixed, coin_or_rest, 9, 2000, seed=3), f)
+
+    @pytest.mark.parametrize("block_draws", [1 << 16, 5])
+    def test_random_mixed_policies(self, monkeypatch, block_draws):
+        rng = np.random.default_rng(99)
+        for trial in range(10):
+            s = random_set(rng, max_generators=4, max_atoms=4)
+            if len(s.generators) < 2:
+                continue
+            n = int(rng.integers(2, 30))
+            pol = constant_policy(s, n, 0)
+            entries = {key: int(rng.integers(0, len(s.generators))) for key in pol.entries}
+            entries[1, 0] = 0
+            entries[2, min(s.coords[0])] = 1
+            monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", block_draws)
+            mixed = KernelPolicy.from_entries(n, entries)
+            assert_takes(monkeypatch, "walk", SimConfig(mixed, s, n, 777, seed=trial), random_pwl(rng))
+
+    def test_visited_gap_keeps_its_message(self, coin_or_rest):
+        pol = KernelPolicy.from_entries(3, {(1, 0): 1, (2, -1): 1, (2, 0): 1, (3, 0): 1})
+        config = SimConfig(pol, coin_or_rest, 3, 50, seed=0)
+        with pytest.raises(InputError) as want:
+            walk_simulate(config, ABS_CLIPPED)
+        with pytest.raises(InputError) as got:
+            simulate(config, ABS_CLIPPED)
+        assert got.value.code == "POLICY_GAP" and str(got.value) == str(want.value)
+
+
+class TestHorizonAndBudgets:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_constant_policy_refuses_a_horizon_below_one(self, coin, n):
+        with pytest.raises(InputError) as e:
+            constant_policy(coin, n, 0)
+        assert e.value.code == "BAD_HORIZON"
+
+    def test_constant_policy_charges_the_robust_level_states(self, monkeypatch, biased_pair):
+        n = 20
+        need = robust_value(biased_pair, n, ABS_CLIPPED).state_count
+        assert constant_policy(biased_pair, n, 1, state_budget=need).n == n
+        monkeypatch.setattr(montecarlo, "reachable_masks", refuse("reachable_masks"))
+        with pytest.raises(BudgetError) as e:
+            constant_policy(biased_pair, n, 1, state_budget=need - 1)
+        assert e.value.code == "STATE_BUDGET_EXCEEDED"
+
+    def test_simulate_charges_its_draws(self, monkeypatch, biased_pair):
+        n, m = 6, 250
+        pol = constant_policy(biased_pair, n, 0)
+        assert simulate(SimConfig(pol, biased_pair, n, m, seed=1), ABS_CLIPPED,
+                        state_budget=n * m).paths == m
+        monkeypatch.setattr(np.random, "Generator", refuse("Generator"))
+        monkeypatch.setattr(montecarlo, "_reachable_choices", refuse("_reachable_choices"))
+        for paths, budget in ((m, n * m - 1), (10**12, DEFAULT_STATE_BUDGET)):
+            with pytest.raises(BudgetError) as e:
+                simulate(SimConfig(pol, biased_pair, n, paths, seed=1), ABS_CLIPPED,
+                         state_budget=budget)
+            assert e.value.code == "STATE_BUDGET_EXCEEDED" and "draws" in e.value.message
