@@ -1,9 +1,11 @@
 """Command-line surface: config ingestion, subcommand dispatch, report emission.
 
 A run is described by a single JSON config (versionable artifact) plus a
-few flag overrides.  Every subcommand writes a CSV report with a JSON
-mirror under ``--out`` and prints a one-line summary.  Exit statuses:
-0 success, 1 validation error, 2 budget error, 3 property violation.
+few flag overrides.  Each subcommand in ``_COMMANDS`` reads the config and
+returns an :class:`Outcome`; :func:`main` alone writes its CSV reports with
+JSON mirrors under ``--out``, prints its one-line summary and raises its
+failed property check.  Exit statuses: 0 success, 1 validation error,
+2 budget error, 3 property violation.
 """
 
 from __future__ import annotations
@@ -13,35 +15,19 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ambiguity import AmbiguitySet, sublinear_expect, validate_ambiguity_set
 from .counterexamples import (
-    RAMP_DOWN,
-    ParametricFamily,
-    exm3_report,
-    heavy_lln_lower_bound,
-    heavy_lln_value,
+    RAMP_DOWN, ParametricFamily, exm3_report, heavy_lln_lower_bound, heavy_lln_value,
 )
-from .errors import EngineError, InputError, PropertyViolation
+from .errors import EngineError, InputError, PropertyViolation, check_budget
 from .functions import (
-    TestFunction,
-    _real,
-    abs_excess,
-    clamp,
-    constant,
-    piecewise_linear,
-    psi_fn,
-    tent,
+    TestFunction, _real, abs_excess, clamp, constant, piecewise_linear, psi_fn, tent,
 )
 from .inequalities import VIOLATED, capacity_product_identity, ottaviani_check
 from .lattice_dp import (
-    DEFAULT_STATE_BUDGET,
-    PathEvent,
-    capacity,
-    policy_value,
-    robust_value,
-    upper_value,
+    DEFAULT_STATE_BUDGET, PathEvent, capacity, policy_value, robust_value, upper_value,
 )
 from .lln import lln_sweep, maximal_dist_value, peng_condition_report, chebyshev_bound_check
 from .montecarlo import SimConfig, constant_policy, simulate
@@ -49,27 +35,9 @@ from .oracle import DEFAULT_ENUMERATION_BUDGET, brute_force_value
 from .reports import write_report
 
 _TOP_KEYS = {
-    "lattice",
-    "generators",
-    "family",
-    "function",
-    "horizons",
-    "n",
-    "n_max",
-    "event",
-    "side",
-    "alpha",
-    "c",
-    "eps",
-    "threshold",
-    "seed",
-    "paths",
-    "policy",
-    "lambdas",
-    "ms",
-    "K",
-    "budgets",
-    "out",
+    "lattice", "generators", "family", "function", "horizons", "n", "n_max", "event",
+    "side", "alpha", "c", "eps", "threshold", "seed", "paths", "policy", "lambdas", "ms",
+    "K", "budgets", "out",
 }
 
 
@@ -118,11 +86,8 @@ def build_set(cfg: Dict) -> AmbiguitySet:
         raise InputError("BAD_CONFIG", "config key 'generators' is required here")
     lattice = cfg.get("lattice", {})
     return validate_ambiguity_set(
-        {
-            "step": lattice.get("step", 1),
-            "origin": lattice.get("origin", 0),
-            "generators": cfg["generators"],
-        }
+        {"step": lattice.get("step", 1), "origin": lattice.get("origin", 0),
+         "generators": cfg["generators"]}
     )
 
 
@@ -132,7 +97,9 @@ def build_family(cfg: Dict) -> ParametricFamily:
         raise InputError("BAD_CONFIG", "config key 'family' is required here")
     if "name" not in fam or "truncation" not in fam:
         raise InputError("BAD_CONFIG", "config.family needs 'name' and 'truncation'")
-    return ParametricFamily(str(fam["name"]).upper(), _number(cfg, "family.truncation"))
+    family = ParametricFamily(str(fam["name"]).upper(), _number(cfg, "family.truncation"))
+    _charge_truncation(cfg, family.truncation)
+    return family
 
 
 def build_source(cfg: Dict):
@@ -145,6 +112,18 @@ def build_source(cfg: Dict):
     return build_set(cfg)
 
 
+#: function kind -> (constructor, the ``params`` keys it takes in order)
+_FUNCTION_KINDS = {
+    "pwl": (piecewise_linear, ("breakpoints",)),
+    "tent": (tent, ("center", "halfwidth")),
+    "clamp": (clamp, ("n",)),
+    "psi": (psi_fn, ("n",)),
+    "abs_excess": (abs_excess, ("lambda",)),
+    "constant": (constant, ("value",)),
+    **{kind: (functools.partial(TestFunction, kind), ()) for kind in ("abs", "square", "identity")},
+}
+
+
 def build_function(cfg: Dict) -> TestFunction:
     spec = cfg.get("function")
     if not spec:
@@ -153,33 +132,15 @@ def build_function(cfg: Dict) -> TestFunction:
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise InputError("BAD_CONFIG", "config.function.params must be a JSON object")
-    try:
-        if kind == "pwl":
-            points = params["breakpoints"]
-            if not isinstance(points, list) or not points or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2 for p in points
-            ):
-                raise InputError(
-                    "BAD_FUNCTION", f"pwl breakpoints must be a non-empty list of [x, y] pairs, got {points!r}"
-                )
-            return piecewise_linear(points)
-        if kind == "tent":
-            return tent(params["center"], params["halfwidth"])
-        if kind == "clamp":
-            return clamp(params["n"])
-        if kind == "psi":
-            return psi_fn(params["n"])
-        if kind == "abs_excess":
-            return abs_excess(params["lambda"])
-        if kind == "constant":
-            return constant(params["value"])
-        if kind in ("abs", "square", "identity"):
-            return TestFunction(kind)
-    except KeyError as e:
+    if not isinstance(kind, str) or kind not in _FUNCTION_KINDS:
+        raise InputError("BAD_CONFIG", f"config.function.kind {kind!r} is not recognized")
+    make, keys = _FUNCTION_KINDS[kind]
+    missing = [key for key in keys if key not in params]
+    if missing:
         raise InputError(
-            "BAD_CONFIG", f"config.function.params missing {e.args[0]!r} for kind {kind!r}"
-        ) from None
-    raise InputError("BAD_CONFIG", f"config.function.kind {kind!r} is not recognized")
+            "BAD_CONFIG", f"config.function.params missing {missing[0]!r} for kind {kind!r}"
+        )
+    return make(*(params[key] for key in keys))
 
 
 def build_event(cfg: Dict) -> PathEvent:
@@ -254,64 +215,69 @@ def _out_dir(cfg: Dict) -> Path:
     return Path(out or ".")
 
 
-def _say(args, text: str):
-    if not args.quiet:
-        print(text)
+def _charge_truncation(cfg: Dict, truncation: int) -> int:
+    """Charge a family truncation against ``budgets.states``: every scan holds
+    arrays of one entry per generator index."""
+    return check_budget(truncation, _state_budget(cfg), "family indices")
 
 
-# -- subcommand handlers -----------------------------------------------
+# -- subcommands ---------------------------------------------------------
 
 
-def _cmd_eval(cfg, args) -> int:
+class Outcome(NamedTuple):
+    """What a subcommand hands :func:`main`: its reports as ``(name, columns,
+    rows, meta)``, a one-line summary, and the ``(code, message)`` of a failed
+    property check, or None."""
+
+    reports: List[Tuple[str, List[str], list, Dict]]
+    summary: str
+    failure: Optional[Tuple[str, str]] = None
+
+
+def _by_name(name: str, columns: List[str], items, meta: Dict):
+    """A report with one row per item, each column read as the item's attribute."""
+    return name, columns, [[getattr(item, c) for c in columns] for item in items], meta
+
+
+def _cmd_eval(cfg, args) -> Outcome:
     set_ = build_set(cfg)
     f = build_function(cfg)
     sv = sublinear_expect(set_, f)
-    write_report(
-        _out_dir(cfg),
-        "eval",
-        ["upper", "lower", "argmax_upper", "argmin_lower"],
-        [[sv.upper, sv.lower, sv.argmax_upper, sv.argmin_lower]],
-        {"set": set_.describe(), "function": f.describe()},
+    meta = {"set": set_.describe(), "function": f.describe()}
+    return Outcome(
+        [_by_name("eval", ["upper", "lower", "argmax_upper", "argmin_lower"], [sv], meta)],
+        f"eval: upper {sv.upper:.12g} lower {sv.lower:.12g}",
     )
-    _say(args, f"eval: upper {sv.upper:.12g} lower {sv.lower:.12g}")
-    return 0
 
 
-def _cmd_capacity(cfg, args) -> int:
+def _cmd_capacity(cfg, args) -> Outcome:
     set_ = build_set(cfg)
     n = _number(cfg, "n", what="capacity")
     event = build_event(cfg)
     side = str(cfg.get("side", "UPPER")).upper()
     value = capacity(set_, n, event, side, state_budget=_state_budget(cfg))
-    write_report(
-        _out_dir(cfg),
-        "capacity",
-        ["n", "event", "side", "value"],
-        [[n, event.describe(), side, value]],
-        {"set": set_.describe()},
+    row = [n, event.describe(), side, value]
+    return Outcome(
+        [("capacity", ["n", "event", "side", "value"], [row], {"set": set_.describe()})],
+        f"capacity: {side} {event.describe()} at n={n} -> {value:.12g}",
     )
-    _say(args, f"capacity: {side} {event.describe()} at n={n} -> {value:.12g}")
-    return 0
 
 
-def _cmd_lln_sweep(cfg, args) -> int:
+def _cmd_lln_sweep(cfg, args) -> Outcome:
     set_ = build_set(cfg)
     f = build_function(cfg)
     horizons = _numbers(cfg, "horizons", what="lln-sweep")
     report = lln_sweep(set_, f, horizons, state_budget=_state_budget(cfg))
-    write_report(
-        _out_dir(cfg),
-        "lln_sweep",
-        ["n", "dp_value", "limit_value", "abs_error"],
-        [[r.n, r.dp_value, r.limit_value, r.abs_error] for r in report.rows],
-        {"set": report.set_description, "function": report.function_description},
-    )
+    meta = {"set": report.set_description, "function": report.function_description}
+    columns = ["n", "dp_value", "limit_value", "abs_error"]
     last = report.rows[-1]
-    _say(args, f"lln-sweep: abs_error at n={last.n} is {last.abs_error:.6g}")
-    return 0
+    return Outcome(
+        [_by_name("lln_sweep", columns, report.rows, meta)],
+        f"lln-sweep: abs_error at n={last.n} is {last.abs_error:.6g}",
+    )
 
 
-def _cmd_conditions(cfg, args) -> int:
+def _cmd_conditions(cfg, args) -> Outcome:
     source = build_source(cfg)
     n_max = _number(cfg, "n_max", what="conditions")
     report = peng_condition_report(source, n_max)
@@ -322,77 +288,59 @@ def _cmd_conditions(cfg, args) -> int:
         "mu_lower_limit": report.mu_lower_limit,
         "warnings": sorted(set(report.warnings)),
     }
-    write_report(
-        _out_dir(cfg),
-        "conditions",
-        ["n", "nV_tail", "psi_expect", "mu_lower_n", "mu_upper_n"],
-        [[r.n, r.nV_tail, r.psi_expect, r.mu_lower_n, r.mu_upper_n] for r in report.rows],
-        meta,
+    columns = ["n", "nV_tail", "psi_expect", "mu_lower_n", "mu_upper_n"]
+    return Outcome(
+        [_by_name("conditions", columns, report.rows, meta)],
+        f"conditions: {report.condition_i_trend}",
     )
-    _say(args, f"conditions: {report.condition_i_trend}")
-    return 0
 
 
-def _cmd_ottaviani(cfg, args) -> int:
+def _cmd_ottaviani(cfg, args) -> Outcome:
     set_ = build_set(cfg)
     n = _number(cfg, "n", what="ottaviani")
     alpha = _number(cfg, "alpha", float, what="ottaviani")
     c = _number(cfg, "c", float, what="ottaviani")
     report = ottaviani_check(set_, n, alpha, c, state_budget=_state_budget(cfg))
-    write_report(
-        _out_dir(cfg),
-        "ottaviani",
-        ["premise_value", "c", "lhs", "rhs", "status"],
-        [[report.premise_value, report.c, report.lhs, report.rhs, report.status]],
-        {"set": set_.describe(), "n": n, "alpha": alpha},
+    meta = {"set": set_.describe(), "n": n, "alpha": alpha}
+    columns = ["premise_value", "c", "lhs", "rhs", "status"]
+    return Outcome(
+        [_by_name("ottaviani", columns, [report], meta)],
+        f"ottaviani: {report.status} (lhs {report.lhs:.6g}, rhs {report.rhs:.6g})",
+        ("OTTAVIANI_VIOLATED", "maximal inequality failed on a valid instance")
+        if report.status == VIOLATED
+        else None,
     )
-    _say(args, f"ottaviani: {report.status} (lhs {report.lhs:.6g}, rhs {report.rhs:.6g})")
-    if report.status == VIOLATED:
-        raise PropertyViolation(
-            "OTTAVIANI_VIOLATED", "maximal inequality failed on a valid instance"
-        )
-    return 0
 
 
-def _cmd_product_identity(cfg, args) -> int:
+def _cmd_product_identity(cfg, args) -> Outcome:
     set_ = build_set(cfg)
     n = _number(cfg, "n", what="product-identity")
     threshold = _number(cfg, "threshold", float, what="product-identity")
     report = capacity_product_identity(set_, n, threshold, state_budget=_state_budget(cfg))
-    write_report(
-        _out_dir(cfg),
-        "product_identity",
-        ["lhs", "rhs", "delta"],
-        [[report.lhs, report.rhs, report.delta]],
-        {"set": set_.describe(), "n": n, "threshold": threshold},
+    meta = {"set": set_.describe(), "n": n, "threshold": threshold}
+    return Outcome(
+        [_by_name("product_identity", ["lhs", "rhs", "delta"], [report], meta)],
+        f"product-identity: delta {report.delta:.3g}",
+        ("PRODUCT_IDENTITY_MISMATCH", f"delta {report.delta} exceeds 1e-9")
+        if report.delta > 1e-9
+        else None,
     )
-    _say(args, f"product-identity: delta {report.delta:.3g}")
-    if report.delta > 1e-9:
-        raise PropertyViolation(
-            "PRODUCT_IDENTITY_MISMATCH", f"delta {report.delta} exceeds 1e-9"
-        )
-    return 0
 
 
-def _cmd_chebyshev(cfg, args) -> int:
+def _cmd_chebyshev(cfg, args) -> Outcome:
     set_ = build_set(cfg)
     n = _number(cfg, "n", what="chebyshev")
     eps = _number(cfg, "eps", float, what="chebyshev")
     check = chebyshev_bound_check(set_, n, eps, state_budget=_state_budget(cfg))
-    write_report(
-        _out_dir(cfg),
-        "chebyshev",
-        ["lhs", "rhs", "holds"],
-        [[check.lhs, check.rhs, check.holds]],
-        {"set": set_.describe(), "n": n, "eps": eps},
+    meta = {"set": set_.describe(), "n": n, "eps": eps}
+    return Outcome(
+        [_by_name("chebyshev", ["lhs", "rhs", "holds"], [check], meta)],
+        f"chebyshev: lhs {check.lhs:.6g} <= rhs {check.rhs:.6g}: {check.holds}",
+        None if check.holds else ("CHEBYSHEV_VIOLATED", "tail bound failed"),
     )
-    _say(args, f"chebyshev: lhs {check.lhs:.6g} <= rhs {check.rhs:.6g}: {check.holds}")
-    if not check.holds:
-        raise PropertyViolation("CHEBYSHEV_VIOLATED", "tail bound failed")
-    return 0
 
 
-def _cmd_counterexample(cfg, args) -> int:
+def _cmd_counterexample(cfg, args) -> Outcome:
     K = _first(
         args.K, _number(cfg, "K", default=None), _number(cfg, "family.truncation", default=None)
     )
@@ -400,47 +348,30 @@ def _cmd_counterexample(cfg, args) -> int:
         truncation = _first(K, 10_000)
         lambdas = _numbers(cfg, "lambdas", float, default=[10.0, 20.0, 50.0, 100.0])
         ms = _numbers(cfg, "ms", default=[10, 20, 50, 100])
-        report = exm3_report(truncation, lambdas, ms)
+        report = exm3_report(_charge_truncation(cfg, truncation), lambdas, ms)
         meta = {"truncation": truncation, "warnings": sorted(set(report.warnings))}
-        write_report(
-            _out_dir(cfg),
-            "exm3_excess",
-            ["lambda", "value"],
-            [[lam, v] for lam, v in report.lambda_rows],
-            meta,
-        )
-        write_report(
-            _out_dir(cfg),
-            "exm3_tail",
-            ["m", "psi_expect", "m_V_tail"],
-            [[m, p, t] for m, p, t in report.m_rows],
-            meta,
-        )
         lam, v = report.lambda_rows[-1]
-        _say(args, f"counterexample exm3: E[(|X|-{lam:g})^+] = {v:.6g}")
-        return 0
-    # HEAVY
+        return Outcome(
+            [
+                ("exm3_excess", ["lambda", "value"], report.lambda_rows, meta),
+                ("exm3_tail", ["m", "psi_expect", "m_V_tail"], report.m_rows, meta),
+            ],
+            f"counterexample exm3: E[(|X|-{lam:g})^+] = {v:.6g}",
+        )
     K = _first(K, 200)
     n = _number(cfg, "n", default=20)
     value = heavy_lln_value(K, n, state_budget=_state_budget(cfg))
     bound = heavy_lln_lower_bound(K, n)
     limit = maximal_dist_value(RAMP_DOWN, 1.0, 1.0)
-    write_report(
-        _out_dir(cfg),
-        "heavy",
-        ["K", "n", "value", "lower_bound"],
-        [[K, n, value, bound]],
-        {"maximal_distribution_value": limit},
-    )
-    _say(
-        args,
+    meta = {"maximal_distribution_value": limit}
+    return Outcome(
+        [("heavy", ["K", "n", "value", "lower_bound"], [[K, n, value, bound]], meta)],
         f"counterexample heavy: value {value:.6g} >= {bound:.6g}, "
         f"maximal-distribution prediction {limit:g}",
     )
-    return 0
 
 
-def _cmd_simulate(cfg, args) -> int:
+def _cmd_simulate(cfg, args) -> Outcome:
     set_ = build_set(cfg)
     f = build_function(cfg)
     n = _number(cfg, "n", what="simulate")
@@ -458,42 +389,30 @@ def _cmd_simulate(cfg, args) -> int:
         )
     result = simulate(SimConfig(policy, set_, n, paths, seed), f, state_budget=budget)
     exact = policy_value(set_, policy, n, f, state_budget=budget)
-    write_report(
-        _out_dir(cfg),
-        "simulate",
-        ["estimate", "stderr", "paths", "policy_value"],
-        [[result.estimate, result.stderr, result.paths, exact]],
-        {"set": set_.describe(), "function": f.describe(), "n": n, "seed": seed},
+    row = [result.estimate, result.stderr, result.paths, exact]
+    meta = {"set": set_.describe(), "function": f.describe(), "n": n, "seed": seed}
+    return Outcome(
+        [("simulate", ["estimate", "stderr", "paths", "policy_value"], [row], meta)],
+        f"simulate: estimate {result.estimate:.6g} +/- {result.stderr:.2g} (exact {exact:.6g})",
     )
-    _say(
-        args,
-        f"simulate: estimate {result.estimate:.6g} +/- {result.stderr:.2g} "
-        f"(exact {exact:.6g})",
-    )
-    return 0
 
 
-def _cmd_oracle(cfg, args) -> int:
+def _cmd_oracle(cfg, args) -> Outcome:
     set_ = build_set(cfg)
     f = build_function(cfg)
     n = _number(cfg, "n", what="oracle")
     oracle_value = brute_force_value(set_, n, f, budget=_enum_budget(cfg))
     dp = upper_value(set_, n, f, state_budget=_state_budget(cfg))
     delta = abs(oracle_value - dp)
-    write_report(
-        _out_dir(cfg),
-        "oracle",
-        ["n", "oracle_value", "dp_value", "delta"],
-        [[n, oracle_value, dp, delta]],
-        {"set": set_.describe(), "function": f.describe()},
+    meta = {"set": set_.describe(), "function": f.describe()}
+    return Outcome(
+        [("oracle", ["n", "oracle_value", "dp_value", "delta"], [[n, oracle_value, dp, delta]], meta)],
+        f"oracle: brute force {oracle_value:.12g}, dp {dp:.12g}, delta {delta:.3g}",
+        ("ORACLE_MISMATCH", f"delta {delta} exceeds 1e-9") if delta > 1e-9 else None,
     )
-    _say(args, f"oracle: brute force {oracle_value:.12g}, dp {dp:.12g}, delta {delta:.3g}")
-    if delta > 1e-9:
-        raise PropertyViolation("ORACLE_MISMATCH", f"delta {delta} exceeds 1e-9")
-    return 0
 
 
-_HANDLERS = {
+_COMMANDS = {
     "eval": _cmd_eval,
     "capacity": _cmd_capacity,
     "lln-sweep": _cmd_lln_sweep,
@@ -514,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact engine for upper/lower expectations on finite ambiguity sets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         if name == "counterexample":
             p.add_argument("which", choices=["exm3", "heavy"])
@@ -537,7 +456,15 @@ def main(argv=None) -> int:
             cfg["n"] = args.n
         if args.seed is not None:
             cfg["seed"] = args.seed
-        return _HANDLERS[args.command](cfg, args)
+        outcome = _COMMANDS[args.command](cfg, args)
+        out = _out_dir(cfg)
+        for report in outcome.reports:
+            write_report(out, *report)
+        if not args.quiet:
+            print(outcome.summary)
+        if outcome.failure:
+            raise PropertyViolation(*outcome.failure)
+        return 0
     except EngineError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_status

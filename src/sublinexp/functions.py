@@ -50,6 +50,9 @@ class TestFunction:
                 )
         elif self.kind not in _BUILTIN_KINDS:
             raise InputError("BAD_FUNCTION", f"unknown function kind {self.kind!r}")
+        values = (*self.params[0], *self.params[1]) if self.kind == "pwl" else self.params
+        if any(v != v for v in values):
+            raise InputError("BAD_FUNCTION", f"{self.kind} parameters must not be NaN")
 
     # -- evaluation ----------------------------------------------------
 
@@ -143,7 +146,17 @@ IDENTITY = TestFunction("identity")
 
 
 def piecewise_linear(breakpoints: Iterable[Tuple[float, float]]) -> TestFunction:
-    pts = sorted((_real(x, "breakpoint"), _real(y, "breakpoint value")) for x, y in breakpoints)
+    """Linear interpolation through any non-empty iterable of ``(x, y)`` pairs."""
+    try:
+        pairs = [(x, y) for x, y in breakpoints]
+    except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
+        pairs = []
+    if not pairs:
+        raise InputError(
+            "BAD_FUNCTION",
+            f"pwl breakpoints must be a non-empty list of [x, y] pairs, got {breakpoints!r}",
+        )
+    pts = sorted((_real(x, "breakpoint"), _real(y, "breakpoint value")) for x, y in pairs)
     xs = tuple(p[0] for p in pts)
     ys = tuple(p[1] for p in pts)
     if any(b <= a for a, b in zip(xs, xs[1:])):

@@ -147,25 +147,34 @@ class RobustResult:
 # -- shared helpers ----------------------------------------------------
 
 
+def _move_bounds(minc: int, maxc: int, n: int):
+    """(lo_k, length_k) of the sums of k moves in [minc, maxc], for k = 0..n."""
+    return [(k * minc, k * (maxc - minc) + 1) for k in range(n + 1)]
+
+
 def _level_bounds(set_: AmbiguitySet, n: int, frozen_below: int = 0, hold_zero: bool = False):
     """(lo_k, length_k) per level; levels <= frozen_below contribute no movement.
 
     ``hold_zero`` widens level k to hold state ``-k * origin``, where S_k = 0.
     """
-    minc, maxc = set_.min_coord, set_.max_coord
-    origin = set_.lattice.origin
-    bounds = []
-    for k in range(n + 1):
-        steps = max(0, k - frozen_below)
-        lo, hi = steps * minc, steps * maxc
-        if hold_zero:
-            lo, hi = min(lo, -k * origin), max(hi, -k * origin)
-        bounds.append((lo, hi - lo + 1))
+    bounds = [(0, 1)] * frozen_below + _move_bounds(
+        set_.min_coord, set_.max_coord, n - frozen_below
+    )
+    if hold_zero:
+        origin = set_.lattice.origin
+        for k, (lo, length) in enumerate(bounds):
+            lo, hi = min(lo, -k * origin), max(lo + length - 1, -k * origin)
+            bounds[k] = (lo, hi - lo + 1)
     return bounds
 
 
 def _states(bounds) -> int:
     return sum(length for _, length in bounds)
+
+
+def _level_states(set_: AmbiguitySet, n: int) -> int:
+    """``_states(_level_bounds(set_, n))`` in closed form: (n + 1) + (max - min) n (n + 1) / 2."""
+    return (n + 1) + (set_.max_coord - set_.min_coord) * n * (n + 1) // 2
 
 
 def reachable_masks(set_: AmbiguitySet, n: int):
@@ -180,8 +189,7 @@ def reachable_masks(set_: AmbiguitySet, n: int):
 
 @functools.lru_cache(maxsize=1)
 def _reachability(moves: Tuple[int, ...], n: int):
-    minc, maxc = moves[0], moves[-1]
-    bounds = tuple((k * minc, k * (maxc - minc) + 1) for k in range(n + 1))  # as _level_bounds
+    bounds = tuple(_move_bounds(moves[0], moves[-1], n))
     masks = tuple(np.zeros(length, dtype=bool) for _, length in bounds)
     masks[0][0 - bounds[0][0]] = True
     for k in range(1, n + 1):  # OR is idempotent, so each distinct move shifts once
@@ -354,10 +362,9 @@ def policy_value(
         raise InputError("BAD_HORIZON", "horizon must be >= 1")
     if policy.n != n:
         raise InputError("POLICY_GAP", f"policy is for horizon {policy.n}, not {n}")
-    bounds = _level_bounds(set_, n)
-    check_budget(_states(bounds), state_budget)
+    check_budget(_level_states(set_, n), state_budget)
     generator_count = len(set_.generators)
-    choices, level, chosen, _, masks = _reachable_choices(set_, policy, n)
+    choices, level, chosen, bounds, masks = _reachable_choices(set_, policy, n)
     gap = _invalid(chosen, generator_count)
     if gap.any():
         k = int(level[np.argmax(gap)]) + 1

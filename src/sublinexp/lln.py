@@ -12,6 +12,7 @@ no asymptotic claim is ever made beyond the range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -242,5 +243,7 @@ def chebyshev_bound_check(
         float(np.add.reduce(np.minimum(np.abs(g.point_array), n) ** 2 * g.weight_array))
         for g in set_.generators
     )
-    rhs = float(n * tail) + (8.0 / (n * eps * eps)) * clamped_sq
+    # n eps^2 underflows to 0 for eps below about 1e-162; just above, 8 / (n eps^2) is +inf
+    spread = n * eps * eps
+    rhs = float(n * tail) + (8.0 / spread if spread else math.inf) * clamped_sq
     return ChebyshevCheck(lhs, rhs, lhs <= rhs + 1e-12)

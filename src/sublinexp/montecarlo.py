@@ -25,9 +25,8 @@ from .lattice_dp import (
     KernelPolicy,
     _choice_dtype,
     _invalid,
-    _level_bounds,
+    _level_states,
     _reachable_choices,
-    _states,
     _terminal_values,
     reachable_masks,
 )
@@ -79,7 +78,7 @@ def constant_policy(
         raise InputError("BAD_HORIZON", "horizon must be >= 1")
     if not 0 <= generator_index < len(set_.generators):
         raise InputError("POLICY_GAP", f"generator index {generator_index} out of range")
-    check_budget(_states(_level_bounds(set_, n)), state_budget)
+    check_budget(_level_states(set_, n), state_budget)
     bounds, masks = reachable_masks(set_, n)
     dtype = _choice_dtype(len(set_.generators))
     return KernelPolicy(

@@ -10,6 +10,7 @@ from sublinexp import (
     IDENTITY,
     SQUARE,
     InputError,
+    abs_excess,
     clamp,
     constant,
     linear_expect,
@@ -168,3 +169,32 @@ class TestAxioms:
         assert clamp(3).bounded and tent(0, 1).bounded and psi_fn(2).bounded
         assert ABS.bounded
         assert not SQUARE.bounded and not IDENTITY.bounded
+
+
+class TestFunctionParameters:
+    @pytest.mark.parametrize("points", [[1, 2], [[1, 2, 3]], [], 5, [[0, 1], 2]])
+    def test_malformed_breakpoints_are_coded(self, points):
+        with pytest.raises(InputError) as info:
+            piecewise_linear(points)
+        assert info.value.code == "BAD_FUNCTION" and "breakpoints" in info.value.message
+
+    def test_breakpoints_may_be_any_iterable_of_pairs(self):
+        f = piecewise_linear(zip([1.0, 0.0], [0.0, 1.0]))
+        assert f.params == ((0.0, 1.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: clamp(float("nan")),
+            lambda: tent(float("nan"), 1.0),
+            lambda: tent(0.0, float("nan")),
+            lambda: abs_excess(float("nan")),
+            lambda: constant(float("nan")),
+            lambda: piecewise_linear([(0.0, float("nan"))]),
+            lambda: piecewise_linear([(float("nan"), 0.0), (1.0, 1.0)]),
+        ],
+    )
+    def test_nan_parameter_is_coded(self, make):
+        with pytest.raises(InputError) as info:
+            make()
+        assert info.value.code == "BAD_FUNCTION"

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from sublinexp import cli
 from sublinexp.cli import main
+from sublinexp.inequalities import VIOLATED, OttavianiReport, ProductIdentityReport
+from sublinexp.lln import ChebyshevCheck
 from sublinexp.reports import csv_from_json
 
 PAIR_SET = {
@@ -216,6 +219,13 @@ class TestExitCodes:
             {"kind": "tent", "params": {"center": 0, "halfwidth": [1]}},
             {"kind": "abs_excess", "params": {"lambda": None}},
             {"kind": "constant", "params": {"value": "x"}},
+            {"kind": "clamp", "params": {"n": math.nan}},
+            {"kind": "tent", "params": {"center": math.nan, "halfwidth": 1}},
+            {"kind": "tent", "params": {"center": 0, "halfwidth": math.nan}},
+            {"kind": "abs_excess", "params": {"lambda": math.nan}},
+            {"kind": "constant", "params": {"value": math.nan}},
+            {"kind": "pwl", "params": {"breakpoints": [[0, math.nan], [1, 1]]}},
+            {"kind": "pwl", "params": {"breakpoints": [[math.nan, 0]]}},
         ],
     )
     def test_bad_function_parameter_is_coded(self, tmp_path, function):
@@ -266,6 +276,7 @@ class TestExitCodes:
             ("counterexample exm3", {"K": 100, "lambdas": "10"}, "BAD_CONFIG", "'lambdas'"),
             ("counterexample heavy", {"K": None}, "BAD_CONFIG", "'K'"),
             ("counterexample exm3", {"K": 100, "lambdas": [1], "ms": [0]}, "BAD_FUNCTION", "psi level"),
+            ("counterexample exm3", {"K": 100, "lambdas": [math.nan]}, "BAD_FUNCTION", "NaN"),
             ("eval", dict(PAIR_SET, generators=[3], function={"kind": "abs"}),
              "BAD_CONFIG", "generator 0"),
             ("eval", dict(PAIR_SET, generators=[[[0, "x"]]], function={"kind": "abs"}),
@@ -337,9 +348,60 @@ class TestExitCodes:
         assert run(tmp_path, "counterexample", {}, "exm3", "--K", "0") == 2
         assert "TRUNCATION_TOO_SMALL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cmd, payload, extra",
+        [
+            ("counterexample exm3", {}, ["--K", "1000000000000"]),
+            ("conditions", {"family": {"name": "EXM3", "truncation": 10**12}, "n_max": 3}, []),
+        ],
+    )
+    def test_family_truncation_is_charged_to_the_state_budget(self, tmp_path, cmd, payload, extra):
+        command, *which = cmd.split()
+        proc = run_process(tmp_path, command, payload, *which, *extra)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: STATE_BUDGET_EXCEEDED: 1000000000000 family indices" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("budget, status", [(32, 0), (31, 2)])
+    def test_family_truncation_budget_boundary(self, tmp_path, budget, status):
+        family = {"name": "HEAVY", "truncation": 32}
+        payload = {"family": family, "n_max": 4, "budgets": {"states": budget}}
+        assert run(tmp_path, "conditions", payload) == status
+        payload = {"family": family, "lambdas": [2], "ms": [4], "budgets": {"states": budget}}
+        assert run(tmp_path, "counterexample", payload, "exm3") == status
+
     def test_family_and_generators_exclusive(self, tmp_path):
         payload = dict(PAIR_SET, family={"name": "HEAVY", "truncation": 5}, n_max=3)
         assert run(tmp_path, "conditions", payload) == 1
+
+
+class TestPropertyChecks:
+    @pytest.mark.parametrize(
+        "cmd, payload, target, fake, code",
+        [
+            ("ottaviani", dict(PAIR_SET, n=2, alpha=2.0, c=0.5), "ottaviani_check",
+             OttavianiReport(0.0, 0.5, 1.0, 0.5, VIOLATED), "OTTAVIANI_VIOLATED"),
+            ("product-identity", dict(PAIR_SET, n=3, threshold=1.0), "capacity_product_identity",
+             ProductIdentityReport(1.0, 0.5, 0.5), "PRODUCT_IDENTITY_MISMATCH"),
+            ("chebyshev", dict(PAIR_SET, n=2, eps=1.0), "chebyshev_bound_check",
+             ChebyshevCheck(1.0, 0.5, False), "CHEBYSHEV_VIOLATED"),
+            ("oracle", dict(PAIR_SET, function={"kind": "abs"}, n=3), "brute_force_value",
+             2.0, "ORACLE_MISMATCH"),
+        ],
+    )
+    def test_failed_check_exits_3_after_report_and_summary(
+        self, tmp_path, capsys, monkeypatch, cmd, payload, target, fake, code
+    ):
+        monkeypatch.setattr(cli, target, lambda *args, **kwargs: fake)
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        report = cmd.replace("-", "_")
+        for quiet in ([], ["--quiet"]):
+            out_dir = tmp_path / f"out{len(quiet)}"
+            assert main([cmd, "--config", cfg, "--out", str(out_dir), *quiet]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" if quiet else out.startswith(f"{cmd}: ") and out.count("\n") == 1
+            assert err.startswith(f"error: {code}: ")
+            assert sorted(p.name for p in out_dir.iterdir()) == [f"{report}.csv", f"{report}.json"]
 
 
 class TestReports:

@@ -414,6 +414,16 @@ class TestReachableMasks:
                 level = {x + c for x in level for c in moves}
 
 
+    def test_bounds_and_closed_form_count_match_the_level_bounds(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            s = random_set(rng, max_generators=4, max_atoms=4, span=5)
+            for n in (1, 2, 7, 40):
+                bounds = lattice_dp._level_bounds(s, n)
+                assert reachable_masks(s, n)[0] == tuple(bounds)
+                assert lattice_dp._level_states(s, n) == lattice_dp._states(bounds)
+
+
 class TestUpperValue:
     def test_equals_robust_value_bitwise(self):
         rng = np.random.default_rng(808)
@@ -447,12 +457,15 @@ class TestUpperValue:
     def test_refusals_at_the_same_budgets(self, biased_pair, tmp_path, capsys):
         f = tent(0.25, 0.25)
         n = 12
-        need = robust_value(biased_pair, n, f).state_count
+        result = robust_value(biased_pair, n, f)
+        need = result.state_count
         assert need == sum(k * 2 + 1 for k in range(n + 1))
         for call in (
             lambda b: robust_value(biased_pair, n, f, state_budget=b),
             lambda b: upper_value(biased_pair, n, f, state_budget=b),
             lambda b: lln_sweep(biased_pair, f, [2, n], state_budget=b),
+            lambda b: policy_value(biased_pair, result.policy, n, f, state_budget=b),
+            lambda b: constant_policy(biased_pair, n, 1, state_budget=b),
         ):
             call(need)
             with pytest.raises(BudgetError) as e:
