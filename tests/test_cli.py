@@ -276,7 +276,6 @@ class TestExitCodes:
             ("counterexample exm3", {"K": 100, "lambdas": "10"}, "BAD_CONFIG", "'lambdas'"),
             ("counterexample heavy", {"K": None}, "BAD_CONFIG", "'K'"),
             ("counterexample exm3", {"K": 100, "lambdas": [1], "ms": [0]}, "BAD_FUNCTION", "psi level"),
-            ("counterexample exm3", {"K": 100, "lambdas": [math.nan]}, "BAD_FUNCTION", "NaN"),
             ("eval", dict(PAIR_SET, generators=[3], function={"kind": "abs"}),
              "BAD_CONFIG", "generator 0"),
             ("eval", dict(PAIR_SET, generators=[[[0, "x"]]], function={"kind": "abs"}),
@@ -296,6 +295,7 @@ class TestExitCodes:
              "UNSUPPORTED_EVENT", "from_index"),
             ("capacity", dict(PAIR_SET, n=2, event={"kind": "FINAL_GT", "threshold": True}),
              "BAD_RATIONAL", "True"),
+            ("counterexample exm3", {"K": 100, "lambdas": [math.nan]}, "BAD_FUNCTION", "NaN"),
         ],
     )
     def test_malformed_value_is_coded(self, tmp_path, cmd, payload, code, where):
