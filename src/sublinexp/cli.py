@@ -1,11 +1,12 @@
 """Command-line surface: config ingestion, subcommand dispatch, report emission.
 
 A run is described by a single JSON config (versionable artifact) plus a
-few flag overrides.  Each subcommand in ``_COMMANDS`` reads the config and
-returns an :class:`Outcome`; :func:`main` alone writes its CSV reports with
-JSON mirrors under ``--out``, prints its one-line summary and raises its
-failed property check.  Exit statuses: 0 success, 1 validation error,
-2 budget error, 3 property violation.
+few flag overrides, both read by :func:`load_config` against the keys that
+the subcommand's entry in ``_COMMANDS`` reads.  Each subcommand returns an
+:class:`Outcome`; :func:`main` alone writes its CSV reports with JSON
+mirrors under ``--out``, prints its one-line summary and raises its failed
+property check.  Exit statuses: 0 success, 1 validation error, 2 budget
+error, 3 property violation.
 """
 
 from __future__ import annotations
@@ -34,125 +35,32 @@ from .montecarlo import SimConfig, constant_policy, simulate
 from .oracle import DEFAULT_ENUMERATION_BUDGET, brute_force_value
 from .reports import write_report
 
-_TOP_KEYS = {
-    "lattice", "generators", "family", "function", "horizons", "n", "n_max", "event",
-    "side", "alpha", "c", "eps", "threshold", "seed", "paths", "policy", "lambdas", "ms",
-    "K", "budgets", "out",
-}
+# -- config keys ---------------------------------------------------------
+#
+# A command maps each config key it reads to ``(kind, default)``.  The kind
+# is ``int`` or ``float`` (a checked number), ``[int]`` or ``[float]`` (a
+# non-empty list of them), a dict of a section's own keys, or a JSON type
+# (``object`` for any value) of a raw value that its builder checks.  The
+# default ``...`` makes the key required, and ``None`` leaves an absent key
+# absent.
+
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
+_FLAGS = ("out", "seed", "n", "K")  # the config keys a flag of the same name overrides
+
+_SET = {"lattice": ({"step": (object, None), "origin": (object, None)}, None), "generators": (list, ...)}
+_FUNCTION = {"function": ({"kind": (object, ...), "params": (dict, {})}, ...)}
+_N = {"n": (int, ...)}
+_BUDGETS = {"budgets": ({"states": (int, DEFAULT_STATE_BUDGET)}, {})}
+_EVENT = {"kind": (object, ...), "threshold": (object, ...), "from_index": (object, None)}
 
 
-_SECTION_KEYS = {
-    "lattice": {"step", "origin"},
-    "family": {"name", "truncation"},
-    "function": {"kind", "params"},
-    "event": {"kind", "threshold", "from_index"},
-    "budgets": {"states", "enumeration"},
-}
+def _family(name, truncation) -> Dict:
+    return {"name": (object, name), "truncation": (int, truncation)}
 
 
-def _check_keys(obj: Dict, allowed, where: str):
-    if not isinstance(obj, dict):
-        raise InputError("BAD_CONFIG", f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise InputError("BAD_CONFIG", f"unknown key {unknown[0]!r} in {where}")
-
-
-def load_config(path: Optional[str]) -> Dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as handle:
-            cfg = json.load(handle)
-    except OSError as e:
-        raise InputError("BAD_CONFIG", f"cannot read config: {e}") from None
-    except json.JSONDecodeError as e:
-        raise InputError("BAD_CONFIG", f"config is not valid JSON: {e}") from None
-    if not isinstance(cfg, dict):
-        raise InputError("BAD_CONFIG", "config root must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config")
-    for key, allowed in _SECTION_KEYS.items():
-        if key in cfg:
-            _check_keys(cfg[key], allowed, f"config.{key}")
-    if not isinstance(cfg.get("generators", []), list):
-        raise InputError("BAD_CONFIG", "config.generators must be a JSON list")
-    for key in cfg.get("budgets", {}):  # checked here, so commands without a budget refuse it too
-        _number(cfg, f"budgets.{key}")
-    return cfg
-
-
-def build_set(cfg: Dict) -> AmbiguitySet:
-    if "generators" not in cfg:
-        raise InputError("BAD_CONFIG", "config key 'generators' is required here")
-    lattice = cfg.get("lattice", {})
-    return validate_ambiguity_set(
-        {"step": lattice.get("step", 1), "origin": lattice.get("origin", 0),
-         "generators": cfg["generators"]}
-    )
-
-
-def build_family(cfg: Dict) -> ParametricFamily:
-    fam = cfg.get("family")
-    if not fam:
-        raise InputError("BAD_CONFIG", "config key 'family' is required here")
-    if "name" not in fam or "truncation" not in fam:
-        raise InputError("BAD_CONFIG", "config.family needs 'name' and 'truncation'")
-    family = ParametricFamily(str(fam["name"]).upper(), _number(cfg, "family.truncation"))
-    _charge_truncation(cfg, family.truncation)
-    return family
-
-
-def build_source(cfg: Dict):
-    if "family" in cfg:
-        if "generators" in cfg:
-            raise InputError(
-                "BAD_CONFIG", "config keys 'family' and 'generators' are exclusive"
-            )
-        return build_family(cfg)
-    return build_set(cfg)
-
-
-#: function kind -> (constructor, the ``params`` keys it takes in order)
-_FUNCTION_KINDS = {
-    "pwl": (piecewise_linear, ("breakpoints",)),
-    "tent": (tent, ("center", "halfwidth")),
-    "clamp": (clamp, ("n",)),
-    "psi": (psi_fn, ("n",)),
-    "abs_excess": (abs_excess, ("lambda",)),
-    "constant": (constant, ("value",)),
-    **{kind: (functools.partial(TestFunction, kind), ()) for kind in ("abs", "square", "identity")},
-}
-
-
-def build_function(cfg: Dict) -> TestFunction:
-    spec = cfg.get("function")
-    if not spec:
-        raise InputError("BAD_CONFIG", "config key 'function' is required here")
-    kind = spec.get("kind")
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise InputError("BAD_CONFIG", "config.function.params must be a JSON object")
-    if not isinstance(kind, str) or kind not in _FUNCTION_KINDS:
-        raise InputError("BAD_CONFIG", f"config.function.kind {kind!r} is not recognized")
-    make, keys = _FUNCTION_KINDS[kind]
-    missing = [key for key in keys if key not in params]
-    if missing:
-        raise InputError(
-            "BAD_CONFIG", f"config.function.params missing {missing[0]!r} for kind {kind!r}"
-        )
-    return make(*(params[key] for key in keys))
-
-
-def build_event(cfg: Dict) -> PathEvent:
-    spec = cfg.get("event")
-    if not spec:
-        raise InputError("BAD_CONFIG", "config key 'event' is required here")
-    if "kind" not in spec or "threshold" not in spec:
-        raise InputError("BAD_CONFIG", "config.event needs 'kind' and 'threshold'")
-    return PathEvent(spec["kind"], spec["threshold"], spec.get("from_index"))
-
-
-_ABSENT = object()
+def _reads(*groups: Dict, **keys) -> Dict:
+    """A command's config keys: those of ``groups``, then ``keys``, then ``out``."""
+    return {k: v for group in (*groups, keys, {"out": (str, ".")}) for k, v in group.items()}
 
 
 def _as_number(value, key: str, kind):
@@ -169,56 +77,115 @@ def _as_number(value, key: str, kind):
     return value if isinstance(value, int) else int(x)
 
 
-def _lookup(cfg: Dict, key: str, required: bool, what: str):
-    """The raw value at the dotted ``key``, or ``_ABSENT``."""
-    *sections, last = key.split(".")
-    for section in sections:
-        cfg = cfg.get(section, {})
-    if required and last not in cfg:
-        raise InputError("BAD_CONFIG", f"config key {key!r} is required for {what}")
-    return cfg.get(last, _ABSENT)
+def _checked(obj, keys: Dict, section: str = "") -> Dict:
+    """The section ``obj`` (``""`` for the root) read with ``keys``: unknown keys
+    refused, numbers converted, sections checked and defaults filled."""
+    where = f"config.{section}" if section else "config"
+    if not isinstance(obj, dict):
+        raise InputError("BAD_CONFIG", f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - keys.keys())
+    if unknown:
+        raise InputError("BAD_CONFIG", f"unknown key {unknown[0]!r} in {where}")
+    out = {}
+    for key, (kind, default) in keys.items():
+        name = f"{section}.{key}" if section else key
+        if key not in obj:
+            if default is ...:
+                raise InputError("BAD_CONFIG", f"config key {name!r} is required")
+            if default is None:
+                continue
+        value = obj.get(key, default)
+        if isinstance(kind, dict):
+            value = _checked(value, kind, name)
+        elif kind is int or kind is float:
+            value = _as_number(value, name, kind)
+        elif isinstance(kind, list):
+            if not isinstance(value, list) or not value:
+                raise InputError(
+                    "BAD_CONFIG", f"config key {name!r} must be a non-empty list, got {value!r}"
+                )
+            value = [_as_number(v, name, kind[0]) for v in value]
+        elif not isinstance(value, kind):
+            raise InputError("BAD_CONFIG", f"config.{name} must be {_JSON_TYPES[kind]}")
+        out[key] = value
+    return out
 
 
-def _number(cfg: Dict, key: str, kind=int, default=_ABSENT, what: str = ""):
-    """The config scalar at the dotted ``key``; without a ``default`` it is required."""
-    value = _lookup(cfg, key, default is _ABSENT, what)
-    return default if value is _ABSENT else _as_number(value, key, kind)
+def load_config(command: str, args) -> Dict:
+    """The config file of ``args`` with its override flags applied, read with
+    the keys of ``command`` (see :func:`_checked`)."""
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as handle:
+                cfg = json.load(handle)
+        except OSError as e:
+            raise InputError("BAD_CONFIG", f"cannot read config: {e}") from None
+        except json.JSONDecodeError as e:
+            raise InputError("BAD_CONFIG", f"config is not valid JSON: {e}") from None
+        if not isinstance(cfg, dict):
+            raise InputError("BAD_CONFIG", "config root must be a JSON object")
+    for flag in _FLAGS:
+        if getattr(args, flag, None) is not None:
+            cfg[flag] = getattr(args, flag)
+    return _checked(cfg, _COMMANDS[command][1])
 
 
-def _numbers(cfg: Dict, key: str, kind=int, default=_ABSENT, what: str = ""):
-    """The non-empty list of config scalars at ``key``; without a ``default`` it is required."""
-    values = _lookup(cfg, key, default is _ABSENT, what)
-    if values is _ABSENT:
-        return default
-    if not isinstance(values, list) or not values:
-        raise InputError("BAD_CONFIG", f"config key {key!r} must be a non-empty list, got {values!r}")
-    return [_as_number(v, key, kind) for v in values]
+def build_set(cfg: Dict) -> AmbiguitySet:
+    if "generators" not in cfg:
+        raise InputError("BAD_CONFIG", "config key 'generators' is required here")
+    return validate_ambiguity_set({**cfg.get("lattice", {}), "generators": cfg["generators"]})
 
 
-def _state_budget(cfg: Dict) -> int:
-    return _number(cfg, "budgets.states", default=DEFAULT_STATE_BUDGET)
+def build_source(cfg: Dict):
+    """The ambiguity set of ``generators``, or the parametric ``family``."""
+    if "family" not in cfg:
+        return build_set(cfg)
+    for key in ("generators", "lattice"):
+        if key in cfg:
+            raise InputError("BAD_CONFIG", f"config keys 'family' and {key!r} are exclusive")
+    family = ParametricFamily(str(cfg["family"]["name"]).upper(), cfg["family"]["truncation"])
+    _charge_truncation(cfg, family.truncation)
+    return family
 
 
-def _enum_budget(cfg: Dict) -> int:
-    return _number(cfg, "budgets.enumeration", default=DEFAULT_ENUMERATION_BUDGET)
+#: function kind -> (constructor, the ``params`` keys it takes in order)
+_FUNCTION_KINDS = {
+    "pwl": (piecewise_linear, ("breakpoints",)),
+    "tent": (tent, ("center", "halfwidth")),
+    "clamp": (clamp, ("n",)),
+    "psi": (psi_fn, ("n",)),
+    "abs_excess": (abs_excess, ("lambda",)),
+    "constant": (constant, ("value",)),
+    **{kind: (functools.partial(TestFunction, kind), ()) for kind in ("abs", "square", "identity")},
+}
 
 
-def _first(*values):
-    """The first value that is not None: 0 is a value, not an unset option."""
-    return next((v for v in values if v is not None), None)
-
-
-def _out_dir(cfg: Dict) -> Path:
-    out = cfg.get("out", ".")
-    if not isinstance(out, str):
-        raise InputError("BAD_CONFIG", f"config key 'out' must be a path, got {out!r}")
-    return Path(out or ".")
+def build_function(cfg: Dict) -> TestFunction:
+    spec = cfg["function"]
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _FUNCTION_KINDS:
+        raise InputError("BAD_CONFIG", f"config.function.kind {kind!r} is not recognized")
+    make, keys = _FUNCTION_KINDS[kind]
+    params = _checked(spec.get("params", {}), dict.fromkeys(keys, (object, ...)), "function.params")
+    return make(*params.values())
 
 
 def _charge_truncation(cfg: Dict, truncation: int) -> int:
     """Charge a family truncation against ``budgets.states``: every scan holds
     arrays of one entry per generator index."""
-    return check_budget(truncation, _state_budget(cfg), "family indices")
+    return check_budget(truncation, cfg["budgets"]["states"], "family indices")
+
+
+def _truncation(cfg: Dict, which: str) -> int:
+    """The truncation of the counterexample ``which``: ``K`` (or ``--K``), else
+    ``family.truncation``.  A family of another name is refused."""
+    family = cfg["family"]
+    if str(family["name"]).upper() != which:
+        raise InputError(
+            "BAD_FAMILY", f"counterexample {which.lower()} got family {family['name']!r}"
+        )
+    return cfg.get("K", family["truncation"])
 
 
 # -- subcommands ---------------------------------------------------------
@@ -239,7 +206,7 @@ def _by_name(name: str, columns: List[str], items, meta: Dict):
     return name, columns, [[getattr(item, c) for c in columns] for item in items], meta
 
 
-def _cmd_eval(cfg, args) -> Outcome:
+def _cmd_eval(cfg) -> Outcome:
     set_ = build_set(cfg)
     f = build_function(cfg)
     sv = sublinear_expect(set_, f)
@@ -250,12 +217,12 @@ def _cmd_eval(cfg, args) -> Outcome:
     )
 
 
-def _cmd_capacity(cfg, args) -> Outcome:
+def _cmd_capacity(cfg) -> Outcome:
     set_ = build_set(cfg)
-    n = _number(cfg, "n", what="capacity")
-    event = build_event(cfg)
-    side = str(cfg.get("side", "UPPER")).upper()
-    value = capacity(set_, n, event, side, state_budget=_state_budget(cfg))
+    n = cfg["n"]
+    event = PathEvent(**cfg["event"])
+    side = str(cfg["side"]).upper()
+    value = capacity(set_, n, event, side, state_budget=cfg["budgets"]["states"])
     row = [n, event.describe(), side, value]
     return Outcome(
         [("capacity", ["n", "event", "side", "value"], [row], {"set": set_.describe()})],
@@ -263,11 +230,10 @@ def _cmd_capacity(cfg, args) -> Outcome:
     )
 
 
-def _cmd_lln_sweep(cfg, args) -> Outcome:
+def _cmd_lln_sweep(cfg) -> Outcome:
     set_ = build_set(cfg)
     f = build_function(cfg)
-    horizons = _numbers(cfg, "horizons", what="lln-sweep")
-    report = lln_sweep(set_, f, horizons, state_budget=_state_budget(cfg))
+    report = lln_sweep(set_, f, cfg["horizons"], state_budget=cfg["budgets"]["states"])
     meta = {"set": report.set_description, "function": report.function_description}
     columns = ["n", "dp_value", "limit_value", "abs_error"]
     last = report.rows[-1]
@@ -277,10 +243,8 @@ def _cmd_lln_sweep(cfg, args) -> Outcome:
     )
 
 
-def _cmd_conditions(cfg, args) -> Outcome:
-    source = build_source(cfg)
-    n_max = _number(cfg, "n_max", what="conditions")
-    report = peng_condition_report(source, n_max)
+def _cmd_conditions(cfg) -> Outcome:
+    report = peng_condition_report(build_source(cfg), cfg["n_max"])
     meta = {
         "source": report.source_description,
         "condition_i_trend": report.condition_i_trend,
@@ -295,12 +259,10 @@ def _cmd_conditions(cfg, args) -> Outcome:
     )
 
 
-def _cmd_ottaviani(cfg, args) -> Outcome:
+def _cmd_ottaviani(cfg) -> Outcome:
     set_ = build_set(cfg)
-    n = _number(cfg, "n", what="ottaviani")
-    alpha = _number(cfg, "alpha", float, what="ottaviani")
-    c = _number(cfg, "c", float, what="ottaviani")
-    report = ottaviani_check(set_, n, alpha, c, state_budget=_state_budget(cfg))
+    n, alpha = cfg["n"], cfg["alpha"]
+    report = ottaviani_check(set_, n, alpha, cfg["c"], state_budget=cfg["budgets"]["states"])
     meta = {"set": set_.describe(), "n": n, "alpha": alpha}
     columns = ["premise_value", "c", "lhs", "rhs", "status"]
     return Outcome(
@@ -312,11 +274,10 @@ def _cmd_ottaviani(cfg, args) -> Outcome:
     )
 
 
-def _cmd_product_identity(cfg, args) -> Outcome:
+def _cmd_product_identity(cfg) -> Outcome:
     set_ = build_set(cfg)
-    n = _number(cfg, "n", what="product-identity")
-    threshold = _number(cfg, "threshold", float, what="product-identity")
-    report = capacity_product_identity(set_, n, threshold, state_budget=_state_budget(cfg))
+    n, threshold = cfg["n"], cfg["threshold"]
+    report = capacity_product_identity(set_, n, threshold, state_budget=cfg["budgets"]["states"])
     meta = {"set": set_.describe(), "n": n, "threshold": threshold}
     return Outcome(
         [_by_name("product_identity", ["lhs", "rhs", "delta"], [report], meta)],
@@ -327,11 +288,10 @@ def _cmd_product_identity(cfg, args) -> Outcome:
     )
 
 
-def _cmd_chebyshev(cfg, args) -> Outcome:
+def _cmd_chebyshev(cfg) -> Outcome:
     set_ = build_set(cfg)
-    n = _number(cfg, "n", what="chebyshev")
-    eps = _number(cfg, "eps", float, what="chebyshev")
-    check = chebyshev_bound_check(set_, n, eps, state_budget=_state_budget(cfg))
+    n, eps = cfg["n"], cfg["eps"]
+    check = chebyshev_bound_check(set_, n, eps, state_budget=cfg["budgets"]["states"])
     meta = {"set": set_.describe(), "n": n, "eps": eps}
     return Outcome(
         [_by_name("chebyshev", ["lhs", "rhs", "holds"], [check], meta)],
@@ -340,27 +300,23 @@ def _cmd_chebyshev(cfg, args) -> Outcome:
     )
 
 
-def _cmd_counterexample(cfg, args) -> Outcome:
-    K = _first(
-        args.K, _number(cfg, "K", default=None), _number(cfg, "family.truncation", default=None)
+def _cmd_exm3(cfg) -> Outcome:
+    truncation = _truncation(cfg, "EXM3")
+    report = exm3_report(_charge_truncation(cfg, truncation), cfg["lambdas"], cfg["ms"])
+    meta = {"truncation": truncation, "warnings": sorted(set(report.warnings))}
+    lam, v = report.lambda_rows[-1]
+    return Outcome(
+        [
+            ("exm3_excess", ["lambda", "value"], report.lambda_rows, meta),
+            ("exm3_tail", ["m", "psi_expect", "m_V_tail"], report.m_rows, meta),
+        ],
+        f"counterexample exm3: E[(|X|-{lam:g})^+] = {v:.6g}",
     )
-    if args.which == "exm3":
-        truncation = _first(K, 10_000)
-        lambdas = _numbers(cfg, "lambdas", float, default=[10.0, 20.0, 50.0, 100.0])
-        ms = _numbers(cfg, "ms", default=[10, 20, 50, 100])
-        report = exm3_report(_charge_truncation(cfg, truncation), lambdas, ms)
-        meta = {"truncation": truncation, "warnings": sorted(set(report.warnings))}
-        lam, v = report.lambda_rows[-1]
-        return Outcome(
-            [
-                ("exm3_excess", ["lambda", "value"], report.lambda_rows, meta),
-                ("exm3_tail", ["m", "psi_expect", "m_V_tail"], report.m_rows, meta),
-            ],
-            f"counterexample exm3: E[(|X|-{lam:g})^+] = {v:.6g}",
-        )
-    K = _first(K, 200)
-    n = _number(cfg, "n", default=20)
-    value = heavy_lln_value(K, n, state_budget=_state_budget(cfg))
+
+
+def _cmd_heavy(cfg) -> Outcome:
+    K, n = _truncation(cfg, "HEAVY"), cfg["n"]
+    value = heavy_lln_value(K, n, state_budget=cfg["budgets"]["states"])
     bound = heavy_lln_lower_bound(K, n)
     limit = maximal_dist_value(RAMP_DOWN, 1.0, 1.0)
     meta = {"maximal_distribution_value": limit}
@@ -371,23 +327,20 @@ def _cmd_counterexample(cfg, args) -> Outcome:
     )
 
 
-def _cmd_simulate(cfg, args) -> Outcome:
+def _cmd_simulate(cfg) -> Outcome:
     set_ = build_set(cfg)
     f = build_function(cfg)
-    n = _number(cfg, "n", what="simulate")
-    paths = _number(cfg, "paths", what="simulate")
-    seed = _number(cfg, "seed", default=0)
-    budget = _state_budget(cfg)
-    policy_spec = cfg.get("policy", "robust")
-    if policy_spec == "robust":
+    n, seed, budget = cfg["n"], cfg["seed"], cfg["budgets"]["states"]
+    if cfg["policy"] == "robust":
         policy = robust_value(set_, n, f, state_budget=budget).policy
-    elif isinstance(policy_spec, dict) and "constant" in policy_spec:
-        policy = constant_policy(set_, n, _number(cfg, "policy.constant"), state_budget=budget)
+    elif isinstance(cfg["policy"], dict):
+        index = _checked(cfg["policy"], {"constant": (int, ...)}, "policy")["constant"]
+        policy = constant_policy(set_, n, index, state_budget=budget)
     else:
         raise InputError(
             "BAD_CONFIG", "config key 'policy' must be \"robust\" or {\"constant\": index}"
         )
-    result = simulate(SimConfig(policy, set_, n, paths, seed), f, state_budget=budget)
+    result = simulate(SimConfig(policy, set_, n, cfg["paths"], seed), f, state_budget=budget)
     exact = policy_value(set_, policy, n, f, state_budget=budget)
     row = [result.estimate, result.stderr, result.paths, exact]
     meta = {"set": set_.describe(), "function": f.describe(), "n": n, "seed": seed}
@@ -397,12 +350,12 @@ def _cmd_simulate(cfg, args) -> Outcome:
     )
 
 
-def _cmd_oracle(cfg, args) -> Outcome:
+def _cmd_oracle(cfg) -> Outcome:
     set_ = build_set(cfg)
     f = build_function(cfg)
-    n = _number(cfg, "n", what="oracle")
-    oracle_value = brute_force_value(set_, n, f, budget=_enum_budget(cfg))
-    dp = upper_value(set_, n, f, state_budget=_state_budget(cfg))
+    n, budgets = cfg["n"], cfg["budgets"]
+    oracle_value = brute_force_value(set_, n, f, budget=budgets["enumeration"])
+    dp = upper_value(set_, n, f, state_budget=budgets["states"])
     delta = abs(oracle_value - dp)
     meta = {"set": set_.describe(), "function": f.describe()}
     return Outcome(
@@ -412,17 +365,31 @@ def _cmd_oracle(cfg, args) -> Outcome:
     )
 
 
+#: command -> (handler, the config keys it reads); ``counterexample`` takes
+#: its form as a positional argument
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "capacity": _cmd_capacity,
-    "lln-sweep": _cmd_lln_sweep,
-    "conditions": _cmd_conditions,
-    "ottaviani": _cmd_ottaviani,
-    "product-identity": _cmd_product_identity,
-    "chebyshev": _cmd_chebyshev,
-    "counterexample": _cmd_counterexample,
-    "simulate": _cmd_simulate,
-    "oracle": _cmd_oracle,
+    "eval": (_cmd_eval, _reads(_SET, _FUNCTION)),
+    "capacity": (_cmd_capacity, _reads(_SET, _N, _BUDGETS, event=(_EVENT, ...), side=(object, "UPPER"))),
+    "lln-sweep": (_cmd_lln_sweep, _reads(_SET, _FUNCTION, _BUDGETS, horizons=([int], ...))),
+    "conditions": (_cmd_conditions, _reads(
+        _SET, _BUDGETS, generators=(list, None), family=(_family(..., ...), None), n_max=(int, ...),
+    )),
+    "ottaviani": (_cmd_ottaviani, _reads(_SET, _N, _BUDGETS, alpha=(float, ...), c=(float, ...))),
+    "product-identity": (_cmd_product_identity, _reads(_SET, _N, _BUDGETS, threshold=(float, ...))),
+    "chebyshev": (_cmd_chebyshev, _reads(_SET, _N, _BUDGETS, eps=(float, ...))),
+    "counterexample exm3": (_cmd_exm3, _reads(
+        _BUDGETS, K=(int, None), family=(_family("EXM3", 10_000), {}),
+        lambdas=([float], [10.0, 20.0, 50.0, 100.0]), ms=([int], [10, 20, 50, 100]),
+    )),
+    "counterexample heavy": (_cmd_heavy, _reads(
+        _BUDGETS, K=(int, None), family=(_family("HEAVY", 200), {}), n=(int, 20),
+    )),
+    "simulate": (_cmd_simulate, _reads(
+        _SET, _FUNCTION, _N, _BUDGETS, paths=(int, ...), seed=(int, 0), policy=(object, "robust"),
+    )),
+    "oracle": (_cmd_oracle, _reads(_SET, _FUNCTION, _N, budgets=(
+        {"states": (int, DEFAULT_STATE_BUDGET), "enumeration": (int, DEFAULT_ENUMERATION_BUDGET)}, {},
+    ))),
 }
 
 
@@ -433,31 +400,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact engine for upper/lower expectations on finite ambiguity sets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        if name == "counterexample":
-            p.add_argument("which", choices=["exm3", "heavy"])
+    flags: Dict[str, Dict[str, type]] = {}  # command -> the flags of all its forms
+    for name, (_, keys) in _COMMANDS.items():
+        flags.setdefault(name.split()[0], {}).update(
+            (flag, keys[flag][0]) for flag in _FLAGS if flag in keys
+        )
+    for command, types in flags.items():
+        p = sub.add_parser(command)
+        forms = [name.split()[1] for name in _COMMANDS if name.startswith(f"{command} ")]
+        if forms:
+            p.add_argument("which", choices=forms)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=None, help="output directory for reports")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--K", type=int, default=None)
+        for flag, kind in types.items():
+            p.add_argument(f"--{flag}", type=kind, help=f"overrides config key {flag!r}")
         p.add_argument("--quiet", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "which", None))))
     try:
-        cfg = load_config(args.config)
-        if args.out is not None:
-            cfg["out"] = args.out
-        if args.n is not None:
-            cfg["n"] = args.n
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        outcome = _COMMANDS[args.command](cfg, args)
-        out = _out_dir(cfg)
+        cfg = load_config(command, args)
+        outcome = _COMMANDS[command][0](cfg)
+        out = Path(cfg["out"])
         for report in outcome.reports:
             write_report(out, *report)
         if not args.quiet:

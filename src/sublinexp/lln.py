@@ -243,7 +243,9 @@ def chebyshev_bound_check(
         float(np.add.reduce(np.minimum(np.abs(g.point_array), n) ** 2 * g.weight_array))
         for g in set_.generators
     )
-    # n eps^2 underflows to 0 for eps below about 1e-162; just above, 8 / (n eps^2) is +inf
+    # n eps^2 underflows to 0 for eps below about 1e-162; just above, 8 / (n eps^2) is +inf.
+    # An all-zero clamped square adds 0 whatever eps is, not inf * 0 = NaN.
     spread = n * eps * eps
-    rhs = float(n * tail) + (8.0 / spread if spread else math.inf) * clamped_sq
+    factor = 8.0 / spread if spread else math.inf
+    rhs = float(n * tail) + (factor * clamped_sq if clamped_sq else 0.0)
     return ChebyshevCheck(lhs, rhs, lhs <= rhs + 1e-12)

@@ -236,18 +236,19 @@ class TestExitCodes:
         assert not (tmp_path / "eval.csv").exists()
 
     @pytest.mark.parametrize(
-        "payload, where",
+        "payload, where",  # payload: (command, config), on a command that reads the key
         [
-            (dict(PAIR_SET, lattice=5, function={"kind": "abs"}), "config.lattice"),
-            (dict(PAIR_SET, generators=3, function={"kind": "abs"}), "config.generators"),
-            (dict(PAIR_SET, function="abs"), "config.function"),
-            (dict(PAIR_SET, function={"kind": "abs"}, budgets=[1]), "config.budgets"),
-            (dict(PAIR_SET, function={"kind": "abs"}, event=None), "config.event"),
-            ({"family": "HEAVY", "function": {"kind": "abs"}}, "config.family"),
+            (("eval", dict(PAIR_SET, lattice=5, function={"kind": "abs"})), "config.lattice"),
+            (("eval", dict(PAIR_SET, generators=3, function={"kind": "abs"})), "config.generators"),
+            (("eval", dict(PAIR_SET, function="abs")), "config.function"),
+            (("oracle", dict(PAIR_SET, function={"kind": "abs"}, n=2, budgets=[1])), "config.budgets"),
+            (("capacity", dict(PAIR_SET, n=2, event=None)), "config.event"),
+            (("conditions", {"family": "HEAVY", "n_max": 4}), "config.family"),
         ],
     )
     def test_config_shape_is_checked(self, tmp_path, payload, where):
-        proc = run_process(tmp_path, "eval", payload)
+        cmd, payload = payload
+        proc = run_process(tmp_path, cmd, payload)
         assert proc.returncode == 1
         assert "BAD_CONFIG" in proc.stderr and where in proc.stderr
         assert "unknown key" not in proc.stderr and "Traceback" not in proc.stderr
@@ -267,7 +268,7 @@ class TestExitCodes:
              "BAD_CONFIG", "'horizons'"),
             ("oracle", dict(PAIR_SET, function={"kind": "abs"}, n=2, budgets={"states": "x"}),
              "BAD_CONFIG", "'budgets.states'"),
-            ("eval", dict(PAIR_SET, function={"kind": "abs"}, budgets={"enumeration": 1.5}),
+            ("oracle", dict(PAIR_SET, function={"kind": "abs"}, n=2, budgets={"enumeration": 1.5}),
              "BAD_CONFIG", "'budgets.enumeration'"),
             ("simulate", dict(PAIR_SET, function={"kind": "abs"}, n=3, paths=9, policy={"constant": "x"}),
              "BAD_CONFIG", "'policy.constant'"),
@@ -296,6 +297,37 @@ class TestExitCodes:
             ("capacity", dict(PAIR_SET, n=2, event={"kind": "FINAL_GT", "threshold": True}),
              "BAD_RATIONAL", "True"),
             ("counterexample exm3", {"K": 100, "lambdas": [math.nan]}, "BAD_FUNCTION", "NaN"),
+            # keys the command never reads
+            ("eval", dict(PAIR_SET, function={"kind": "abs"}, paths=5), "BAD_CONFIG", "unknown key 'paths'"),
+            ("eval", dict(PAIR_SET, function={"kind": "abs"}, horizons=[1]),
+             "BAD_CONFIG", "unknown key 'horizons'"),
+            ("eval", dict(PAIR_SET, function={"kind": "abs"}, event={"kind": "NOPE", "threshold": 1}),
+             "BAD_CONFIG", "unknown key 'event'"),
+            ("eval", dict(PAIR_SET, function={"kind": "abs"}, budgets={"states": 9}),
+             "BAD_CONFIG", "unknown key 'budgets'"),
+            ("capacity", dict(PAIR_SET, n=2, event={"kind": "FINAL_GT", "threshold": 0},
+                              budgets={"enumeration": 9}),
+             "BAD_CONFIG", "unknown key 'enumeration' in config.budgets"),
+            ("counterexample heavy", {"K": 50, "budgets": {"enumeration": 9}},
+             "BAD_CONFIG", "unknown key 'enumeration' in config.budgets"),
+            ("eval", dict(PAIR_SET, function={"kind": "abs", "params": {"lambda": 1}}),
+             "BAD_CONFIG", "unknown key 'lambda' in config.function.params"),
+            ("eval", dict(PAIR_SET, function={"kind": "tent", "params": {"center": 0, "halfwidth": 1,
+                                                                         "height": 2}}),
+             "BAD_CONFIG", "unknown key 'height' in config.function.params"),
+            ("simulate", dict(PAIR_SET, function={"kind": "abs"}, n=3, paths=9,
+                              policy={"constant": 0, "robust": 1}),
+             "BAD_CONFIG", "unknown key 'robust' in config.policy"),
+            ("counterexample exm3", {"K": 100, "n": 5}, "BAD_CONFIG", "unknown key 'n'"),
+            ("counterexample heavy", {"K": 50, "lambdas": [1]}, "BAD_CONFIG", "unknown key 'lambdas'"),
+            ("counterexample heavy", {"K": 50, "ms": [1]}, "BAD_CONFIG", "unknown key 'ms'"),
+            # a family beside what it excludes, or given to the other counterexample
+            ("conditions", {"family": {"name": "HEAVY", "truncation": 8}, "lattice": {"step": 1},
+                            "n_max": 3}, "BAD_CONFIG", "'lattice' are exclusive"),
+            ("counterexample exm3", {"family": {"name": "HEAVY", "truncation": 100}},
+             "BAD_FAMILY", "'HEAVY'"),
+            ("counterexample heavy", {"family": {"name": "exm3", "truncation": 100}},
+             "BAD_FAMILY", "'exm3'"),
         ],
     )
     def test_malformed_value_is_coded(self, tmp_path, cmd, payload, code, where):
@@ -367,12 +399,35 @@ class TestExitCodes:
         family = {"name": "HEAVY", "truncation": 32}
         payload = {"family": family, "n_max": 4, "budgets": {"states": budget}}
         assert run(tmp_path, "conditions", payload) == status
-        payload = {"family": family, "lambdas": [2], "ms": [4], "budgets": {"states": budget}}
+        payload = {"family": dict(family, name="EXM3"), "lambdas": [2], "ms": [4],
+                   "budgets": {"states": budget}}
         assert run(tmp_path, "counterexample", payload, "exm3") == status
 
     def test_family_and_generators_exclusive(self, tmp_path):
         payload = dict(PAIR_SET, family={"name": "HEAVY", "truncation": 5}, n_max=3)
         assert run(tmp_path, "conditions", payload) == 1
+
+    @pytest.mark.parametrize(
+        "which, payload",
+        [
+            ("exm3", {"family": {"name": "exm3", "truncation": 40}, "lambdas": [2], "ms": [4]}),
+            ("heavy", {"family": {"name": "Heavy", "truncation": 40}, "n": 3}),
+        ],
+    )
+    def test_family_name_matches_the_counterexample_in_any_case(self, tmp_path, which, payload):
+        assert run(tmp_path, "counterexample", payload, which) == 0
+
+    def test_n_flag_on_exm3_is_an_unread_key(self, tmp_path, capsys):
+        assert run(tmp_path, "counterexample", {"K": 40}, "exm3", "--n", "5") == 1
+        assert "BAD_CONFIG: unknown key 'n' in config" in capsys.readouterr().err
+        assert not (tmp_path / "exm3_tail.csv").exists()
+
+    @pytest.mark.parametrize("eps", [1e-160, 1e-300])
+    def test_chebyshev_on_an_all_zero_set_holds_at_tiny_eps(self, tmp_path, eps):
+        proc = run_process(tmp_path, "chebyshev", {"generators": [[[0, 1.0]]], "n": 4, "eps": eps})
+        assert proc.returncode == 0, proc.stderr
+        (row,) = read_rows(tmp_path, "chebyshev")
+        assert row == {"lhs": "0.0", "rhs": "0.0", "holds": "true"}
 
 
 class TestPropertyChecks:
@@ -459,9 +514,46 @@ class TestInProcessCalls:
                 assert (together / name).read_bytes() == (alone / name).read_bytes()
 
     def test_bad_argv_exits_2_with_usage(self, tmp_path, capsys):
-        for argv in (["no-such-command"], ["eval", "--n", "many"], []):
+        for argv in (
+            ["no-such-command"], ["eval", "--n", "many"], [],
+            # flags of keys the command never reads
+            ["eval", "--K", "5", "--seed", "3", "--n", "7"], ["eval", "--seed", "3"],
+            ["capacity", "--seed", "3"], ["conditions", "--n", "3"], ["lln-sweep", "--n", "3"],
+            ["oracle", "--K", "3"], ["counterexample", "exm3", "--seed", "3"],
+        ):
             assert run(tmp_path, "eval", dict(PAIR_SET, function={"kind": "identity"})) == 0
             with pytest.raises(SystemExit) as e:
                 main(argv)
             assert e.value.code == 2
             assert "usage: sublinexp" in capsys.readouterr().err
+
+
+def _table_keys(keys, prefix="", required=True):
+    """``{dotted key: required}`` for a command's config keys; a key in a
+    section is required only when the section is too."""
+    out = {}
+    for key, (kind, default) in keys.items():
+        need = required and default is ...
+        if isinstance(kind, dict):
+            out.update(_table_keys(kind, f"{prefix}{key}.", need))
+        else:
+            out[prefix + key] = need
+    return out
+
+
+def test_readme_config_table_is_the_command_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys and flags", 1)[1].split("\n\n")[2]
+    rows = {}
+    for line in section.splitlines()[2:]:
+        command, keys, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        keys = [key.strip() for key in keys.split(",")]
+        rows[command.strip("`")] = (
+            {key.strip("*`"): key.startswith("**") for key in keys},
+            [flag.strip(" `") for flag in flags.split(",")],
+        )
+    table = {
+        command: (_table_keys(keys), [f"--{flag}" for flag in cli._FLAGS if flag in keys])
+        for command, (_, keys) in cli._COMMANDS.items()
+    }
+    assert rows == table
