@@ -244,7 +244,11 @@ def _cmd_lln_sweep(cfg) -> Outcome:
 
 
 def _cmd_conditions(cfg) -> Outcome:
-    report = peng_condition_report(build_source(cfg), cfg["n_max"])
+    source = build_source(cfg)
+    if "family" not in cfg:  # each row scans every atom of the set
+        atoms = sum(len(gc) for gc in source.coords)
+        check_budget(cfg["n_max"] * atoms, cfg["budgets"]["states"], "row atoms")
+    report = peng_condition_report(source, cfg["n_max"])
     meta = {
         "source": report.source_description,
         "condition_i_trend": report.condition_i_trend,

@@ -212,13 +212,14 @@ def _reachable_choices(set_: AmbiguitySet, policy: KernelPolicy, n: int):
     bounds, masks = reachable_masks(set_, n)
     choices = [policy.level_choices(k, *bounds[k - 1]) for k in range(1, n + 1)]
     reach = np.concatenate(masks[:n])
-    level = np.repeat(np.arange(n), [length for _, length in bounds[:n]])[reach]
+    ids = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    level = np.repeat(ids, [length for _, length in bounds[:n]])[reach]
     return choices, level, np.concatenate(choices)[reach], bounds, masks
 
 
 def _invalid(choice, generator_count: int):
-    """Where ``choice`` names no generator: one unsigned test, as -1 wraps above every index."""
-    return choice.astype(np.intp, copy=False).view(np.uintp) >= generator_count
+    """Where ``choice`` names no generator, tested in its own dtype."""
+    return (choice < 0) | (choice >= generator_count)
 
 
 def _terminal_values(set_: AmbiguitySet, n: int, f: TestFunction, normalize: bool, states):

@@ -148,33 +148,37 @@ def _iid_sums(set_, g, n, m, blocks):
 def _walk(set_, choices, bounds, n, m, blocks):
     """Terminal states of a per-level walk through the policy's choices.
 
-    With J the largest atom count, th[j][g * J] is g's j-th inner cumulative
-    weight (+inf past its atoms) and co[g * J + j] its j-th coordinate less
+    Each draw is kept, level-major and in the smallest unsigned dtype, as its
+    rank: the number of ``cuts``, the distinct inner cumulative weights of all
+    generators, at or below it.  A generator's own inner weights are cuts, so
+    the rank fixes its atom: lut[g * R + r] is g's coordinate for rank r, less
     min_coord, the step of each level's lo.
     """
-    J = max(len(gc) for gc in set_.coords)
-    top = len(set_.generators) * J
-    th = np.full((J - 1, top), np.inf)
-    co = np.zeros(top, dtype=np.intp)
-    for g, (gen, gc) in enumerate(zip(set_.generators, set_.coords)):
-        th[: len(gc) - 1, g * J] = np.cumsum(gen.weight_array)[:-1]
-        co[g * J : g * J + len(gc)] = np.asarray(gc) - set_.min_coord
-    xs = np.empty((n, m))  # level-major, so each level reads one contiguous row
+    inner = [np.cumsum(gen.weight_array)[:-1] for gen in set_.generators]
+    cuts = np.array(sorted(set(np.concatenate(inner).tolist())))  # np.unique imports numpy.ma
+    R = len(cuts) + 1
+    top = len(set_.generators) * R
+    at = np.concatenate(([-np.inf], cuts))  # a draw of rank r lies in [at[r], at[r + 1])
+    lut = np.concatenate([
+        (np.asarray(gc) - set_.min_coord)[np.searchsorted(w, at, "right")]
+        for w, gc in zip(inner, set_.coords)
+    ])
+    ranks = np.empty((n, m), dtype=np.min_scalar_type(R - 1))
     for r, u in blocks:
-        xs[:, r : r + len(u)] = u.T
+        rank = np.zeros(u.shape, dtype=ranks.dtype)
+        for c in cuts:
+            rank += u >= c
+        ranks[:, r : r + len(u)] = rank.T
     rel = np.zeros(m, dtype=np.intp)  # S_k minus level k's lo
     for k in range(1, n + 1):
-        # widen before scaling: an int8 choice times J overflows; every path
+        # widen before scaling: an int8 choice times R overflows; every path
         # stays inside the level's bounds, so rel indexes the level's states
-        base = (choices[k - 1].astype(np.intp) * J)[rel]
+        base = (choices[k - 1].astype(np.intp) * R)[rel]
         if base.view(np.uintp).max() >= top:  # -1 wraps above every index
             bad = bounds[k - 1][0] + int(rel[np.argmax(_invalid(base, top))])
             raise InputError(
                 "POLICY_GAP", f"visited state {bad} at level {k} has no generator"
             )
-        x = xs[k - 1]
-        idx = base
-        for row in th:
-            idx = idx + (row[base] <= x)
-        rel += co[idx]
+        base += ranks[k - 1]
+        rel += lut[base]
     return rel

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -43,18 +43,21 @@ def json_payload(
     }
 
 
+_TEMP_IDS = itertools.count()
+
+
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.  The temp file
+    is made with mode 0o666, so the report gets the umask's mode like any file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TEMP_IDS)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -67,6 +70,7 @@ def write_report(
 ) -> List[Path]:
     """Emit ``<name>.csv`` and ``<name>.json`` under ``out_dir``."""
     out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
     json_path = out_dir / f"{name}.json"
     atomic_write_text(csv_path, csv_text(columns, rows))

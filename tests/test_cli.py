@@ -12,7 +12,7 @@ from sublinexp import cli
 from sublinexp.cli import main
 from sublinexp.inequalities import VIOLATED, OttavianiReport, ProductIdentityReport
 from sublinexp.lln import ChebyshevCheck
-from sublinexp.reports import csv_from_json
+from sublinexp.reports import atomic_write_text, csv_from_json, write_report
 
 PAIR_SET = {
     "lattice": {"step": 1},
@@ -403,6 +403,18 @@ class TestExitCodes:
                    "budgets": {"states": budget}}
         assert run(tmp_path, "counterexample", payload, "exm3") == status
 
+    @pytest.mark.parametrize("budget, status", [(48, 0), (47, 2)])
+    def test_conditions_on_a_set_charges_its_rows(self, tmp_path, capsys, budget, status):
+        # 12 rows, each over the 2 + 2 atoms of the pair
+        payload = dict(PAIR_SET, n_max=12, budgets={"states": budget})
+        assert run(tmp_path, "conditions", payload) == status
+        if status:
+            err = capsys.readouterr().err
+            assert err == "error: STATE_BUDGET_EXCEEDED: 48 row atoms exceed budget 47\n"
+            assert not list(tmp_path.glob("conditions.*"))
+        else:
+            assert len(read_rows(tmp_path, "conditions")) == 12
+
     def test_family_and_generators_exclusive(self, tmp_path):
         payload = dict(PAIR_SET, family={"name": "HEAVY", "truncation": 5}, n_max=3)
         assert run(tmp_path, "conditions", payload) == 1
@@ -481,6 +493,32 @@ class TestReports:
         run(tmp_path, "eval", dict(PAIR_SET, function={"kind": "identity"}))
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".eval")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_reports_get_the_umask_mode(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            run(tmp_path, "eval", dict(PAIR_SET, function={"kind": "identity"}))
+        finally:
+            os.umask(old)
+        for name in ("eval.csv", "eval.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "r.csv").write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):  # a lone surrogate fails while writing
+            atomic_write_text(tmp_path / "r.csv", "x\ud800\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        assert (tmp_path / "r.csv").read_text() == "old\n"
+
+    def test_report_bytes(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        write_report(out, "r", ["a", "b"], [[0.5, True], [1, "x,y"]], {"k": 1})
+        assert (out / "r.csv").read_bytes() == b'a,b\n0.5,true\n1,"x,y"\n'
+        want = {"columns": ["a", "b"], "meta": {"k": 1}, "rows": [[0.5, True], [1, "x,y"]]}
+        text = json.dumps(want, indent=2, sort_keys=True) + "\n"
+        assert (out / "r.json").read_bytes() == text.encode()
+        assert sorted(p.name for p in out.iterdir()) == ["r.csv", "r.json"]
 
 
 class TestInProcessCalls:

@@ -423,6 +423,15 @@ class TestReachableMasks:
                 assert reachable_masks(s, n)[0] == tuple(bounds)
                 assert lattice_dp._level_states(s, n) == lattice_dp._states(bounds)
 
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_reachable_choices_keep_narrow_dtypes(self, n, dtype):
+        s = make_set([(-1, 0.5), (1, 0.5)], [(-1, 0.25), (1, 0.75)])
+        pol = robust_value(s, n, tent(0.25, 0.25)).policy
+        _, level, chosen, _, masks = lattice_dp._reachable_choices(s, pol, n)
+        assert level.dtype == dtype and chosen.dtype == np.int8
+        assert level.tolist() == [k for k in range(n) for _ in range(k + 1)]
+        assert len(chosen) == sum(int(mask.sum()) for mask in masks[:n])
+
 
 class TestUpperValue:
     def test_equals_robust_value_bitwise(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,26 @@ def reference_simulate(config, f, normalize=True):
     return float(np.add.reduce(vals) / m), stderr
 
 
+def draw_on_cumulative_weights(monkeypatch, set_):
+    """Replace the Philox stream by draws on and next to every cumulative weight of
+    ``set_``, repeated from the start of each block; returns the draws."""
+    edges = [np.cumsum(g.weight_array) for g in set_.generators]
+    draws = np.concatenate([[0.0, np.nextafter(1.0, 0.0)]] + [
+        np.concatenate([e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)]) for e in edges
+    ])
+    draws = draws[(draws >= 0) & (draws < 1)]
+
+    class Drawn:
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, shape):
+            return np.resize(draws, shape[0] * shape[1]).reshape(shape)
+
+    monkeypatch.setattr(np.random, "Generator", Drawn)
+    return draws
+
+
 def assert_matches_reference(config, f, normalize=True):
     res = simulate(config, f, normalize)
     assert (res.estimate, res.stderr) == reference_simulate(config, f, normalize)
@@ -210,22 +232,7 @@ class TestSimulationStep:
     @pytest.mark.parametrize("excess", [1e-13, -1e-13])
     def test_rounding_edge_of_the_weight_sum(self, monkeypatch, excess):
         s = make_set([(-1, 0.3), (0, 0.3), (1, 0.4 + excess)], [(-1, 0.5), (2, 0.5 + excess)])
-        edges = [np.cumsum(g.weight_array) for g in s.generators]
-        draws = np.concatenate([[0.0, np.nextafter(1.0, 0.0)]] + [
-            np.concatenate([e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)]) for e in edges
-        ])
-        draws = draws[(draws >= 0) & (draws < 1)]
-
-        class Drawn:
-            """Stands in for the Philox stream: every draw is on or next to a cumulative weight."""
-
-            def __init__(self, bit_generator):
-                pass
-
-            def random(self, shape):
-                return np.resize(draws, shape[0] * shape[1]).reshape(shape)
-
-        monkeypatch.setattr(np.random, "Generator", Drawn)
+        draws = draw_on_cumulative_weights(monkeypatch, s)
         f = piecewise_linear([(-1, 0), (2, 1)])
         for g in range(2):
             pol = constant_policy(s, 3, g)
@@ -433,3 +440,95 @@ class TestHorizonAndBudgets:
                 simulate(SimConfig(pol, biased_pair, n, paths, seed=1), ABS_CLIPPED,
                          state_budget=budget)
             assert e.value.code == "STATE_BUDGET_EXCEEDED" and "draws" in e.value.message
+
+
+def distinct_cuts(set_):
+    return len({float(w) for g in set_.generators for w in np.cumsum(g.weight_array)[:-1]})
+
+
+class TestRankWalk:
+    """Each draw is kept as its rank among the generators' distinct inner cumulative
+    weights; the walk must match ``walk_simulate`` bitwise at the edges of that coding."""
+
+    def test_rank_dtype_widens_past_255_cuts(self, monkeypatch):
+        # 130 three-atom generators: 260 distinct cuts, so ranks need uint16
+        gens = [[(-1, (g + 1) / 400), (0, 0.5), (1, 0.5 - (g + 1) / 400)] for g in range(130)]
+        s = make_set(*gens)
+        assert distinct_cuts(s) == 260
+        rng = np.random.default_rng(130)
+        n = 6
+        entries = {key: int(rng.integers(0, 130)) for key in constant_policy(s, n, 0).entries}
+        pol = KernelPolicy.from_entries(n, entries)
+        assert_takes(monkeypatch, "walk", SimConfig(pol, s, n, 3000, seed=1), random_pwl(rng))
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [[(0, 1.0)], [(2, 1.0)], [(-1, 1.0)]],  # no cuts at all: one rank
+            [[(0, 1.0)], [(-1, 0.0), (1, 0.5), (2, 0.5)], [(-2, 0.3), (0, 0.0), (1, 0.7)]],
+            [[(-2, 0.25), (0, 0.0), (1, 0.0), (3, 0.75)], [(-1, 0.25), (2, 0.75)], [(1, 1.0)]],
+        ],
+    )
+    def test_one_atom_generators_and_zero_weight_atoms(self, monkeypatch, gens):
+        s = make_set(*gens)
+        f = random_pwl(np.random.default_rng(len(gens[1])), lo=-2, hi=3)
+        n = 8
+        entries = {(k, x): (k + x) % 3 for k, x in constant_policy(s, n, 0).entries}
+        mixed = KernelPolicy.from_entries(n, entries)
+        assert_takes(monkeypatch, "walk", SimConfig(mixed, s, n, 4000, seed=n), f)
+        assert_takes(monkeypatch, "walk", SimConfig(mixed, s, n, 4000, seed=n), SQUARE, False)
+
+    @pytest.mark.parametrize("excess", [1e-13, -1e-13])
+    def test_weights_summing_off_one_with_draws_on_every_cut(self, monkeypatch, excess):
+        s = make_set([(-1, 0.3), (0, 0.3), (1, 0.4 + excess)], [(-1, 0.5), (2, 0.5 + excess)],
+                     [(-2, 0.1), (1, 0.2 + excess), (3, 0.7)])
+        draws = draw_on_cumulative_weights(monkeypatch, s)
+        n = 5
+        entries = {(k, x): (k * 7 + x) % 3 for k, x in constant_policy(s, n, 0).entries}
+        mixed = KernelPolicy.from_entries(n, entries)
+        config = SimConfig(mixed, s, n, 5 * len(draws) + 2, seed=0)  # one draw block
+        f = piecewise_linear([(-2, 0), (3, 1)])
+        res = simulate(config, f)
+        assert (res.estimate, res.stderr) == walk_simulate(config, f)
+
+    @pytest.mark.parametrize("count, hole", [(130, -1), (100, 120)])
+    def test_int8_policy_gap_on_many_generators(self, count, hole):
+        # an int8 policy on a set of `count` generators: the visited state 1 at
+        # level 2 designates -1 (a hole) or an index past the last generator
+        gens = [[(-1, (g + 1) / (2 * count + 2)), (1, 1 - (g + 1) / (2 * count + 2))]
+                for g in range(count)]
+        s = make_set(*gens)
+        entries = {(1, 0): 5, (2, -1): 7, (2, 3): 9}
+        if hole >= 0:
+            entries[2, 1] = hole
+        pol = KernelPolicy.from_entries(2, entries)
+        assert pol.levels[1][1].dtype == np.int8
+        with pytest.raises(InputError) as e:
+            policy_value(s, pol, 2, ABS_CLIPPED)
+        assert str(e.value) == "POLICY_GAP: reachable state 1 at level 2 has no generator"
+        config = SimConfig(pol, s, 2, 500, seed=0)
+        with pytest.raises(InputError) as want:
+            walk_simulate(config, ABS_CLIPPED)
+        with pytest.raises(InputError) as got:
+            simulate(config, ABS_CLIPPED)
+        assert str(got.value) == str(want.value) == (
+            "POLICY_GAP: visited state 1 at level 2 has no generator"
+        )
+
+    def test_long_mixed_walk_keeps_one_byte_per_draw(self):
+        # n * paths = 20M draws: 160 MB as float64, 20 MB as uint8 ranks
+        s = make_set([(-2, 0.3), (0, 0.4), (3, 0.3)], [(-1, 0.6), (2, 0.4)], [(-3, 0.5), (1, 0.5)])
+        n, m = 1000, 20_000
+        f = tent(0.0, 0.5)
+        pol = robust_value(s, n, f).policy
+        assert len(set(pol.levels[n // 2][1][pol.levels[n // 2][1] >= 0].tolist())) == 3
+        config = SimConfig(pol, s, n, m, seed=3)
+        want = walk_simulate(config, f)
+        tracemalloc.start()
+        try:
+            res = simulate(config, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.estimate, res.stderr) == want
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
