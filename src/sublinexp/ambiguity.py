@@ -83,7 +83,7 @@ class DiscreteDistribution:
             if w < 0:
                 raise InputError("NEGATIVE_WEIGHT", f"negative weight {w!r}")
         total = float(np.add.reduce(np.asarray(self.weights, dtype=float)))
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:  # NaN fails it too
             raise InputError(
                 "WEIGHT_SUM", f"weights sum to {total!r}, outside 1 +/- {WEIGHT_TOL}"
             )

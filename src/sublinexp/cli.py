@@ -54,10 +54,6 @@ _BUDGETS = {"budgets": ({"states": (int, DEFAULT_STATE_BUDGET)}, {})}
 _EVENT = {"kind": (object, ...), "threshold": (object, ...), "from_index": (object, None)}
 
 
-def _family(name, truncation) -> Dict:
-    return {"name": (object, name), "truncation": (int, truncation)}
-
-
 def _reads(*groups: Dict, **keys) -> Dict:
     """A command's config keys: those of ``groups``, then ``keys``, then ``out``."""
     return {k: v for group in (*groups, keys, {"out": (str, ".")}) for k, v in group.items()}
@@ -177,17 +173,6 @@ def _charge_truncation(cfg: Dict, truncation: int) -> int:
     return check_budget(truncation, cfg["budgets"]["states"], "family indices")
 
 
-def _truncation(cfg: Dict, which: str) -> int:
-    """The truncation of the counterexample ``which``: ``K`` (or ``--K``), else
-    ``family.truncation``.  A family of another name is refused."""
-    family = cfg["family"]
-    if str(family["name"]).upper() != which:
-        raise InputError(
-            "BAD_FAMILY", f"counterexample {which.lower()} got family {family['name']!r}"
-        )
-    return cfg.get("K", family["truncation"])
-
-
 # -- subcommands ---------------------------------------------------------
 
 
@@ -305,8 +290,8 @@ def _cmd_chebyshev(cfg) -> Outcome:
 
 
 def _cmd_exm3(cfg) -> Outcome:
-    truncation = _truncation(cfg, "EXM3")
-    report = exm3_report(_charge_truncation(cfg, truncation), cfg["lambdas"], cfg["ms"])
+    truncation = _charge_truncation(cfg, cfg["K"])
+    report = exm3_report(truncation, cfg["lambdas"], cfg["ms"])
     meta = {"truncation": truncation, "warnings": sorted(set(report.warnings))}
     lam, v = report.lambda_rows[-1]
     return Outcome(
@@ -319,7 +304,7 @@ def _cmd_exm3(cfg) -> Outcome:
 
 
 def _cmd_heavy(cfg) -> Outcome:
-    K, n = _truncation(cfg, "HEAVY"), cfg["n"]
+    K, n = cfg["K"], cfg["n"]
     value = heavy_lln_value(K, n, state_budget=cfg["budgets"]["states"])
     bound = heavy_lln_lower_bound(K, n)
     limit = maximal_dist_value(RAMP_DOWN, 1.0, 1.0)
@@ -376,18 +361,17 @@ _COMMANDS = {
     "capacity": (_cmd_capacity, _reads(_SET, _N, _BUDGETS, event=(_EVENT, ...), side=(object, "UPPER"))),
     "lln-sweep": (_cmd_lln_sweep, _reads(_SET, _FUNCTION, _BUDGETS, horizons=([int], ...))),
     "conditions": (_cmd_conditions, _reads(
-        _SET, _BUDGETS, generators=(list, None), family=(_family(..., ...), None), n_max=(int, ...),
+        _SET, _BUDGETS, generators=(list, None),
+        family=({"name": (object, ...), "truncation": (int, ...)}, None), n_max=(int, ...),
     )),
     "ottaviani": (_cmd_ottaviani, _reads(_SET, _N, _BUDGETS, alpha=(float, ...), c=(float, ...))),
     "product-identity": (_cmd_product_identity, _reads(_SET, _N, _BUDGETS, threshold=(float, ...))),
     "chebyshev": (_cmd_chebyshev, _reads(_SET, _N, _BUDGETS, eps=(float, ...))),
     "counterexample exm3": (_cmd_exm3, _reads(
-        _BUDGETS, K=(int, None), family=(_family("EXM3", 10_000), {}),
+        _BUDGETS, K=(int, 10_000),
         lambdas=([float], [10.0, 20.0, 50.0, 100.0]), ms=([int], [10, 20, 50, 100]),
     )),
-    "counterexample heavy": (_cmd_heavy, _reads(
-        _BUDGETS, K=(int, None), family=(_family("HEAVY", 200), {}), n=(int, 20),
-    )),
+    "counterexample heavy": (_cmd_heavy, _reads(_BUDGETS, K=(int, 200), n=(int, 20))),
     "simulate": (_cmd_simulate, _reads(
         _SET, _FUNCTION, _N, _BUDGETS, paths=(int, ...), seed=(int, 0), policy=(object, "robust"),
     )),

@@ -25,7 +25,7 @@ import numpy as np
 from .ambiguity import DiscreteDistribution
 from .errors import BudgetError, InputError, check_budget
 from .functions import TestFunction, piecewise_linear, psi_fn
-from .lattice_dp import _sweep
+from .lattice_dp import DEFAULT_STATE_BUDGET, _sweep
 
 FAMILY_NAMES = ("EXM3", "HEAVY")
 
@@ -163,7 +163,6 @@ class ParametricFamily:
 class FamilyExpectation:
     value: float
     argmax_index: int
-    tail_note: str
 
 
 def family_expect(
@@ -186,29 +185,12 @@ def family_expect(
             f"{family.truncation} indices for {f.describe()}",
         )
     arg = int(np.argmax(values)) + 1
-    note = _tail_note(family, f, arg)
-    return FamilyExpectation(float(values[arg - 1]), arg, note)
+    return FamilyExpectation(float(values[arg - 1]), arg)
 
 
 def family_lower_expect(family: ParametricFamily, f: TestFunction) -> float:
     """Lower expectation inf over indices <= truncation of E_j[f]."""
     return float(np.min(family.per_index_expectations(f)))
-
-
-def _tail_note(family: ParametricFamily, f: TestFunction, arg: int) -> str:
-    if family.name == "HEAVY" and f.kind == "identity":
-        return "supremum is index-independent: every generator has mean 1"
-    if family.name == "EXM3" and f.kind == "abs_excess":
-        (lam,) = f.params
-        return (
-            f"maximizing index near 4*lambda = {4 * lam:g}; "
-            f"truncation must exceed it (attained at {arg})"
-        )
-    boundary = arg >= family.truncation - 5
-    return (
-        f"supremum attained at index {arg}"
-        + ("; near the truncation boundary" if boundary else "")
-    )
 
 
 # -- the tail-separation report ---------------------------------------
@@ -218,7 +200,6 @@ def _tail_note(family: ParametricFamily, f: TestFunction, arg: int) -> str:
 class Exm3Report:
     """Excess-moment vs. tail-surrogate behavior of the EXM3 family."""
 
-    truncation: int
     lambda_rows: List[Tuple[float, float]]  # (lambda, E[(|X| - lambda)^+])
     m_rows: List[Tuple[int, float, float]]  # (m, E[psi_m(X)], m * V(|X| >= m))
     warnings: Tuple[str, ...] = field(default=())
@@ -248,15 +229,13 @@ def exm3_report(
         if fam.truncation_binding_for_tail(m, arg):
             warnings.append(f"FAMILY_TRUNCATION_WARNING: tail sup at m={m} hits truncation")
         m_rows.append((m, psi_val, m * tail))
-    return Exm3Report(truncation, lambda_rows, m_rows, tuple(warnings))
+    return Exm3Report(lambda_rows, m_rows, tuple(warnings))
 
 
 # -- HEAVY-family LLN failure at desk scale ----------------------------
 
 
-def heavy_lln_value(
-    truncation: int, n: int, state_budget: int = 50_000_000
-) -> float:
+def heavy_lln_value(truncation: int, n: int, state_budget: int = DEFAULT_STATE_BUDGET) -> float:
     """Exact E_K[ramp(S_n / n)] for the K-truncated HEAVY family.
 
     A certified lower bound for the untruncated supremum, itself at least

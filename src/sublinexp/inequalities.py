@@ -52,7 +52,7 @@ def ottaviani_check(
     """
     if not 0 < c < 1:
         raise InputError("BAD_C", "c must lie strictly between 0 and 1")
-    if alpha <= 0:
+    if not alpha > 0:  # NaN too
         raise InputError("BAD_ALPHA", "alpha must be positive")
     if n < 1:
         raise InputError("BAD_HORIZON", "horizon must be >= 1")

@@ -233,7 +233,7 @@ def chebyshev_bound_check(
     X~ is the coordinate clamped to [-n, n]; E[] is the upper
     expectation of its square over the generators.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise InputError("BAD_EPS", "eps must be positive")
     mu_upper = truncated_means(set_, n).mu_upper
     event = PathEvent("FINAL_GT", n * (mu_upper + eps))

@@ -41,6 +41,12 @@ class TestValidation:
             validate_ambiguity_set({"step": 1, "generators": [[(0, 0.5), (2, 0.49)]]})
         assert e.value.code == "WEIGHT_SUM"
 
+    @pytest.mark.parametrize("weight", [float("nan"), "nan", float("inf")])
+    def test_non_finite_weight_is_weight_sum(self, weight):
+        with pytest.raises(InputError) as e:
+            validate_ambiguity_set({"step": 1, "generators": [[(-1, weight), (1, 0.5)]]})
+        assert e.value.code == "WEIGHT_SUM"
+
     def test_negative_weight_error(self):
         with pytest.raises(InputError) as e:
             validate_ambiguity_set({"step": 1, "generators": [[(0, 1.5), (1, -0.5)]]})

@@ -168,6 +168,23 @@ class TestExitCodes:
         assert run(tmp_path, "eval", payload) == 1
         assert "WEIGHT_SUM" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cmd, extra",
+        [
+            ("eval", {"function": {"kind": "abs"}}),
+            ("capacity", {"n": 2, "event": {"kind": "FINAL_GT", "threshold": 0}}),
+            ("conditions", {"n_max": 4}),
+            ("simulate", {"function": {"kind": "abs"}, "n": 3, "paths": 9}),
+        ],
+    )
+    def test_nan_weight_is_weight_sum(self, tmp_path, cmd, extra):
+        payload = {"generators": [[[-1, "nan"], [1, 0.5]]], **extra}
+        proc = run_process(tmp_path, cmd, payload)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: WEIGHT_SUM: generator 0: weights sum to nan")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_unknown_config_key_named(self, tmp_path, capsys):
         payload = dict(PAIR_SET, function={"kind": "abs"}, wrong_key=1)
         assert run(tmp_path, "eval", payload) == 1
@@ -199,7 +216,7 @@ class TestExitCodes:
         "cmd, payload",
         [
             ("capacity", dict(PAIR_SET, n=2, event={"kind": "FINAL_ABS_GE", "threshold": math.inf})),
-            ("ottaviani", dict(PAIR_SET, n=4, alpha=math.nan, c=0.5)),
+            ("ottaviani", dict(PAIR_SET, n=4, alpha=math.inf, c=0.5)),  # NaN is BAD_ALPHA
             ("capacity", dict(PAIR_SET, n=2, event={"kind": "FINAL_GT", "threshold": "1/0"})),
             ("eval", dict(PAIR_SET, lattice={"step": "abc"}, function={"kind": "abs"})),
         ],
@@ -321,13 +338,16 @@ class TestExitCodes:
             ("counterexample exm3", {"K": 100, "n": 5}, "BAD_CONFIG", "unknown key 'n'"),
             ("counterexample heavy", {"K": 50, "lambdas": [1]}, "BAD_CONFIG", "unknown key 'lambdas'"),
             ("counterexample heavy", {"K": 50, "ms": [1]}, "BAD_CONFIG", "unknown key 'ms'"),
-            # a family beside what it excludes, or given to the other counterexample
+            # a family beside what it excludes, or given to a counterexample, which reads only K
             ("conditions", {"family": {"name": "HEAVY", "truncation": 8}, "lattice": {"step": 1},
                             "n_max": 3}, "BAD_CONFIG", "'lattice' are exclusive"),
-            ("counterexample exm3", {"family": {"name": "HEAVY", "truncation": 100}},
-             "BAD_FAMILY", "'HEAVY'"),
-            ("counterexample heavy", {"family": {"name": "exm3", "truncation": 100}},
-             "BAD_FAMILY", "'exm3'"),
+            ("counterexample exm3", {"family": {"name": "EXM3", "truncation": 100}},
+             "BAD_CONFIG", "unknown key 'family' in config"),
+            ("counterexample heavy", {"family": {"name": "HEAVY", "truncation": 100}},
+             "BAD_CONFIG", "unknown key 'family' in config"),
+            # a NaN is refused by its own positivity check
+            ("chebyshev", dict(PAIR_SET, n=2, eps="nan"), "BAD_EPS", "eps"),
+            ("ottaviani", dict(PAIR_SET, n=2, alpha="nan", c=0.5), "BAD_ALPHA", "alpha"),
         ],
     )
     def test_malformed_value_is_coded(self, tmp_path, cmd, payload, code, where):
@@ -368,7 +388,6 @@ class TestExitCodes:
             ({}, ["--K", "0"]),
             ({"K": 0}, []),
             ({"n": 0}, []),
-            ({"family": {"name": "HEAVY", "truncation": 0}}, []),
         ],
     )
     def test_heavy_zero_is_not_unset(self, tmp_path, capsys, payload, extra):
@@ -399,8 +418,7 @@ class TestExitCodes:
         family = {"name": "HEAVY", "truncation": 32}
         payload = {"family": family, "n_max": 4, "budgets": {"states": budget}}
         assert run(tmp_path, "conditions", payload) == status
-        payload = {"family": dict(family, name="EXM3"), "lambdas": [2], "ms": [4],
-                   "budgets": {"states": budget}}
+        payload = {"K": 32, "lambdas": [2], "ms": [4], "budgets": {"states": budget}}
         assert run(tmp_path, "counterexample", payload, "exm3") == status
 
     @pytest.mark.parametrize("budget, status", [(48, 0), (47, 2)])
@@ -419,15 +437,12 @@ class TestExitCodes:
         payload = dict(PAIR_SET, family={"name": "HEAVY", "truncation": 5}, n_max=3)
         assert run(tmp_path, "conditions", payload) == 1
 
-    @pytest.mark.parametrize(
-        "which, payload",
-        [
-            ("exm3", {"family": {"name": "exm3", "truncation": 40}, "lambdas": [2], "ms": [4]}),
-            ("heavy", {"family": {"name": "Heavy", "truncation": 40}, "n": 3}),
-        ],
-    )
-    def test_family_name_matches_the_counterexample_in_any_case(self, tmp_path, which, payload):
-        assert run(tmp_path, "counterexample", payload, which) == 0
+    @pytest.mark.parametrize("which", ["exm3", "heavy"])
+    def test_family_on_a_counterexample_is_an_unread_key(self, tmp_path, capsys, which):
+        payload = {"K": 40, "family": {"name": which.upper(), "truncation": 40}}
+        assert run(tmp_path, "counterexample", payload, which) == 1
+        assert capsys.readouterr().err == "error: BAD_CONFIG: unknown key 'family' in config\n"
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_n_flag_on_exm3_is_an_unread_key(self, tmp_path, capsys):
         assert run(tmp_path, "counterexample", {"K": 40}, "exm3", "--n", "5") == 1

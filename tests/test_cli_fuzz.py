@@ -5,6 +5,8 @@ key, section, list entry or generator atom by a JSON value of another type
 must end in a coded ``EngineError`` (exit 1 or 2), never in an uncaught
 exception.  The replacements cannot spell a valid value: strings use letters
 that form no number, kind or keyword, and objects only such letter keys.
+Apart from them, each generator atom's weight in turn is spelled ``"nan"``,
+``"inf"`` or ``"-inf"``, which must end in a coded exit 1.
 
 The schema fuzz draws whole configs from the CLI's own table of the keys each
 command reads: keys left out, numbers out of range, values of the wrong type
@@ -121,6 +123,24 @@ def test_one_wrongly_typed_value_is_coded(tmp_path_factory, data):
     status, err = _run(SUBCOMMANDS[name], cfg_path, tmp / "out")
     assert status in (1, 2), (status, err)
     assert CODED.search(err), err
+
+
+WEIGHTED = sorted(name for name in SUBCOMMANDS if "generators" in json.loads((CONFIGS / name).read_text()))
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", WEIGHTED)
+def test_non_finite_weight_is_coded(tmp_path, name, weight):
+    cfg = json.loads((CONFIGS / name).read_text())
+    for g, generator in enumerate(cfg["generators"]):
+        for a in range(len(generator)):
+            bad = json.loads(json.dumps(cfg))
+            bad["generators"][g][a][1] = weight
+            cfg_path = tmp_path / f"cfg{g}_{a}.json"
+            cfg_path.write_text(json.dumps(bad))
+            status, err = _run(SUBCOMMANDS[name], cfg_path, tmp_path / "out")
+            assert status == 1 and CODED.search(err), (g, a, status, err)
+    assert not (tmp_path / "out").exists()
 
 
 # -- schema fuzz ---------------------------------------------------------

@@ -42,6 +42,11 @@ class TestOttaviani:
         with pytest.raises(InputError):
             ottaviani_check(coin, 0, 1.0, 0.5)
 
+    def test_nan_alpha_is_bad_alpha(self, coin):
+        with pytest.raises(InputError) as e:
+            ottaviani_check(coin, 2, float("nan"), 0.5)
+        assert e.value.code == "BAD_ALPHA"
+
     def test_never_violated_randomized(self):
         rng = np.random.default_rng(41)
         for _ in range(100):

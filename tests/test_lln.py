@@ -242,6 +242,11 @@ class TestChebyshev:
         with pytest.raises(InputError):
             chebyshev_bound_check(coin, 2, 0.0)
 
+    def test_nan_eps_is_bad_eps(self, coin):
+        with pytest.raises(InputError) as e:
+            chebyshev_bound_check(coin, 2, float("nan"))
+        assert e.value.code == "BAD_EPS"
+
     def test_eps_whose_square_underflows_gives_the_infinite_bound(self, biased_pair):
         # eps * eps is subnormal at 1e-160 (8 / (n eps^2) overflows to inf) and 0.0 at 1e-300
         tiny = chebyshev_bound_check(biased_pair, 8, 1e-160)
