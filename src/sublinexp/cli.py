@@ -272,7 +272,7 @@ def _cmd_product_identity(cfg) -> Outcome:
         [_by_name("product_identity", ["lhs", "rhs", "delta"], [report], meta)],
         f"product-identity: delta {report.delta:.3g}",
         ("PRODUCT_IDENTITY_MISMATCH", f"delta {report.delta} exceeds 1e-9")
-        if report.delta > 1e-9
+        if not report.delta <= 1e-9  # NaN too
         else None,
     )
 
@@ -350,7 +350,7 @@ def _cmd_oracle(cfg) -> Outcome:
     return Outcome(
         [("oracle", ["n", "oracle_value", "dp_value", "delta"], [[n, oracle_value, dp, delta]], meta)],
         f"oracle: brute force {oracle_value:.12g}, dp {dp:.12g}, delta {delta:.3g}",
-        ("ORACLE_MISMATCH", f"delta {delta} exceeds 1e-9") if delta > 1e-9 else None,
+        ("ORACLE_MISMATCH", f"delta {delta} exceeds 1e-9") if not delta <= 1e-9 else None,
     )
 
 

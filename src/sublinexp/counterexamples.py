@@ -18,14 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ambiguity import DiscreteDistribution
 from .errors import BudgetError, InputError, check_budget
-from .functions import TestFunction, piecewise_linear, psi_fn
+from .functions import TestFunction, abs_excess, column, piecewise_linear, psi_fn
 from .lattice_dp import DEFAULT_STATE_BUDGET, _sweep
+from .montecarlo import _BLOCK_DRAWS
 
 FAMILY_NAMES = ("EXM3", "HEAVY")
 
@@ -72,7 +73,7 @@ class ParametricFamily:
     # -- vectorized per-index scans ------------------------------------
 
     def per_index_expectations(self, f: TestFunction) -> np.ndarray:
-        """E_j[f] for j = 1..truncation, as one array.
+        """E_j[f] for j = 1..truncation, as one array, with one row per row of a column ``f``.
 
         EXM3 index j >= 2 weighs the atoms k*j, k = 1..j, by 1/j^3.  Every kind
         but ``square`` is linear between consecutive knots, so the atoms of one
@@ -82,64 +83,69 @@ class ParametricFamily:
         n = self.truncation
         if self.name == "HEAVY":
             ks = np.arange(1, n + 1, dtype=float)
-            return (1.0 - 1.0 / ks) * float(f(0.0)) + np.asarray(f(ks)) / ks
-        f1 = float(f(1.0))
+            return (1.0 - 1.0 / ks) * f(0.0) + f(ks) / ks
+        f1 = f(1.0)
         js = np.arange(2, n + 1, dtype=float)
         if f.kind == "square":
             sums = js**2 * (js * (js + 1) * (2 * js + 1) / 6)
         else:
-            # segment edges: per positive knot x the first k with k*j >= x; a correctly
-            # rounded x / j never lands on an integer it does not equal, so its ceil is exact
-            edges = [np.ones_like(js)]
-            for x in sorted(x for x in f.knots() if x > 0):
-                edges.append(np.clip(np.ceil(x / js), 1, js + 1))
-            edges.append(js + 1)
-            sums = np.zeros_like(js)
+            # segment edges: per knot x the first k with k*j >= x; a correctly rounded
+            # x / j never lands on an integer it does not equal, so its ceil is exact.
+            # Knots are sorted per row, and one at or below 0 gives an empty segment
+            knots = np.sort(f.knots(), axis=0)
+            knots = knots[knots.reshape(len(knots), -1).max(1) > 0]  # those positive in some row
+            edges = [np.ones_like(js), *(np.clip(np.ceil(x / js), 1, js + 1) for x in knots), js + 1]
+            sums = 0.0
             for lo, hi in zip(edges, edges[1:]):
                 sums += (hi - lo) * (f(lo * js) + f((hi - 1) * js)) * 0.5
-        out = np.empty(n)
-        out[0] = f1
-        out[1:] = (1.0 - 1.0 / js**2) * f1 + sums / js**3
+        out = np.empty(np.shape(sums)[:-1] + (n,))
+        out[..., :1] = f1
+        out[..., 1:] = (1.0 - 1.0 / js**2) * f1 + sums / js**3
         return out
 
-    def _tail_counts(self, threshold) -> Tuple[np.ndarray, int]:
-        """``(c, p)`` with P_j(|X| >= threshold) = c[j - 1] / j**p for j = 1..truncation.
+    def blocks(self, rows: Sequence) -> Iterator[Sequence]:
+        """``rows`` in consecutive slices of at most ``_BLOCK_DRAWS`` table cells, one row at least."""
+        step = max(1, _BLOCK_DRAWS // self.truncation)
+        return (rows[i : i + step] for i in range(0, len(rows), step))
 
-        Every atom is an integer, so ``|x| >= t`` iff ``|x| >= ceil(t)``.
-        """
-        t = Fraction(threshold)
+    def _tail_counts(self, thresholds: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+        """``(c, p)`` with P_j(|X| >= thresholds[r]) = c[r, j - 1] / j**p[r] for j = 1..truncation;
+        every atom is an integer, so ``|x| >= t`` iff ``|x| >= ceil(t)``."""
         n = self.truncation
-        if t <= (0 if self.name == "HEAVY" else 1):
-            return np.ones(n, dtype=np.int64), 0
-        c = min(math.ceil(t), n * n + 1)  # past every atom either way
+        ts = [Fraction(t) for t in thresholds]
+        low, power = (0, 1) if self.name == "HEAVY" else (1, 3)
+        p = np.array([0 if t <= low else power for t in ts])  # p = 0: mass 1 at every index
+        c = np.array([[min(max(math.ceil(t), 1), n * n + 1)] for t in ts])  # n*n + 1: past every atom
         js = np.arange(1, n + 1, dtype=np.int64)
-        if self.name == "HEAVY":
-            return (js >= c).astype(np.int64), 1
-        # atoms k*j >= c for k >= ceil(c / j) = -((-c) // j)
-        return np.maximum(0, js + 1 + (-c) // js), 3
+        # HEAVY's atom k, or EXM3's atoms k*j >= c for k >= ceil(c / j) = -((-c) // j)
+        counts = (js >= c).astype(np.int64) if self.name == "HEAVY" else np.maximum(0, js + 1 + (-c) // js)
+        counts[p == 0] = 1
+        return counts, p
 
     def tail_fractions(self, threshold) -> List[Fraction]:
         """P_j(|X| >= threshold) for j = 1..truncation, exact counting."""
-        counts, p = self._tail_counts(threshold)
-        return [Fraction(c, j**p) for j, c in enumerate(counts.tolist(), start=1)]
+        counts, (p,) = self._tail_counts([threshold])
+        return [Fraction(c, j**int(p)) for j, c in enumerate(counts[0].tolist(), start=1)]
 
-    def tail_capacity_fraction(self, threshold) -> Tuple[Fraction, int]:
+    def tail_capacity_fraction(self, threshold):
         """Exact sup over indices of the tail mass, with the first attaining index.
 
-        Floats shortlist the indices within 1e-9 relative of the largest mass;
-        exact rationals pick among them.
+        Floats shortlist the indices within 1e-9 relative of the largest mass; exact
+        rationals pick among them.  A sequence of thresholds gives a list of pairs.
         """
-        counts, p = self._tail_counts(threshold)
-        if p == 0:
-            return Fraction(1), 1
-        approx = counts / np.arange(1, len(counts) + 1, dtype=float) ** p
-        top = approx.max()
-        if top == 0:
-            return Fraction(0), 1
-        near = np.flatnonzero(approx >= top * (1 - 1e-9)).tolist()
-        exact = [Fraction(int(counts[i]), (i + 1) ** p) for i in near]
-        best = exact.index(max(exact))
-        return exact[best], near[best] + 1
+        scalar = np.ndim(threshold) == 0
+        counts, p = self._tail_counts([threshold] if scalar else threshold)
+        # over j**p of the family's p; the rows with p = 0 are masked below
+        approx = counts / np.arange(1, self.truncation + 1, dtype=float) ** int(p.max())
+        top = approx.max(axis=1, keepdims=True)
+        near = approx >= top * (1 - 1e-9)
+        near[(p == 0) | (top[:, 0] == 0)] = False
+        best = [(Fraction(int(power == 0)), 1) for power in p]  # mass 1 everywhere, or 0
+        for r, i in zip(*(a.tolist() for a in np.nonzero(near))):
+            exact = Fraction(int(counts[r, i]), (i + 1) ** int(p[r]))
+            if exact > best[r][0]:
+                best[r] = (exact, i + 1)
+        return best[0] if scalar else best
 
     def tail_capacity(self, threshold) -> Tuple[float, int]:
         """sup over indices of the tail mass, with the attaining index."""
@@ -154,38 +160,42 @@ class ParametricFamily:
         if self.name == "HEAVY":
             # untruncated supremum sits at index ceil(threshold)
             return math.ceil(max(float(threshold), 1.0)) > self.truncation
-        if arg is None:
-            _, arg = self.tail_capacity(threshold)
-        return arg >= self.truncation - 5
+        return (arg or self.tail_capacity(threshold)[1]) >= self.truncation - 5
 
 
 @dataclass(frozen=True)
 class FamilyExpectation:
-    value: float
+    value: float  # a list of one per row for a column function, as is argmax_index
     argmax_index: int
+
+
+def check_truncation(family: ParametricFamily, *tables: Tuple[TestFunction, np.ndarray]) -> None:
+    """TRUNCATION_TOO_SMALL for the first row of the ``(f, values)`` tables (in step, at one
+    row the earlier table's first) whose running max still strictly increases across the
+    last 10 indices: its supremum visibly escapes past the truncation."""
+    if family.truncation < 10:
+        return
+    # the running max climbs over the last 10 indices iff each of the last 9 values is a record
+    escaping = [(v[..., -8:] > v[..., -9:-1]).all(-1) & (v[..., -9] > v[..., :-9].max(-1)) for _, v in tables]
+    for first in np.flatnonzero(np.stack(escaping, -1))[:1]:  # row-major: rows, then tables
+        row, table = divmod(first, len(tables))
+        f, values = tables[table]
+        f = f if values.ndim == 1 else TestFunction(f.kind, (f.params[0][row, 0].item(),))
+        raise BudgetError("TRUNCATION_TOO_SMALL", f"running max still strictly increasing over "
+                          f"the last 10 of {family.truncation} indices for {f.describe()}")
 
 
 def family_expect(
     family: ParametricFamily, f: TestFunction, values: Optional[np.ndarray] = None
 ) -> FamilyExpectation:
-    """Upper expectation sup over indices <= truncation of E_j[f].
-
-    ``values`` are the per-index expectations, when already computed.
-    Raises TRUNCATION_TOO_SMALL when the running maximum is still
-    strictly increasing across the last 10 indices, i.e. the supremum is
-    visibly escaping past the truncation boundary.
-    """
+    """Upper expectation sup over indices <= truncation of E_j[f] (lists for a column ``f``),
+    from its per-index ``values`` when given; TRUNCATION_TOO_SMALL as :func:`check_truncation`."""
     if values is None:
         values = family.per_index_expectations(f)
-    running = np.maximum.accumulate(values)
-    if len(running) >= 10 and np.all(np.diff(running[-10:]) > 0):
-        raise BudgetError(
-            "TRUNCATION_TOO_SMALL",
-            f"running max still strictly increasing over the last 10 of "
-            f"{family.truncation} indices for {f.describe()}",
-        )
-    arg = int(np.argmax(values)) + 1
-    return FamilyExpectation(float(values[arg - 1]), arg)
+    check_truncation(family, (f, values))
+    arg = values.argmax(-1)
+    value = values[arg] if values.ndim == 1 else values[np.arange(len(values)), arg]
+    return FamilyExpectation(value.tolist(), (arg + 1).tolist())
 
 
 def family_lower_expect(family: ParametricFamily, f: TestFunction) -> float:
@@ -205,30 +215,39 @@ class Exm3Report:
     warnings: Tuple[str, ...] = field(default=())
 
 
+def _sup_blocks(family: ParametricFamily, make, params) -> Iterator[Tuple[list, list]]:
+    """Blocks of the rows ``make(p)`` and their suprema; a refused ``p`` raises after the rows before it."""
+    fs: List[TestFunction] = []
+    for p in params:
+        try:
+            fs.append(make(p))
+        except InputError:
+            break
+    for block in family.blocks(fs):
+        yield block, family_expect(family, column(block[0].kind, [g.params[0] for g in block])).value
+    for p in params[len(fs) :]:  # the refused one, again
+        make(p)
+
+
 def exm3_report(
     truncation: int, lambdas: Sequence[float], ms: Sequence[int]
 ) -> Exm3Report:
-    """Tabulate the two sides of the separation exhibited by EXM3."""
+    """Tabulate the two sides of the separation exhibited by EXM3, in row blocks."""
     if lambdas and truncation < 4 * max(lambdas):
         raise BudgetError(
             "TRUNCATION_TOO_SMALL",
             f"truncation {truncation} below 4 * max(lambda) = {4 * max(lambdas):g}",
         )
     fam = ParametricFamily("EXM3", truncation)
-    warnings: List[str] = []
-    lambda_rows = []
-    for lam in lambdas:
-        fe = family_expect(fam, TestFunction("abs_excess", (float(lam),)))
-        lambda_rows.append((float(lam), fe.value))
-    m_rows = []
-    for m in ms:
-        f = psi_fn(m)  # BAD_FUNCTION unless m is an integer >= 1
-        m = f.params[0]
-        psi_val = family_expect(fam, f).value
-        tail, arg = fam.tail_capacity(m)
-        if fam.truncation_binding_for_tail(m, arg):
-            warnings.append(f"FAMILY_TRUNCATION_WARNING: tail sup at m={m} hits truncation")
-        m_rows.append((m, psi_val, m * tail))
+    lambda_rows, m_rows, warnings = [], [], []
+    for block, values in _sup_blocks(fam, abs_excess, lambdas):
+        lambda_rows += [(f.params[0], value) for f, value in zip(block, values)]
+    for block, psi_values in _sup_blocks(fam, psi_fn, ms):  # BAD_FUNCTION unless m is an integer >= 1
+        levels = [f.params[0] for f in block]
+        for m, psi_val, (tail, arg) in zip(levels, psi_values, fam.tail_capacity_fraction(levels)):
+            if fam.truncation_binding_for_tail(m, arg):
+                warnings.append(f"FAMILY_TRUNCATION_WARNING: tail sup at m={m} hits truncation")
+            m_rows.append((m, psi_val, m * float(tail)))
     return Exm3Report(lambda_rows, m_rows, tuple(warnings))
 
 

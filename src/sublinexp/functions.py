@@ -7,7 +7,8 @@ bounded) or one of a small set of named builtins.  ``square``,
 operations that require bounded functions at horizon-normalized scale;
 they remain available for moment computations.
 
-All functions evaluate vectorized on numpy arrays as well as on scalars.
+All functions evaluate vectorized on numpy arrays as well as on scalars, and
+a :func:`column` of one-parameter builtins maps x to one row per parameter.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class TestFunction:
         elif self.kind not in _BUILTIN_KINDS:
             raise InputError("BAD_FUNCTION", f"unknown function kind {self.kind!r}")
         values = (*self.params[0], *self.params[1]) if self.kind == "pwl" else self.params
-        if any(v != v for v in values):
-            raise InputError("BAD_FUNCTION", f"{self.kind} parameters must not be NaN")
+        if not np.isfinite(np.array(values, dtype=float)).all():
+            raise InputError("BAD_FUNCTION", f"{self.kind} parameters must not be NaN or infinite")
 
     # -- evaluation ----------------------------------------------------
 
@@ -105,16 +106,16 @@ class TestFunction:
             return (0.0,)
         if k == "clamp":
             (n,) = self.params
-            return (-float(n), float(n))
+            return (-1.0 * n, 1.0 * n)
         if k == "tent":
             center, halfwidth = self.params
             return (center - halfwidth, center, center + halfwidth)
         if k == "psi":
             (n,) = self.params
-            return (-float(n), -(n - 1.0), n - 1.0, float(n))
+            return (-1.0 * n, -(n - 1.0), n - 1.0, 1.0 * n)
         if k == "abs_excess":
             (lam,) = self.params
-            return (-lam, 0.0, lam)
+            return (-lam, 0.0 * lam, lam)  # each shaped like lam
         raise AssertionError(k)
 
     def describe(self) -> str:
@@ -192,6 +193,11 @@ def abs_excess(lam: float) -> TestFunction:
 
 def constant(c: float) -> TestFunction:
     return TestFunction("pwl", ((0.0,), (_real(c, "constant value"),)))
+
+
+def column(kind: str, params: Sequence[float]) -> TestFunction:
+    """The one-parameter builtin ``kind`` at each of ``params``, as one function of a column."""
+    return TestFunction(kind, (np.asarray(params, dtype=float)[:, None],))
 
 
 # -- piecewise-linear algebra (used heavily by the property suites) ----

@@ -20,9 +20,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .ambiguity import AmbiguitySet, sublinear_expect
-from .counterexamples import ParametricFamily, family_expect
+from .counterexamples import ParametricFamily, check_truncation, family_expect
 from .errors import InputError
-from .functions import TestFunction, clamp, psi_fn
+from .functions import TestFunction, clamp, column, psi_fn
 from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, upper_value
 
 Source = Union[AmbiguitySet, ParametricFamily]
@@ -98,13 +98,6 @@ def _single_step_tail_capacity(set_: AmbiguitySet, threshold) -> Fraction:
     return max(g.tail_mass_fraction(threshold) for g in set_.generators)
 
 
-def _psi_expect(source: Source, n: int) -> float:
-    f = psi_fn(n)
-    if isinstance(source, ParametricFamily):
-        return family_expect(source, f).value
-    return sublinear_expect(source, f).upper
-
-
 # -- the three-condition report ----------------------------------------
 
 
@@ -138,20 +131,22 @@ def peng_condition_report(source: Source, n_max: int) -> ConditionReport:
     if n_max < 2:
         raise InputError("BAD_LEVEL", "n_max must be >= 2")
     warnings: List[str] = []
-    rows = []
-    for n in range(1, n_max + 1):
-        if isinstance(source, ParametricFamily):
-            tail, arg = source.tail_capacity_fraction(n)
-            if source.truncation_binding_for_tail(n, arg):
-                warnings.append(
-                    f"FAMILY_TRUNCATION_WARNING: tail sup at n={n} limited by truncation"
-                )
-        else:
-            tail = _single_step_tail_capacity(source, n)
-        tm = truncated_means(source, n)
-        rows.append(
-            ConditionRow(n, float(n * tail), _psi_expect(source, n), tm.mu_lower, tm.mu_upper)
-        )
+    rows: List[ConditionRow] = []
+    if isinstance(source, ParametricFamily):
+        for ns in source.blocks(range(1, n_max + 1)):
+            tables = [(f, source.per_index_expectations(f)) for f in (column("clamp", ns), column("psi", ns))]
+            check_truncation(source, *tables)  # at one n the clamp first
+            uppers, psi_sups = (family_expect(source, *table).value for table in tables)
+            cells = zip(psi_sups, tables[0][1].min(axis=1).tolist(), uppers)
+            for n, (tail, arg), row in zip(ns, source.tail_capacity_fraction(ns), cells):
+                if source.truncation_binding_for_tail(n, arg):
+                    warnings.append(f"FAMILY_TRUNCATION_WARNING: tail sup at n={n} limited by truncation")
+                rows.append(ConditionRow(n, float(n * tail), *row))
+    else:
+        for n in range(1, n_max + 1):
+            tail, tm = _single_step_tail_capacity(source, n), truncated_means(source, n)
+            psi_value = sublinear_expect(source, psi_fn(n)).upper
+            rows.append(ConditionRow(n, float(n * tail), psi_value, tm.mu_lower, tm.mu_upper))
     nv = np.array([r.nV_tail for r in rows])
     peak = float(np.max(nv))
     if peak == 0.0 or nv[-1] <= 0.5 * peak:

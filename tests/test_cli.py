@@ -243,6 +243,13 @@ class TestExitCodes:
             {"kind": "constant", "params": {"value": math.nan}},
             {"kind": "pwl", "params": {"breakpoints": [[0, math.nan], [1, 1]]}},
             {"kind": "pwl", "params": {"breakpoints": [[math.nan, 0]]}},
+            {"kind": "clamp", "params": {"n": "inf"}},
+            {"kind": "tent", "params": {"center": "-inf", "halfwidth": 1}},
+            {"kind": "tent", "params": {"center": 0, "halfwidth": math.inf}},
+            {"kind": "abs_excess", "params": {"lambda": math.inf}},
+            {"kind": "constant", "params": {"value": "-inf"}},
+            {"kind": "pwl", "params": {"breakpoints": [[0, "inf"], [1, 0]]}},
+            {"kind": "pwl", "params": {"breakpoints": [[0, 0], ["inf", 1]]}},
         ],
     )
     def test_bad_function_parameter_is_coded(self, tmp_path, function):
@@ -251,6 +258,25 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "BAD_FUNCTION" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "eval.csv").exists()
+
+    @pytest.mark.parametrize(
+        "cmd, payload",
+        [
+            ("oracle", dict(PAIR_SET, n=2, function={
+                "kind": "pwl", "params": {"breakpoints": [[0, "inf"], [1, 0]]}})),
+            ("lln-sweep", dict(PAIR_SET, horizons=[2, 4], function={
+                "kind": "constant", "params": {"value": "inf"}})),
+            ("simulate", dict(PAIR_SET, n=3, paths=100, function={
+                "kind": "constant", "params": {"value": "inf"}})),
+        ],
+    )
+    def test_infinite_function_parameter_is_refused(self, tmp_path, cmd, payload):
+        # each used to exit 0, reporting inf values and a NaN delta, abs_error or stderr
+        proc = run_process(tmp_path, cmd, payload)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: BAD_FUNCTION: pwl parameters must not be NaN or infinite\n"
+        assert list(tmp_path.glob("*.csv")) == []
 
     @pytest.mark.parametrize(
         "payload, where",  # payload: (command, config), on a command that reads the key
@@ -469,6 +495,11 @@ class TestPropertyChecks:
              ChebyshevCheck(1.0, 0.5, False), "CHEBYSHEV_VIOLATED"),
             ("oracle", dict(PAIR_SET, function={"kind": "abs"}, n=3), "brute_force_value",
              2.0, "ORACLE_MISMATCH"),
+            # a NaN delta is no match
+            ("product-identity", dict(PAIR_SET, n=3, threshold=1.0), "capacity_product_identity",
+             ProductIdentityReport(1.0, math.nan, math.nan), "PRODUCT_IDENTITY_MISMATCH"),
+            ("oracle", dict(PAIR_SET, function={"kind": "abs"}, n=3), "brute_force_value",
+             math.nan, "ORACLE_MISMATCH"),
         ],
     )
     def test_failed_check_exits_3_after_report_and_summary(
