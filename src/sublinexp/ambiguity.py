@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import InputError
-from .functions import TestFunction, UNBOUNDED_KINDS, _real
+from .functions import TestFunction, _real
 
 WEIGHT_TOL = 1e-12
 
@@ -206,12 +206,14 @@ def validate_ambiguity_set(
 def linear_expect(dist: DiscreteDistribution, f: TestFunction) -> float:
     """Classical expectation sum(w_j * f(x_j)) in increasing-point order.
 
+    A value of ``f`` on the support that is not finite is ``UNBOUNDED_EVAL``.
+
     Summation uses numpy's deterministic single-threaded pairwise reduce,
     consuming atoms in increasing-point order; results are reproducible
     across runs and thread counts.
     """
     vals = np.asarray(f(dist.point_array), dtype=float)
-    if f.kind in UNBOUNDED_KINDS and not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise InputError("UNBOUNDED_EVAL", f"{f.describe()} overflows on the support")
     return float(np.add.reduce(vals * dist.weight_array))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -223,11 +224,21 @@ def _invalid(choice, generator_count: int):
 
 
 def _terminal_values(set_: AmbiguitySet, n: int, f: TestFunction, normalize: bool, states):
-    """``f(S_n / n)``, or ``f(S_n)`` without ``normalize``, at level-n lattice states."""
+    """``f(S_n / n)``, or ``f(S_n)`` without ``normalize``, at level-n lattice states.
+
+    A value that is not finite is ``UNBOUNDED_EVAL``: no sweep or simulation sees NaN.
+    """
     xs = (states + n * set_.lattice.origin) * float(set_.lattice.step)
     if normalize:
         xs = xs / n
-    return np.asarray(f(xs), dtype=float)
+    values = np.asarray(f(xs), dtype=float)
+    if not np.isfinite(values).all():
+        raise InputError("UNBOUNDED_EVAL", f"{f.describe()} overflows on the lattice")
+    return values
+
+
+#: the combine rule on two Python floats: the same strict test, false on NaN
+_SCALAR_RULE = {np.greater: operator.gt, np.less: operator.lt}
 
 
 def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None) -> float:
@@ -241,50 +252,77 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
     generators it designates, so a state designating none keeps another's value.
     With ``absorb`` (max or min), a move off level k's stored states reads one
     float, which follows the same recursion.  ``record`` gets the argmax per
-    level and ``visit(k, u)`` every level.  The order is fixed (states,
-    generators, then atoms in increasing-point order), so results are bitwise
-    reproducible.
+    level and ``visit(k, u)`` every level, as an array or a list.  The order is
+    fixed (states, generators, then atoms in increasing-point order), so results
+    are bitwise reproducible.
+
+    A level whose lower level stores one state (every level of an increment
+    trigger, a frozen prefix, the last step of every sweep) runs on Python
+    floats and leaves a one-float list: the same products summed in the same
+    order and the same strict tests as a one-element slice, at a fraction of
+    numpy's per-call cost.  The absorbing value is always stepped that way.
     """
     n = len(bounds) - 1
     fixed = not callable(rule)
+    better = None if fixed else _SCALAR_RULE[rule]
     dtype = _choice_dtype(len(weights))
     if visit is not None:
         visit(n, u)
     for k in range(n, 0, -1):
         lo_prev, len_prev = bounds[k - 1]
         lo_k, len_k = bounds[k]
-        if absorb is not None:
-            pad = np.full(len_prev, absorb)
-            u = np.concatenate((pad, u, pad))
-        if record is not None:
-            arg = record[k - 1] = np.zeros(len_prev, dtype=dtype)
-        best = best_absorb = None
-        for g in rule[k - 1][1] if fixed else range(len(weights)):
-            gm, gw = moves[k - 1][g], weights[g]
-            cand = None
-            for w, c in zip(gw, gm):
-                a = lo_prev + c - lo_k
-                if absorb is not None:  # a slice wholly off the stored states reads padding
-                    a = min(max(a, -len_prev), len_k) + len_prev
-                sl = u[a : a + len_prev]
-                if cand is None:
-                    cand = w * sl
-                else:
-                    cand += w * sl
-            if best is None:
-                best = cand
-            else:  # best and cand are this level's own arrays, so update in place
-                better = rule[k - 1][0] == g if fixed else rule(cand, best)
-                np.putmask(best, better, cand)
-                if record is not None:
-                    np.putmask(arg, better, g)
+        gens = rule[k - 1][1] if fixed else range(len(weights))
+        if len_prev == 1:
+            values = u if isinstance(u, list) else u.tolist()
+            best, arg = None, 0
+            for g in gens:
+                cand = None
+                for w, c in zip(weights[g], moves[k - 1][g]):
+                    a = lo_prev + c - lo_k
+                    x = values[a] if absorb is None or 0 <= a < len_k else absorb
+                    cand = w * x if cand is None else cand + w * x
+                if best is None:
+                    best = cand
+                elif rule[k - 1][0][0] == g if fixed else better(cand, best):
+                    best, arg = cand, g
+            u = [best]
+            if record is not None:
+                record[k - 1] = np.array([arg], dtype=dtype)
+        else:
             if absorb is not None:
+                pad = np.full(len_prev, absorb)
+                u = np.concatenate((pad, u, pad))
+            if record is not None:
+                arg = record[k - 1] = np.zeros(len_prev, dtype=dtype)
+            best = None
+            for g in gens:
+                cand = None
+                for w, c in zip(weights[g], moves[k - 1][g]):
+                    a = lo_prev + c - lo_k
+                    if absorb is not None:  # a slice wholly off the stored states reads padding
+                        a = min(max(a, -len_prev), len_k) + len_prev
+                    sl = u[a : a + len_prev]
+                    if cand is None:
+                        cand = w * sl
+                    else:
+                        cand += w * sl
+                if best is None:
+                    best = cand
+                else:  # best and cand are this level's own arrays, so update in place
+                    mask = rule[k - 1][0] == g if fixed else rule(cand, best)
+                    np.putmask(best, mask, cand)
+                    if record is not None:
+                        np.putmask(arg, mask, g)
+            u = best
+        if absorb is not None:
+            best_absorb = None
+            for g in gens:
                 acc = None
-                for w in gw:
+                for w in weights[g]:
                     acc = w * absorb if acc is None else acc + w * absorb
-                if best_absorb is None or rule(acc, best_absorb):
+                if best_absorb is None or better(acc, best_absorb):
                     best_absorb = acc
-        u, absorb = best, best_absorb
+            absorb = best_absorb
         if visit is not None:
             visit(k - 1, u)
     return float(u[0 - bounds[0][0]])
@@ -472,8 +510,9 @@ def _flagged_capacity(set_, n, event, better, state_budget):
 
     Level k stores only the untriggered partial sums ``|S_k| < t``.  An increment
     trigger ignores the state, so that kind runs on state 0 and a triggering atom
-    moves to state 1.  The budget counts two flag values per ordinary level-state,
-    or per level for increments.
+    moves to state 1, off the stored state: every level holds one state, which
+    the kernel steps on Python floats.  The budget counts two flag values per
+    ordinary level-state, or per level for increments.
     """
     origin, step = set_.lattice.origin, set_.lattice.step
     if event.kind == "MAX_PARTIAL_ABS_GE":

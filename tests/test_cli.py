@@ -279,6 +279,30 @@ class TestExitCodes:
         assert list(tmp_path.glob("*.csv")) == []
 
     @pytest.mark.parametrize(
+        "cmd, payload, where",
+        [
+            ("lln-sweep", dict(PAIR_SET, horizons=[2, 4]), "lattice"),
+            ("oracle", dict(PAIR_SET, n=3), "lattice"),
+            ("simulate", dict(PAIR_SET, n=3, paths=100), "lattice"),
+            # eval reads f on the support alone, so put an atom between two knots
+            ("eval", {"lattice": {"step": 0.5}, "generators": [[[-1, 0.5], [0.5, 0.5]]]}, "support"),
+        ],
+    )
+    def test_overflowing_function_values_are_refused(self, tmp_path, cmd, payload, where):
+        # finite breakpoints whose interpolation overflows to inf, and to NaN in a
+        # sum: each used to exit 0 or 3 with nan or inf rows and a RuntimeWarning
+        breakpoints = [[-1, 1.7e308], [0, -1.7e308], [1, 1.7e308]]
+        function = {"kind": "pwl", "params": {"breakpoints": breakpoints}}
+        proc = run_process(tmp_path, cmd, dict(payload, function=function))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: UNBOUNDED_EVAL: pwl[(-1, 1.7e+308), (0, -1.7e+308), (1, 1.7e+308)]"
+            f" overflows on the {where}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize(
         "payload, where",  # payload: (command, config), on a command that reads the key
         [
             (("eval", dict(PAIR_SET, lattice=5, function={"kind": "abs"})), "config.lattice"),
