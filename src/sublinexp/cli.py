@@ -343,8 +343,8 @@ def _cmd_oracle(cfg) -> Outcome:
     set_ = build_set(cfg)
     f = build_function(cfg)
     n, budgets = cfg["n"], cfg["budgets"]
+    dp = upper_value(set_, n, f, state_budget=budgets["states"])  # refuses before the walk
     oracle_value = brute_force_value(set_, n, f, budget=budgets["enumeration"])
-    dp = upper_value(set_, n, f, state_budget=budgets["states"])
     delta = abs(oracle_value - dp)
     meta = {"set": set_.describe(), "function": f.describe()}
     return Outcome(

@@ -262,18 +262,21 @@ def heavy_lln_value(truncation: int, n: int, state_budget: int = DEFAULT_STATE_B
     stores [0, min(k*K, n - 1)] and every state >= n absorbs at 0.0.  A jump
     k >= n lands there from every stored state, so its candidate
     ``fl(1 - 1/k) * u(s)`` is largest at k = K: only k < n and k = K are swept.
+    The budget counts the stored level-states times the swept generators.
     The weights are not :meth:`ParametricFamily.generator`'s: its
     ``float(Fraction(k - 1, k))`` differs from ``1.0 - 1.0/k`` at k = 3, 7, 19, ...
     """
     K = truncation
     if K < 1 or n < 1:
         raise InputError("BAD_FAMILY", "need truncation >= 1 and horizon >= 1")
-    check_budget((n + 1) * (n * K + 1), state_budget)
+    j = (n - 1) // K  # levels 1..j store k*K + 1 states, the later ones n
+    level_states = (n + 1) + K * j * (j + 1) // 2 + (n - j) * (n - 1)
+    check_budget(level_states * (min(K, n - 1) + (K >= n)), state_budget, "level-states x generators")
     ks = list(range(1, min(K, n - 1) + 1)) + ([K] if K >= n else [])
     weights = [(1.0 - 1.0 / k, 1.0 / k) for k in ks]
     bounds = [(0, min(level * K, n - 1) + 1) for level in range(n + 1)]
     u = np.asarray(RAMP_DOWN(np.arange(bounds[n][1]) / n), dtype=float)
-    return _sweep([tuple((0, k) for k in ks)] * n, weights, bounds, u, np.greater, absorb=0.0)
+    return _sweep(tuple((0, k) for k in ks), weights, bounds, u, np.greater, absorb=0.0)
 
 
 def heavy_lln_lower_bound(truncation: int, n: int) -> float:

@@ -34,9 +34,14 @@ class BudgetError(EngineError):
 def check_budget(
     count: int, budget: int, unit: str = "level-states", code: str = "STATE_BUDGET_EXCEEDED"
 ) -> int:
-    """``count``, or a :class:`BudgetError` when it exceeds ``budget``."""
+    """``count``, or a :class:`BudgetError` when it exceeds ``budget``.
+
+    A count of more than 30 digits is not printed, so a caller may pass any
+    count of at least 10**30 for one it did not compute in full.
+    """
     if count > budget:
-        raise BudgetError(code, f"{count} {unit} exceed budget {budget}")
+        shown = count if count < 10**30 else "10**30 or more"
+        raise BudgetError(code, f"{shown} {unit} exceed budget {budget}")
     return count
 
 

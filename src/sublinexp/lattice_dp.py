@@ -153,29 +153,20 @@ def _move_bounds(minc: int, maxc: int, n: int):
     return [(k * minc, k * (maxc - minc) + 1) for k in range(n + 1)]
 
 
-def _level_bounds(set_: AmbiguitySet, n: int, frozen_below: int = 0, hold_zero: bool = False):
-    """(lo_k, length_k) per level; levels <= frozen_below contribute no movement.
-
-    ``hold_zero`` widens level k to hold state ``-k * origin``, where S_k = 0.
-    """
-    bounds = [(0, 1)] * frozen_below + _move_bounds(
-        set_.min_coord, set_.max_coord, n - frozen_below
-    )
+def _level_bounds(set_: AmbiguitySet, n: int, hold_zero: bool = False):
+    """(lo_k, length_k) per level k = 0..n: the sums of k moves in the move hull, which
+    ``hold_zero`` widens by the move ``-origin`` to hold state ``-k * origin``, where S_k = 0."""
+    minc, maxc, origin = set_.min_coord, set_.max_coord, set_.lattice.origin
     if hold_zero:
-        origin = set_.lattice.origin
-        for k, (lo, length) in enumerate(bounds):
-            lo, hi = min(lo, -k * origin), max(lo + length - 1, -k * origin)
-            bounds[k] = (lo, hi - lo + 1)
-    return bounds
+        minc, maxc = min(minc, -origin), max(maxc, -origin)
+    return _move_bounds(minc, maxc, n)
 
 
-def _states(bounds) -> int:
-    return sum(length for _, length in bounds)
-
-
-def _level_states(set_: AmbiguitySet, n: int) -> int:
-    """``_states(_level_bounds(set_, n))`` in closed form: (n + 1) + (max - min) n (n + 1) / 2."""
-    return (n + 1) + (set_.max_coord - set_.min_coord) * n * (n + 1) // 2
+def _level_states(set_: AmbiguitySet, n: int, hold_zero: bool = False) -> int:
+    """The summed lengths of ``_level_bounds(set_, n, hold_zero)`` in closed form,
+    (n + 1) + (max - min) n (n + 1) / 2: every sweep charges it before it builds a level."""
+    span = _level_bounds(set_, 1, hold_zero)[1][1] - 1
+    return (n + 1) + span * n * (n + 1) // 2
 
 
 def reachable_masks(set_: AmbiguitySet, n: int):
@@ -244,8 +235,8 @@ _SCALAR_RULE = {np.greater: operator.gt, np.less: operator.lt}
 def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None) -> float:
     """Backward induction ``u_{k-1}(s) = extremize_g sum_j w_j u_k(s + x_j)``; u_0 at state 0.
 
-    ``moves[k - 1][g]``: generator g's integer atom moves into level k (zeros on
-    frozen levels); ``weights[g]``: its atom weights; ``bounds[k] = (lo, length)``:
+    The kernel is stationary: ``moves[g]`` holds generator g's integer atom moves
+    at every level and ``weights[g]`` its atom weights; ``bounds[k] = (lo, length)``:
     the states stored at level k; ``u``: the last level's values.  ``rule`` is
     ``np.greater`` (max), ``np.less`` (min) or a fixed policy's per-level
     ``(choices, designated generators)``; a fixed level evaluates only the
@@ -257,7 +248,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
     are bitwise reproducible.
 
     A level whose lower level stores one state (every level of an increment
-    trigger, a frozen prefix, the last step of every sweep) runs on Python
+    trigger or of a tail sum's prefix, the last step of every sweep) runs on Python
     floats and leaves a one-float list: the same products summed in the same
     order and the same strict tests as a one-element slice, at a fraction of
     numpy's per-call cost.  The absorbing value is always stepped that way.
@@ -277,7 +268,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
             best, arg = None, 0
             for g in gens:
                 cand = None
-                for w, c in zip(weights[g], moves[k - 1][g]):
+                for w, c in zip(weights[g], moves[g]):
                     a = lo_prev + c - lo_k
                     x = values[a] if absorb is None or 0 <= a < len_k else absorb
                     cand = w * x if cand is None else cand + w * x
@@ -297,7 +288,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
             best = None
             for g in gens:
                 cand = None
-                for w, c in zip(weights[g], moves[k - 1][g]):
+                for w, c in zip(weights[g], moves[g]):
                     a = lo_prev + c - lo_k
                     if absorb is not None:  # a slice wholly off the stored states reads padding
                         a = min(max(a, -len_prev), len_k) + len_prev
@@ -341,8 +332,8 @@ def _upper_terminal(set_, n, f, normalize, state_budget):
         raise InputError("BAD_HORIZON", "horizon must be >= 1")
     if normalize and not f.bounded:
         raise InputError("UNBOUNDED_F", f"{f.describe()} is unbounded; use moment mode")
+    state_count = check_budget(_level_states(set_, n), state_budget)
     bounds = _level_bounds(set_, n)
-    state_count = check_budget(_states(bounds), state_budget)
     lo, length = bounds[n]
     u = _terminal_values(set_, n, f, normalize, np.arange(lo, lo + length))
     return bounds, state_count, u
@@ -357,7 +348,7 @@ def upper_value(
 ) -> float:
     """``robust_value(...).value`` bitwise, without the policy or reachability masks."""
     bounds, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
-    return _sweep([set_.coords] * n, _weights(set_), bounds, u, np.greater)
+    return _sweep(set_.coords, _weights(set_), bounds, u, np.greater)
 
 
 def robust_value(
@@ -376,7 +367,7 @@ def robust_value(
     bounds, state_count, u = _upper_terminal(set_, n, f, normalize, state_budget)
     _, masks = reachable_masks(set_, n)
     args = [None] * n
-    value = _sweep([set_.coords] * n, _weights(set_), bounds, u, np.greater, record=args)
+    value = _sweep(set_.coords, _weights(set_), bounds, u, np.greater, record=args)
     for k, arg in enumerate(args):
         arg[~masks[k]] = -1
     levels = tuple((bounds[k][0], arg) for k, arg in enumerate(args))
@@ -423,7 +414,7 @@ def policy_value(
     ]
     lo, length = bounds[n]
     u = _terminal_values(set_, n, f, normalize, np.arange(lo, lo + length))
-    return _sweep([set_.coords] * n, _weights(set_), bounds, u, rule)
+    return _sweep(set_.coords, _weights(set_), bounds, u, rule)
 
 
 # -- capacities --------------------------------------------------------
@@ -486,22 +477,23 @@ def final_abs_capacities(
     return _final_capacity(set_, n, hit, np.greater, state_budget, 0, hold_zero=True)
 
 
-def _final_capacity(set_, n, hit, better, state_budget, frozen_below, hold_zero=False):
-    """Capacity of ``hit`` on the sum of the increments after level ``frozen_below``,
-    or with ``hold_zero`` the value at the state where S_k = 0 per level, level n first."""
-    bounds = _level_bounds(set_, n, frozen_below, hold_zero)
-    check_budget(_states(bounds), state_budget)
-    origin = set_.lattice.origin
-    lo_n, len_n = bounds[n]
-    u = hit(np.arange(lo_n, lo_n + len_n) + (n - frozen_below) * origin).astype(float)
-    still = tuple((0,) * len(gc) for gc in set_.coords)
-    moves = [still] * frozen_below + [set_.coords] * (n - frozen_below)
-    at_zero = []
+def _final_capacity(set_, n, hit, better, state_budget, from_index, hold_zero=False):
+    """Capacity of ``hit`` on the sum of the increments after level ``from_index``,
+    or with ``hold_zero`` the value at the state where S_k = 0 per level, level n first.
+    The levels up to ``from_index`` move nothing: a sweep of one-state levels of their own."""
+    h = n - from_index
+    check_budget(from_index + _level_states(set_, h, hold_zero), state_budget)
+    bounds, origin = _level_bounds(set_, h, hold_zero), set_.lattice.origin
+    lo, length = bounds[h]
+    u = hit(np.arange(lo, lo + length) + h * origin).astype(float)
+    weights, at_zero = _weights(set_), []
 
     def visit(k, values):
         at_zero.append(float(values[-k * origin - bounds[k][0]]))
 
-    value = _sweep(moves, _weights(set_), bounds, u, better, visit=visit if hold_zero else None)
+    value = _sweep(set_.coords, weights, bounds, u, better, visit=visit if hold_zero else None)
+    still = tuple((0,) * len(gc) for gc in set_.coords)
+    value = _sweep(still, weights, [(0, 1)] * (from_index + 1), np.array([value]), better)
     return at_zero if hold_zero else value
 
 
@@ -516,17 +508,17 @@ def _flagged_capacity(set_, n, event, better, state_budget):
     """
     origin, step = set_.lattice.origin, set_.lattice.step
     if event.kind == "MAX_PARTIAL_ABS_GE":
+        check_budget(2 * _level_states(set_, n), state_budget)
         bounds = _level_bounds(set_, n)
-        check_budget(2 * _states(bounds), state_budget)
         ceil_t = math.ceil(event.threshold / step)  # as in _event_hit
         for k in range(1, n + 1):
             lo, length = bounds[k]
             a, b = max(lo, 1 - ceil_t - k * origin), min(lo + length, ceil_t - k * origin)
             bounds[k] = (a, max(0, b - a))
-        moves = [set_.coords] * n
+        moves = set_.coords
     else:
+        check_budget(2 * (n + 1), state_budget)
         bounds = [(0, 1)] * (n + 1)
-        check_budget(2 * _states(bounds), state_budget)
         hit = _event_hit(event.kind, event.threshold, step)
-        moves = [tuple(tuple(int(hit(c + origin)) for c in gc) for gc in set_.coords)] * n
+        moves = tuple(tuple(int(hit(c + origin)) for c in gc) for gc in set_.coords)
     return _sweep(moves, _weights(set_), bounds, np.zeros(bounds[n][1]), better, absorb=1.0)

@@ -27,21 +27,26 @@ from .lattice_dp import PathEvent
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
 
-def _tree_size(set_: AmbiguitySet, n: int) -> int:
-    """Number of history nodes the walk will visit."""
-    fanout = max(len(g.points) for g in set_.generators)
+def _tree_size(fanout: int, depth: int, cap: int) -> int:
+    """Nodes of depths 0..depth of a ``fanout``-ary tree, or ``cap + 1`` if more."""
+    if fanout == 1:
+        return min(depth + 1, cap + 1)
     total, width = 0, 1
-    for _ in range(n):
+    for _ in range(depth + 1):
         total += width
+        if total > cap:
+            return cap + 1
         width *= fanout
-    return total + width
+    return total
 
 
 def _history_extreme(set_: AmbiguitySet, n: int, leaf, maximize: bool, budget: int) -> float:
     """Node-wise extreme over the history tree of E[leaf(draws, their sum)]."""
     if n < 1:
         raise InputError("BAD_HORIZON", "horizon must be >= 1")
-    check_budget(_tree_size(set_, n), budget, "history nodes", "ENUMERATION_BUDGET_EXCEEDED")
+    fanout = max(len(g.points) for g in set_.generators)
+    count = _tree_size(fanout, n, max(budget, 10**30))
+    check_budget(count, budget, "history nodes", "ENUMERATION_BUDGET_EXCEEDED")
     choose = max if maximize else min
 
     def walk(path: tuple, partial: float) -> float:
@@ -135,10 +140,10 @@ def enumerate_selections_value(
         raise InputError("BAD_HORIZON", "horizon must be >= 1")
     gens = set_.generators
     fanout = max(len(g.points) for g in gens)
-    histories = []
-    for depth in range(n):
-        histories.extend(product(range(fanout), repeat=depth))
-    check_budget(len(gens) ** len(histories), budget, "selections", "ENUMERATION_BUDGET_EXCEEDED")
+    # H histories need no count past the cap's bit length: beyond it G ** H > cap, or G = 1
+    count = len(gens) ** _tree_size(fanout, n - 1, max(budget, 10**30).bit_length())
+    check_budget(count, budget, "selections", "ENUMERATION_BUDGET_EXCEEDED")
+    histories = [h for depth in range(n) for h in product(range(fanout), repeat=depth)]
     best = None
     for assignment in product(range(len(gens)), repeat=len(histories)):
         selection = dict(zip(histories, assignment))

@@ -33,16 +33,6 @@ def csv_text(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def json_payload(
-    columns: Sequence[str], rows: Sequence[Sequence], meta: Optional[Dict] = None
-) -> Dict:
-    return {
-        "columns": list(columns),
-        "rows": [list(r) for r in rows],
-        "meta": meta or {},
-    }
-
-
 _TEMP_IDS = itertools.count()
 
 
@@ -74,7 +64,7 @@ def write_report(
     csv_path = out_dir / f"{name}.csv"
     json_path = out_dir / f"{name}.json"
     atomic_write_text(csv_path, csv_text(columns, rows))
-    payload = json_payload(columns, rows, meta)
+    payload = {"columns": list(columns), "rows": [list(r) for r in rows], "meta": meta or {}}
     atomic_write_text(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return [csv_path, json_path]
 

@@ -13,8 +13,8 @@ from sublinexp.lattice_dp import _choice_dtype
 def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None) -> float:
     """Backward induction ``u_{k-1}(s) = extremize_g sum_j w_j u_k(s + x_j)``; u_0 at state 0.
 
-    ``moves[k - 1][g]``: generator g's integer atom moves into level k (zeros on
-    frozen levels); ``weights[g]``: its atom weights; ``bounds[k] = (lo, length)``:
+    The kernel is stationary: ``moves[g]`` holds generator g's integer atom moves
+    at every level and ``weights[g]`` its atom weights; ``bounds[k] = (lo, length)``:
     the states stored at level k; ``u``: the last level's values.  ``rule`` is
     ``np.greater`` (max), ``np.less`` (min) or a fixed policy's per-level
     ``(choices, designated generators)``; a fixed level evaluates only the
@@ -40,7 +40,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
             arg = record[k - 1] = np.zeros(len_prev, dtype=dtype)
         best = best_absorb = None
         for g in rule[k - 1][1] if fixed else range(len(weights)):
-            gm, gw = moves[k - 1][g], weights[g]
+            gm, gw = moves[g], weights[g]
             cand = None
             for w, c in zip(gw, gm):
                 a = lo_prev + c - lo_k

@@ -203,6 +203,16 @@ class TestExitCodes:
         assert run(tmp_path, "oracle", payload) == 2
         assert "STATE_BUDGET_EXCEEDED" in capsys.readouterr().err
 
+    def test_oracle_refuses_before_the_history_walk(self, tmp_path, capsys, monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("brute_force_value called")
+
+        monkeypatch.setattr(cli, "brute_force_value", walk)
+        breakpoints = [[-1, 1.7e308], [0, -1.7e308], [1, 1.7e308]]
+        payload = dict(PAIR_SET, n=10, function={"kind": "pwl", "params": {"breakpoints": breakpoints}})
+        assert run(tmp_path, "oracle", payload) == 1
+        assert "error: UNBOUNDED_EVAL: " in capsys.readouterr().err
+
     def test_enumeration_budget_is_2(self, tmp_path, capsys):
         payload = dict(PAIR_SET, function={"kind": "abs"}, n=6, budgets={"enumeration": 3})
         assert run(tmp_path, "oracle", payload) == 2

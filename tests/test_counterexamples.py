@@ -365,6 +365,25 @@ class TestHeavyLln:
         with pytest.raises(BudgetError):
             heavy_lln_value(1000, 1000, state_budget=100)
 
+    def test_large_truncation_runs_at_the_default_budget(self):
+        # the charge is the swept work, 1601 level-states x 40 generators, not (n + 1)(n K + 1)
+        # the bound up to the rounding of 40 float products, as in CRITERION 7
+        assert heavy_lln_value(10**6, 40) >= heavy_lln_lower_bound(10**6, 40) - 1e-12
+        with pytest.raises(BudgetError) as e:
+            heavy_lln_value(10**5, 40, state_budget=64039)
+        assert e.value.message == "64040 level-states x generators exceed budget 64039"
+
+    def test_charge_is_the_swept_work_and_never_above_the_old_charge(self):
+        for K in range(1, 30):
+            for n in range(1, 30):
+                levels = sum(min(level * K, n - 1) + 1 for level in range(n + 1))
+                swept = len(range(1, min(K, n - 1) + 1)) + (K >= n)
+                with pytest.raises(BudgetError) as e:
+                    heavy_lln_value(K, n, state_budget=0)
+                charge = int(e.value.message.split()[0])
+                assert charge == levels * swept
+                assert charge <= (n + 1) * (n * K + 1)
+
     def test_bad_parameters(self):
         with pytest.raises(InputError):
             heavy_lln_value(0, 5)

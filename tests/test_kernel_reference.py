@@ -136,8 +136,8 @@ class TestAgainstTheReference:
         trigger = tuple(tuple(data.draw(st.sampled_from([0, 1])) for _ in gc) for gc in set_.coords)
         absorbing = data.draw(st.sampled_from(SPECIAL))
         cases = [  # (moves, bounds, last level, absorbing value)
-            ([set_.coords] * n, bounds, u, None),
-            ([trigger] * n, [(0, 1)] * (n + 1), u[:1], absorbing),
+            (set_.coords, bounds, u, None),
+            (trigger, [(0, 1)] * (n + 1), u[:1], absorbing),
         ]
         for moves, b, last, absorb in cases:
             got_record, want_record = [None] * n, [None] * n
@@ -155,9 +155,9 @@ class TestAgainstTheReference:
         weights = [gen.weights for gen in set_.generators]
         count = len(weights)
         still = tuple((0,) * len(gc) for gc in set_.coords)
-        cases = [  # (moves, bounds): a full lattice, and a chain of frozen one-state levels
-            ([set_.coords] * n, lattice_dp._level_bounds(set_, n)),
-            ([still] * n, [(0, 1)] * (n + 1)),
+        cases = [  # (moves, bounds): a full lattice, and a chain of still one-state levels
+            (set_.coords, lattice_dp._level_bounds(set_, n)),
+            (still, [(0, 1)] * (n + 1)),
         ]
         for moves, b in cases:
             rule = [

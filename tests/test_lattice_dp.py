@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -421,7 +422,55 @@ class TestReachableMasks:
             for n in (1, 2, 7, 40):
                 bounds = lattice_dp._level_bounds(s, n)
                 assert reachable_masks(s, n)[0] == tuple(bounds)
-                assert lattice_dp._level_states(s, n) == lattice_dp._states(bounds)
+                assert lattice_dp._level_states(s, n) == sum(length for _, length in bounds)
+
+    def test_hold_zero_bounds_are_the_widened_levels(self):
+        rng = np.random.default_rng(32)
+        zero_in_hull = set()
+        for origin in range(-3, 4):
+            for _ in range(8):
+                s = random_set(rng, max_generators=2, max_atoms=3, span=2, origin=origin)
+                zero_in_hull.add(s.min_coord <= -origin <= s.max_coord)
+                for n in (1, 2, 7, 40):
+                    bounds = lattice_dp._level_bounds(s, n, hold_zero=True)
+                    widened = lattice_dp._level_bounds(s, n)  # widen each level to hold S_k = 0
+                    for k, (lo, length) in enumerate(widened):
+                        lo, hi = min(lo, -k * origin), max(lo + length - 1, -k * origin)
+                        widened[k] = (lo, hi - lo + 1)
+                    assert bounds == widened
+                    count = lattice_dp._level_states(s, n, hold_zero=True)
+                    assert count == sum(length for _, length in bounds)
+        assert zero_in_hull == {True, False}
+
+    def test_every_entry_point_refuses_before_building_a_level(self, biased_pair):
+        # the biased pair stores 2k + 1 states at level k: (n + 1)^2 in all, and
+        # a tail sum from m charges m one-state levels and (n - m + 1)^2
+        n, m = 10**6, 5 * 10**5
+        f = tent(0.25, 0.25)
+        calls = [
+            (lambda: upper_value(biased_pair, n, f, state_budget=1000), (n + 1) ** 2),
+            (lambda: robust_value(biased_pair, n, f, state_budget=1000), (n + 1) ** 2),
+            (lambda: final_abs_capacities(biased_pair, n, 1, state_budget=1000), (n + 1) ** 2),
+        ]
+        for kind in KINDS:
+            event = PathEvent(kind, 1, m if kind == "TAIL_SUM_ABS_GE" else None)
+            charge = {
+                "MAX_PARTIAL_ABS_GE": 2 * (n + 1) ** 2,
+                "MAX_INCREMENT_ABS_GE": 2 * (n + 1),
+                "TAIL_SUM_ABS_GE": m + (n - m + 1) ** 2,
+            }.get(kind, (n + 1) ** 2)
+            calls.append((lambda e=event: capacity(biased_pair, n, e, state_budget=1000), charge))
+        for call, charge in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetError) as e:
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert e.value.code == "STATE_BUDGET_EXCEEDED"
+            assert e.value.message == f"{charge} level-states exceed budget 1000"
+            assert peak < 2**20
 
     @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
     def test_reachable_choices_keep_narrow_dtypes(self, n, dtype):

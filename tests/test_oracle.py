@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -64,8 +66,48 @@ class TestSelectionEnumeration:
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_budget_guard(self, biased_pair):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError) as e:
             enumerate_selections_value(biased_pair, 4, ABS_CLIPPED, budget=3)
+        assert e.value.message == "32768 selections exceed budget 3"  # 2 ** 15 histories
+
+
+class TestEnumerationRefusals:
+    """Refusals decided from the counts alone, whatever their size."""
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_selections_of_any_size(self, biased_pair, n):
+        # 2 ** (2 ** n - 1) selections: 19,729 digits at n = 16
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as e:
+            enumerate_selections_value(biased_pair, n, ABS_CLIPPED)
+        assert time.perf_counter() - start < 1.0
+        assert e.value.code == "ENUMERATION_BUDGET_EXCEEDED"
+        assert e.value.message == "10**30 or more selections exceed budget 200000"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: brute_force_value(s, 20_000, ABS_CLIPPED),
+            lambda s: brute_force_capacity(s, 20_000, PathEvent("FINAL_ABS_GE", 1)),
+        ],
+    )
+    def test_history_nodes_of_any_size(self, biased_pair, call):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as e:
+            call(biased_pair)
+        assert time.perf_counter() - start < 1.0
+        assert e.value.message == "10**30 or more history nodes exceed budget 1000000"
+
+    def test_counts_of_up_to_30_digits_are_printed(self, biased_pair):
+        # 2 ** 99 - 1 nodes has 30 digits, 2 ** 100 - 1 has 31
+        for n, shown in ((98, str(2**99 - 1)), (99, "10**30 or more")):
+            with pytest.raises(BudgetError) as e:
+                brute_force_value(biased_pair, n, ABS_CLIPPED, budget=10)
+            assert e.value.message == f"{shown} history nodes exceed budget 10"
+        point_masses = make_set([(0, 1.0)], [(1, 1.0)])
+        with pytest.raises(BudgetError) as e:
+            brute_force_value(point_masses, 10**9, ABS_CLIPPED, budget=10)
+        assert e.value.message == f"{10**9 + 1} history nodes exceed budget 10"
 
 
 class TestPolicyDominance:
