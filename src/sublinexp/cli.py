@@ -311,8 +311,8 @@ def _cmd_heavy(cfg) -> Outcome:
     meta = {"maximal_distribution_value": limit}
     return Outcome(
         [("heavy", ["K", "n", "value", "lower_bound"], [[K, n, value, bound]], meta)],
-        f"counterexample heavy: value {value:.6g} >= {bound:.6g}, "
-        f"maximal-distribution prediction {limit:g}",
+        f"counterexample heavy: value {value:.6g} {'>=' if value >= bound else '<'} {bound:.6g} "
+        f"(difference {value - bound:.3g}), maximal-distribution prediction {limit:g}",
     )
 
 
@@ -320,17 +320,19 @@ def _cmd_simulate(cfg) -> Outcome:
     set_ = build_set(cfg)
     f = build_function(cfg)
     n, seed, budget = cfg["n"], cfg["seed"], cfg["budgets"]["states"]
-    if cfg["policy"] == "robust":
-        policy = robust_value(set_, n, f, state_budget=budget).policy
+    if cfg["policy"] == "robust":  # the sweep that extracts the policy gives its value
+        robust = robust_value(set_, n, f, state_budget=budget)
+        policy, exact = robust.policy, robust.value
     elif isinstance(cfg["policy"], dict):
         index = _checked(cfg["policy"], {"constant": (int, ...)}, "policy")["constant"]
-        policy = constant_policy(set_, n, index, state_budget=budget)
+        policy, exact = constant_policy(set_, n, index, state_budget=budget), None
     else:
         raise InputError(
             "BAD_CONFIG", "config key 'policy' must be \"robust\" or {\"constant\": index}"
         )
     result = simulate(SimConfig(policy, set_, n, cfg["paths"], seed), f, state_budget=budget)
-    exact = policy_value(set_, policy, n, f, state_budget=budget)
+    if exact is None:  # a constant policy's only sweep
+        exact = policy_value(set_, policy, n, f, state_budget=budget)
     row = [result.estimate, result.stderr, result.paths, exact]
     meta = {"set": set_.describe(), "function": f.describe(), "n": n, "seed": seed}
     return Outcome(

@@ -14,6 +14,7 @@ thread counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .lattice_dp import (
 __all__ = ["SimConfig", "SimResult", "simulate", "constant_policy"]
 
 _BLOCK_DRAWS = 1 << 16  # draws per row block
+_SEARCH_CUTS = 256  # from here on a binary search per draw beats a compare pass per cut
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,10 @@ def constant_policy(
     check_budget(_level_states(set_, n), state_budget)
     bounds, masks = reachable_masks(set_, n)
     dtype = _choice_dtype(len(set_.generators))
+    flat = np.where(np.concatenate(masks[:n]), generator_index, -1).astype(dtype)
+    ends = accumulate(length for _, length in bounds[:n])
     return KernelPolicy(
-        n,
-        tuple(
-            (bounds[k - 1][0], np.where(masks[k - 1], generator_index, -1).astype(dtype))
-            for k in range(1, n + 1)
-        ),
+        n, tuple((lo, flat[end - length : end]) for (lo, length), end in zip(bounds, ends))
     )
 
 
@@ -160,14 +160,16 @@ def _walk(set_, choices, bounds, n, m, blocks):
     top = len(set_.generators) * R
     at = np.concatenate(([-np.inf], cuts))  # a draw of rank r lies in [at[r], at[r + 1])
     lut = np.concatenate([
-        (np.asarray(gc) - set_.min_coord)[np.searchsorted(w, at, "right")]
-        for w, gc in zip(inner, set_.coords)
-    ])
+        np.asarray(gc)[np.searchsorted(w, at, "right")] for w, gc in zip(inner, set_.coords)
+    ]) - set_.min_coord  # min_coord scans every generator: subtract it once
     ranks = np.empty((n, m), dtype=np.min_scalar_type(R - 1))
     for r, u in blocks:
-        rank = np.zeros(u.shape, dtype=ranks.dtype)
-        for c in cuts:
-            rank += u >= c
+        if len(cuts) >= _SEARCH_CUTS:
+            rank = np.searchsorted(cuts, u, "right")
+        else:
+            rank = np.zeros(u.shape, dtype=ranks.dtype)
+            for c in cuts:
+                rank += u >= c
         ranks[:, r : r + len(u)] = rank.T
     rel = np.zeros(m, dtype=np.intp)  # S_k minus level k's lo
     for k in range(1, n + 1):

@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from sublinexp import cli
+from sublinexp import cli, lattice_dp
 from sublinexp.cli import main
 from sublinexp.inequalities import VIOLATED, OttavianiReport, ProductIdentityReport
 from sublinexp.lln import ChebyshevCheck
@@ -127,6 +128,18 @@ class TestSubcommands:
         meta = json.loads((tmp_path / "heavy.json").read_text())["meta"]
         assert meta["maximal_distribution_value"] == 0.0
 
+    def test_counterexample_heavy_summary_states_the_cells(self, tmp_path, capsys):
+        # in floats the value falls below the bound here (…7799886 < …7799889):
+        # 40 rounded products against one power
+        assert main(["counterexample", "heavy", "--K", "1000000", "--n", "40",
+                     "--out", str(tmp_path)]) == 0
+        (row,) = read_rows(tmp_path, "heavy")
+        value, bound = float(row["value"]), float(row["lower_bound"])
+        relation = ">=" if value >= bound else "<"
+        assert f"value {value:.6g} {relation} {bound:.6g} (difference {value - bound:.3g})" in (
+            capsys.readouterr().out
+        )
+
     def test_simulate_robust(self, tmp_path):
         payload = dict(
             PAIR_SET,
@@ -139,6 +152,14 @@ class TestSubcommands:
         (row,) = read_rows(tmp_path, "simulate")
         est, err, exact = (float(row[k]) for k in ("estimate", "stderr", "policy_value"))
         assert abs(est - exact) <= max(4 * err, 1e-9)
+
+    @pytest.mark.parametrize("policy", ["robust", {"constant": 1}])
+    def test_simulate_sweeps_the_lattice_once(self, tmp_path, policy):
+        # robust: the sweep that extracts the policy; constant: its policy_value
+        payload = dict(PAIR_SET, function={"kind": "abs"}, n=6, paths=40, policy=policy)
+        with mock.patch.object(lattice_dp, "_sweep", wraps=lattice_dp._sweep) as sweep:
+            assert run(tmp_path, "simulate", payload) == 0
+        assert sweep.call_count == 1
 
     def test_simulate_constant_policy(self, tmp_path):
         payload = dict(

@@ -6,7 +6,11 @@ reference of ``tests/kernel_reference.py`` patched in.  Floats must agree by
 include a duplicated generator, so ties must go to the first copy on both.
 """
 
+import csv
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,7 +27,7 @@ from sublinexp import (
     robust_value,
     upper_value,
 )
-from sublinexp import counterexamples, lattice_dp
+from sublinexp import cli, counterexamples, lattice_dp
 from sublinexp.counterexamples import heavy_lln_value
 from sublinexp.lattice_dp import EVENT_KINDS, final_abs_capacities
 
@@ -185,3 +189,27 @@ def test_long_chain_of_one_state_levels(side):
     got, want = on_both(lambda: capacity(set_, 2000, event, side))
     assert got.hex() == want.hex()
     assert 0.0 < got < 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(ambiguity_sets(), st.integers(1, 10), tie_prone_functions())
+def test_robust_simulate_reports_the_replay_of_its_policy(set_, n, f):
+    # the CLI writes the value of the sweep that extracted the policy; replaying
+    # that policy must give the same float, ties and a duplicated generator included
+    config = {
+        "lattice": {"step": str(set_.lattice.step), "origin": set_.lattice.origin},
+        "generators": [[list(atom) for atom in zip(g.points, g.weights)] for g in set_.generators],
+        "function": {"kind": "pwl", "params": {"breakpoints": [list(p) for p in zip(*f.params)]}},
+        "n": n,
+        "paths": 20,
+        "policy": "robust",
+    }
+    assert cli.build_set(config) == set_
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "simulate_cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["simulate", "--config", str(path), "--out", out, "--quiet"]) == 0
+        with open(Path(out) / "simulate.csv", newline="") as handle:
+            (row,) = csv.DictReader(handle)
+    replay = policy_value(set_, robust_value(set_, n, f).policy, n, f)
+    assert float(row["policy_value"]).hex() == replay.hex()

@@ -515,6 +515,41 @@ class TestRankWalk:
             "POLICY_GAP: visited state 1 at level 2 has no generator"
         )
 
+    @pytest.mark.parametrize("count", [200, 1000])
+    def test_both_rank_paths_on_many_cuts(self, monkeypatch, count):
+        # `count` three-atom generators: 2 * count distinct cuts, ranked by one
+        # compare pass per cut or by one binary search per draw
+        gens = [[(-1, (g + 1) / (4 * count)), (0, 0.5), (1, 0.5 - (g + 1) / (4 * count))]
+                for g in range(count)]
+        s = make_set(*gens)
+        assert distinct_cuts(s) == 2 * count >= montecarlo._SEARCH_CUTS
+        rng = np.random.default_rng(count)
+        n = 12
+        entries = {key: int(rng.integers(0, count)) for key in constant_policy(s, n, 0).entries}
+        config = SimConfig(KernelPolicy.from_entries(n, entries), s, n, 2000, seed=5)
+        f = random_pwl(rng)
+        for search_cuts in (montecarlo._SEARCH_CUTS, 2 * count + 1):  # search, then compares
+            monkeypatch.setattr(montecarlo, "_SEARCH_CUTS", search_cuts)
+            assert_takes(monkeypatch, "walk", config, f)
+
+    @pytest.mark.parametrize("search_cuts", [256, 10**9])  # search, then compares
+    def test_both_rank_paths_with_draws_on_every_cut(self, monkeypatch, search_cuts):
+        # two many-atom generators: about 290 distinct cuts, each owned by the
+        # generator a mixed policy designates about half the time, and each drawn
+        rng = np.random.default_rng(290)
+        gens = []
+        for atoms in (150, 140):
+            w = rng.integers(1, 9, atoms)
+            gens.append([(x - atoms // 2, wx / w.sum()) for x, wx in enumerate(w)])
+        s = make_set(*gens)
+        assert distinct_cuts(s) >= montecarlo._SEARCH_CUTS == 256
+        draws = draw_on_cumulative_weights(monkeypatch, s)
+        monkeypatch.setattr(montecarlo, "_SEARCH_CUTS", search_cuts)
+        n = 4
+        entries = {(k, x): (k + x) % 2 for k, x in constant_policy(s, n, 0).entries}
+        config = SimConfig(KernelPolicy.from_entries(n, entries), s, n, len(draws), seed=0)
+        assert_takes(monkeypatch, "walk", config, random_pwl(rng))  # one draw block
+
     def test_long_mixed_walk_keeps_one_byte_per_draw(self):
         # n * paths = 20M draws: 160 MB as float64, 20 MB as uint8 ranks
         s = make_set([(-2, 0.3), (0, 0.4), (3, 0.3)], [(-1, 0.6), (2, 0.4)], [(-3, 0.5), (1, 0.5)])
