@@ -28,7 +28,7 @@ from .functions import (
 )
 from .inequalities import VIOLATED, capacity_product_identity, ottaviani_check
 from .lattice_dp import (
-    DEFAULT_STATE_BUDGET, PathEvent, capacity, policy_value, robust_value, upper_value,
+    DEFAULT_STATE_BUDGET, PathEvent, capacity, robust_value, upper_value,
 )
 from .lln import lln_sweep, maximal_dist_value, peng_condition_report, chebyshev_bound_check
 from .montecarlo import SimConfig, constant_policy, simulate
@@ -323,16 +323,15 @@ def _cmd_simulate(cfg) -> Outcome:
     if cfg["policy"] == "robust":  # the sweep that extracts the policy gives its value
         robust = robust_value(set_, n, f, state_budget=budget)
         policy, exact = robust.policy, robust.value
-    elif isinstance(cfg["policy"], dict):
-        index = _checked(cfg["policy"], {"constant": (int, ...)}, "policy")["constant"]
-        policy, exact = constant_policy(set_, n, index, state_budget=budget), None
+    elif isinstance(cfg["policy"], dict):  # the i.i.d. measure of generator g: its own sweep
+        g = _checked(cfg["policy"], {"constant": (int, ...)}, "policy")["constant"]
+        policy = constant_policy(set_, n, g, state_budget=budget)
+        exact = upper_value(AmbiguitySet(set_.lattice, (set_.generators[g],)), n, f, state_budget=budget)
     else:
         raise InputError(
             "BAD_CONFIG", "config key 'policy' must be \"robust\" or {\"constant\": index}"
         )
     result = simulate(SimConfig(policy, set_, n, cfg["paths"], seed), f, state_budget=budget)
-    if exact is None:  # a constant policy's only sweep
-        exact = policy_value(set_, policy, n, f, state_budget=budget)
     row = [result.estimate, result.stderr, result.paths, exact]
     meta = {"set": set_.describe(), "function": f.describe(), "n": n, "seed": seed}
     return Outcome(

@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ambiguity import DiscreteDistribution
-from .errors import BudgetError, InputError, check_budget
+from .errors import BudgetError, InputError, check_budget, check_horizon
 from .functions import TestFunction, abs_excess, column, piecewise_linear, psi_fn
 from .lattice_dp import DEFAULT_STATE_BUDGET, _sweep
 from .montecarlo import _BLOCK_DRAWS
@@ -267,8 +267,9 @@ def heavy_lln_value(truncation: int, n: int, state_budget: int = DEFAULT_STATE_B
     ``float(Fraction(k - 1, k))`` differs from ``1.0 - 1.0/k`` at k = 3, 7, 19, ...
     """
     K = truncation
-    if K < 1 or n < 1:
-        raise InputError("BAD_FAMILY", "need truncation >= 1 and horizon >= 1")
+    if K < 1:
+        raise InputError("BAD_FAMILY", "need truncation >= 1")
+    check_horizon(n, "BAD_FAMILY")
     j = (n - 1) // K  # levels 1..j store k*K + 1 states, the later ones n
     level_states = (n + 1) + K * j * (j + 1) // 2 + (n - j) * (n - 1)
     check_budget(level_states * (min(K, n - 1) + (K >= n)), state_budget, "level-states x generators")

@@ -7,6 +7,8 @@ exception families onto exit statuses 1/2/3.
 
 from __future__ import annotations
 
+import numbers
+
 
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,6 +45,13 @@ def check_budget(
         shown = count if count < 10**30 else "10**30 or more"
         raise BudgetError(code, f"{shown} {unit} exceed budget {budget}")
     return count
+
+
+def check_horizon(n, code: str = "BAD_HORIZON") -> int:
+    """``n``, or an :class:`InputError` unless it is an integer >= 1 (a bool is not)."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise InputError(code, f"horizon must be an integer >= 1, got {n!r}")
+    return n
 
 
 class PropertyViolation(EngineError):

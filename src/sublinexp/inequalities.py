@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .ambiguity import AmbiguitySet
-from .errors import InputError
+from .errors import InputError, check_horizon
 from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, final_abs_capacities
 
 _TOL = 1e-12
@@ -54,8 +54,7 @@ def ottaviani_check(
         raise InputError("BAD_C", "c must lie strictly between 0 and 1")
     if not alpha > 0:  # NaN too
         raise InputError("BAD_ALPHA", "alpha must be positive")
-    if n < 1:
-        raise InputError("BAD_HORIZON", "horizon must be >= 1")
+    check_horizon(n)
     # increments are i.i.d., so V(|S_n - S_k| >= alpha) is the horizon-(n - k) capacity
     by_horizon = final_abs_capacities(set_, n, alpha, state_budget)
     premise = max(by_horizon[:n])
@@ -90,8 +89,7 @@ def capacity_product_identity(
     The exponential comparison 1 - p <= e^{-p} makes the right side at
     least 1 - exp(-n V), which is asserted alongside in the test suites.
     """
-    if n < 1:
-        raise InputError("BAD_HORIZON", "horizon must be >= 1")
+    check_horizon(n)
     lhs = capacity(
         set_,
         n,

@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .ambiguity import AmbiguitySet, to_fraction
-from .errors import InputError, check_budget
+from .errors import InputError, check_budget, check_horizon
 from .functions import TestFunction
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -73,22 +73,24 @@ def _choice_dtype(generator_count: int) -> np.dtype:
 class KernelPolicy:
     """Deterministic Markov kernel policy: one generator index per (level, pre-step state).
 
-    ``levels[k - 1] = (lo, choice)`` covers level ``k``: ``choice[i]`` is the
-    generator designated at state ``lo + i``, and ``-1`` designates none.
-    The arrays are read-only.
+    ``levels[k - 1] = (lo, choice)`` covers level ``k`` of the horizon ``n``:
+    ``choice[i]`` is the generator designated at state ``lo + i``, and ``-1``
+    designates none.  The arrays are read-only.
     """
 
     n: int
     levels: Tuple[Tuple[int, np.ndarray], ...]
 
     def __post_init__(self):
+        if len(self.levels) != check_horizon(self.n):
+            raise InputError("BAD_POLICY", f"{len(self.levels)} levels for horizon {self.n}")
         for _, choice in self.levels:
             choice.flags.writeable = False
 
     @classmethod
     def from_entries(cls, n: int, entries: Mapping[Tuple[int, int], int]) -> "KernelPolicy":
         """Policy from a ``{(level, state): generator index}`` mapping."""
-        per_level: List[Dict[int, int]] = [{} for _ in range(n)]
+        per_level: List[Dict[int, int]] = [{} for _ in range(check_horizon(n))]
         for (level, state), g in entries.items():
             if not 1 <= level <= n or g < 0:
                 raise InputError(
@@ -173,8 +175,8 @@ def reachable_masks(set_: AmbiguitySet, n: int):
     """Boolean reachability per level over the level's state range.
 
     Reachability depends only on the distinct moves and the horizon, and the
-    last result is kept: the policy builders, ``policy_value`` and
-    ``simulate`` of one job share one forward pass.  The masks are read-only.
+    last result is kept: the policy builders and ``simulate`` of one job share
+    one forward pass.  The masks are read-only.
     """
     return _reachability(tuple(sorted({c for gc in set_.coords for c in gc})), n)
 
@@ -196,17 +198,14 @@ def _reachability(moves: Tuple[int, ...], n: int):
 
 
 def _reachable_choices(set_: AmbiguitySet, policy: KernelPolicy, n: int):
-    """``(choices, level, chosen, bounds, masks)`` of ``policy`` on ``set_``'s reachability.
+    """``(choices, chosen, bounds, masks)`` of ``policy`` on ``set_``'s reachability.
 
     ``choices[k - 1]`` covers level k's states; ``chosen`` lists the choice at
-    every reachable state of levels 1..n, level-major, and ``level`` its level - 1.
+    every reachable state of levels 1..n, level-major.
     """
     bounds, masks = reachable_masks(set_, n)
     choices = [policy.level_choices(k, *bounds[k - 1]) for k in range(1, n + 1)]
-    reach = np.concatenate(masks[:n])
-    ids = np.arange(n, dtype=np.min_scalar_type(n - 1))
-    level = np.repeat(ids, [length for _, length in bounds[:n]])[reach]
-    return choices, level, np.concatenate(choices)[reach], bounds, masks
+    return choices, np.concatenate(choices)[np.concatenate(masks[:n])], bounds, masks
 
 
 def _invalid(choice, generator_count: int):
@@ -238,14 +237,14 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
     The kernel is stationary: ``moves[g]`` holds generator g's integer atom moves
     at every level and ``weights[g]`` its atom weights; ``bounds[k] = (lo, length)``:
     the states stored at level k; ``u``: the last level's values.  ``rule`` is
-    ``np.greater`` (max), ``np.less`` (min) or a fixed policy's per-level
-    ``(choices, designated generators)``; a fixed level evaluates only the
-    generators it designates, so a state designating none keeps another's value.
-    With ``absorb`` (max or min), a move off level k's stored states reads one
-    float, which follows the same recursion.  ``record`` gets the argmax per
-    level and ``visit(k, u)`` every level, as an array or a list.  The order is
-    fixed (states, generators, then atoms in increasing-point order), so results
-    are bitwise reproducible.
+    ``np.greater`` (max), ``np.less`` (min) or a fixed policy's per-level choice
+    arrays over the stored states: every level sweeps all generators, and a state
+    keeps generator 0's candidate unless its choice names a later one.  With
+    ``absorb`` (max or min), a move off level k's stored states reads one float,
+    which follows the same recursion.  ``record`` gets the argmax per level and
+    ``visit(k, u)`` every level, as an array or a list.  The order is fixed
+    (states, generators, then atoms in increasing-point order), so results are
+    bitwise reproducible.
 
     A level whose lower level stores one state (every level of an increment
     trigger or of a tail sum's prefix, the last step of every sweep) runs on Python
@@ -262,11 +261,10 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
     for k in range(n, 0, -1):
         lo_prev, len_prev = bounds[k - 1]
         lo_k, len_k = bounds[k]
-        gens = rule[k - 1][1] if fixed else range(len(weights))
         if len_prev == 1:
             values = u if isinstance(u, list) else u.tolist()
             best, arg = None, 0
-            for g in gens:
+            for g in range(len(weights)):
                 cand = None
                 for w, c in zip(weights[g], moves[g]):
                     a = lo_prev + c - lo_k
@@ -274,7 +272,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
                     cand = w * x if cand is None else cand + w * x
                 if best is None:
                     best = cand
-                elif rule[k - 1][0][0] == g if fixed else better(cand, best):
+                elif rule[k - 1][0] == g if fixed else better(cand, best):
                     best, arg = cand, g
             u = [best]
             if record is not None:
@@ -286,7 +284,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
             if record is not None:
                 arg = record[k - 1] = np.zeros(len_prev, dtype=dtype)
             best = None
-            for g in gens:
+            for g in range(len(weights)):
                 cand = None
                 for w, c in zip(weights[g], moves[g]):
                     a = lo_prev + c - lo_k
@@ -300,16 +298,16 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
                 if best is None:
                     best = cand
                 else:  # best and cand are this level's own arrays, so update in place
-                    mask = rule[k - 1][0] == g if fixed else rule(cand, best)
+                    mask = rule[k - 1] == g if fixed else rule(cand, best)
                     np.putmask(best, mask, cand)
                     if record is not None:
                         np.putmask(arg, mask, g)
             u = best
         if absorb is not None:
             best_absorb = None
-            for g in gens:
+            for gw in weights:
                 acc = None
-                for w in weights[g]:
+                for w in gw:
                     acc = w * absorb if acc is None else acc + w * absorb
                 if best_absorb is None or better(acc, best_absorb):
                     best_absorb = acc
@@ -328,8 +326,7 @@ def _weights(set_: AmbiguitySet):
 
 def _upper_terminal(set_, n, f, normalize, state_budget):
     """Checked level bounds, their state count and the terminal values of an upper sweep."""
-    if n < 1:
-        raise InputError("BAD_HORIZON", "horizon must be >= 1")
+    check_horizon(n)
     if normalize and not f.bounded:
         raise InputError("UNBOUNDED_F", f"{f.describe()} is unbounded; use moment mode")
     state_count = check_budget(_level_states(set_, n), state_budget)
@@ -386,35 +383,23 @@ def policy_value(
 
     Uses the same arithmetic as :func:`robust_value` with the max replaced
     by the policy's designated generator, so evaluating an extracted
-    argmax policy reproduces the robust value bitwise.
+    argmax policy reproduces the robust value bitwise.  Unreachable states
+    never feed reachable ones, so only reachable states need a generator.
     """
-    if n < 1:
-        raise InputError("BAD_HORIZON", "horizon must be >= 1")
+    bounds, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
     if policy.n != n:
         raise InputError("POLICY_GAP", f"policy is for horizon {policy.n}, not {n}")
-    check_budget(_level_states(set_, n), state_budget)
-    generator_count = len(set_.generators)
-    choices, level, chosen, bounds, masks = _reachable_choices(set_, policy, n)
-    gap = _invalid(chosen, generator_count)
-    if gap.any():
-        k = int(level[np.argmax(gap)]) + 1
-        state = bounds[k - 1][0] + int(
-            np.argmax(masks[k - 1] & _invalid(choices[k - 1], generator_count))
-        )
-        raise InputError(
-            "POLICY_GAP", f"reachable state {state} at level {k} has no generator"
-        )
-    # unreachable states never feed reachable ones, so each level sweeps only
-    # the generators designated at its reachable states
-    designated = np.zeros((n, generator_count), dtype=bool)
-    designated[level, chosen] = True
-    rule = [
-        (choice, [g for g, used in enumerate(row) if used])
-        for choice, row in zip(choices, designated.tolist())
-    ]
-    lo, length = bounds[n]
-    u = _terminal_values(set_, n, f, normalize, np.arange(lo, lo + length))
-    return _sweep(set_.coords, _weights(set_), bounds, u, rule)
+    count = len(set_.generators)
+    choices, chosen, _, masks = _reachable_choices(set_, policy, n)
+    if _invalid(chosen, count).any():  # name the first gap, level by level
+        for k, (choice, mask) in enumerate(zip(choices, masks), start=1):
+            gap = mask & _invalid(choice, count)
+            if gap.any():
+                state = bounds[k - 1][0] + int(np.argmax(gap))
+                raise InputError(
+                    "POLICY_GAP", f"reachable state {state} at level {k} has no generator"
+                )
+    return _sweep(set_.coords, _weights(set_), bounds, u, choices)
 
 
 # -- capacities --------------------------------------------------------
@@ -450,8 +435,7 @@ def capacity(
     UPPER maximizes the event's indicator by robust DP, LOWER minimizes.
     Running-max events keep the triggered paths as one absorbing value.
     """
-    if n < 1:
-        raise InputError("BAD_HORIZON", "horizon must be >= 1")
+    check_horizon(n)
     if side not in ("UPPER", "LOWER"):
         raise InputError("BAD_SIDE", f"side must be UPPER or LOWER, got {side!r}")
     better = np.greater if side == "UPPER" else np.less
@@ -473,6 +457,7 @@ def final_abs_capacities(
     The kernel is stationary, so the level-k value at the state where
     S_k = 0 is the horizon-(n - k) capacity.
     """
+    check_horizon(n)
     hit = _event_hit("FINAL_ABS_GE", to_fraction(t), set_.lattice.step)
     return _final_capacity(set_, n, hit, np.greater, state_budget, 0, hold_zero=True)
 

@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .ambiguity import AmbiguitySet
-from .errors import InputError, check_budget
+from .errors import InputError, check_budget, check_horizon
 from .functions import TestFunction
 from .lattice_dp import (
     DEFAULT_STATE_BUDGET,
@@ -49,8 +49,7 @@ class SimConfig:
     def __post_init__(self):
         if self.paths < 1:
             raise InputError("BAD_PATHS", "need at least one path")
-        if self.n < 1:
-            raise InputError("BAD_HORIZON", "horizon must be >= 1")
+        check_horizon(self.n)
         if not 0 <= self.seed < 2**128:  # the Philox key range
             raise InputError("BAD_SEED", f"seed must be in [0, 2**128), got {self.seed}")
         if self.policy.n != self.n:
@@ -76,8 +75,7 @@ def constant_policy(
 
     Charges the level-states of :func:`~sublinexp.lattice_dp.robust_value`.
     """
-    if n < 1:
-        raise InputError("BAD_HORIZON", "horizon must be >= 1")
+    check_horizon(n)
     if not 0 <= generator_index < len(set_.generators):
         raise InputError("POLICY_GAP", f"generator index {generator_index} out of range")
     check_budget(_level_states(set_, n), state_budget)
@@ -107,7 +105,7 @@ def simulate(
     set_ = config.set
     n, m = config.n, config.paths
     check_budget(m * n, state_budget, "draws")
-    choices, _, chosen, bounds, _ = _reachable_choices(set_, config.policy, n)
+    choices, chosen, bounds, _ = _reachable_choices(set_, config.policy, n)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     rows = max(1, _BLOCK_DRAWS // n)
     # row blocks drawn in turn are the rows of one (m, n) draw

@@ -20,7 +20,7 @@ from itertools import product
 from typing import Optional
 
 from .ambiguity import AmbiguitySet
-from .errors import InputError, check_budget
+from .errors import InputError, check_budget, check_horizon
 from .functions import TestFunction
 from .lattice_dp import PathEvent
 
@@ -42,8 +42,7 @@ def _tree_size(fanout: int, depth: int, cap: int) -> int:
 
 def _history_extreme(set_: AmbiguitySet, n: int, leaf, maximize: bool, budget: int) -> float:
     """Node-wise extreme over the history tree of E[leaf(draws, their sum)]."""
-    if n < 1:
-        raise InputError("BAD_HORIZON", "horizon must be >= 1")
+    check_horizon(n)
     fanout = max(len(g.points) for g in set_.generators)
     count = _tree_size(fanout, n, max(budget, 10**30))
     check_budget(count, budget, "history nodes", "ENUMERATION_BUDGET_EXCEEDED")
@@ -136,8 +135,7 @@ def enumerate_selections_value(
     ``G ** (#histories)``; this is only feasible for the tiniest
     instances and exists to certify :func:`brute_force_value`.
     """
-    if n < 1:
-        raise InputError("BAD_HORIZON", "horizon must be >= 1")
+    check_horizon(n)
     gens = set_.generators
     fanout = max(len(g.points) for g in gens)
     # H histories need no count past the cap's bit length: beyond it G ** H > cap, or G = 1

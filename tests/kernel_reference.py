@@ -16,11 +16,11 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
     The kernel is stationary: ``moves[g]`` holds generator g's integer atom moves
     at every level and ``weights[g]`` its atom weights; ``bounds[k] = (lo, length)``:
     the states stored at level k; ``u``: the last level's values.  ``rule`` is
-    ``np.greater`` (max), ``np.less`` (min) or a fixed policy's per-level
-    ``(choices, designated generators)``; a fixed level evaluates only the
-    generators it designates, so a state designating none keeps another's value.
-    With ``absorb`` (max or min), a move off level k's stored states reads one
-    float, which follows the same recursion.  ``record`` gets the argmax per
+    ``np.greater`` (max), ``np.less`` (min) or a fixed policy's per-level choice
+    arrays over the stored states: every level sweeps all generators, and a state
+    keeps generator 0's candidate unless its choice names a later one.  With
+    ``absorb`` (max or min), a move off level k's stored states reads one float,
+    which follows the same recursion.  ``record`` gets the argmax per
     level and ``visit(k, u)`` every level.  The order is fixed (states,
     generators, then atoms in increasing-point order), so results are bitwise
     reproducible.
@@ -39,7 +39,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
         if record is not None:
             arg = record[k - 1] = np.zeros(len_prev, dtype=dtype)
         best = best_absorb = None
-        for g in rule[k - 1][1] if fixed else range(len(weights)):
+        for g in range(len(weights)):
             gm, gw = moves[g], weights[g]
             cand = None
             for w, c in zip(gw, gm):
@@ -54,7 +54,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
             if best is None:
                 best = cand
             else:  # best and cand are this level's own arrays, so update in place
-                better = rule[k - 1][0] == g if fixed else rule(cand, best)
+                better = rule[k - 1] == g if fixed else rule(cand, best)
                 np.putmask(best, better, cand)
                 if record is not None:
                     np.putmask(arg, better, g)

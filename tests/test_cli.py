@@ -155,11 +155,14 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("policy", ["robust", {"constant": 1}])
     def test_simulate_sweeps_the_lattice_once(self, tmp_path, policy):
-        # robust: the sweep that extracts the policy; constant: its policy_value
+        # robust: the sweep that extracts the policy; constant: the sweep of its
+        # generator alone, with no policy_value replay
         payload = dict(PAIR_SET, function={"kind": "abs"}, n=6, paths=40, policy=policy)
-        with mock.patch.object(lattice_dp, "_sweep", wraps=lattice_dp._sweep) as sweep:
+        with mock.patch.object(lattice_dp, "_sweep", wraps=lattice_dp._sweep) as sweep, \
+                mock.patch.object(lattice_dp, "policy_value", wraps=lattice_dp.policy_value) as replay:
             assert run(tmp_path, "simulate", payload) == 0
-        assert sweep.call_count == 1
+        assert sweep.call_count == 1 and replay.call_count == 0
+        assert not hasattr(cli, "policy_value")
 
     def test_simulate_constant_policy(self, tmp_path):
         payload = dict(
@@ -444,6 +447,16 @@ class TestExitCodes:
         proc = run_process(tmp_path, "simulate", payload)
         assert proc.returncode == 1, proc.stderr
         assert "error: BAD_HORIZON:" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("policy", [{"constant": 0}, "robust"])
+    def test_simulate_unbounded_function_is_refused(self, tmp_path, policy):
+        # both policies are valued by an upper sweep (robust_value, or upper_value
+        # on generator g alone), which takes only bounded functions when normalized
+        payload = dict(PAIR_SET, function={"kind": "square"}, n=3, paths=9, policy=policy)
+        proc = run_process(tmp_path, "simulate", payload)
+        assert proc.returncode == 1, proc.stderr
+        assert "error: UNBOUNDED_F:" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "simulate.csv").exists()
 
     def test_simulate_draws_beyond_the_budget_are_refused(self, tmp_path):
         payload = dict(PAIR_SET, function={"kind": "abs"}, n=3, paths=10**12, policy={"constant": 0})

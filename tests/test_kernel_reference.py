@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sublinexp import (
+    AmbiguitySet,
     PathEvent,
     capacity,
     constant_policy,
@@ -82,6 +83,22 @@ def tie_prone_functions(draw):
     xs = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True))
     ys = draw(st.lists(st.integers(-4, 4), min_size=len(xs), max_size=len(xs)))
     return piecewise_linear([(x / 4, y / 4) for x, y in zip(sorted(xs), ys)])
+
+
+@st.composite
+def sparse_sets(draw):
+    """``ambiguity_sets`` with zero-weight atoms, which may widen the move hull,
+    and point masses mixed in."""
+    set_ = draw(ambiguity_sets())
+    origin, step = set_.lattice.origin, set_.lattice.step
+    gens = [list(zip(g.points, g.weights)) for g in set_.generators]
+    for atoms in gens:
+        if draw(st.booleans()):
+            atoms.append((float((origin + draw(st.integers(-4, 4))) * step), 0.0))
+    for _ in range(draw(st.integers(0, 2))):
+        mass = [(float((origin + draw(st.integers(-3, 3))) * step), 1.0)]
+        gens.insert(draw(st.integers(0, len(gens))), mass)
+    return make_set(*gens, step=step, origin=origin)
 
 
 class TestAgainstTheReference:
@@ -154,8 +171,8 @@ class TestAgainstTheReference:
     @settings(max_examples=200, deadline=None)
     @given(ambiguity_sets(), st.integers(1, 6), st.data())
     def test_fixed_choices_among_every_generator(self, set_, n, data):
-        # the package designates at a one-state level only the generator chosen
-        # there; here every level sweeps all generators and the choice must win
+        # every generator is swept at every level and the choice must win; -1
+        # keeps generator 0's candidate, on numpy levels and on one-state levels
         weights = [gen.weights for gen in set_.generators]
         count = len(weights)
         still = tuple((0,) * len(gc) for gc in set_.coords)
@@ -165,9 +182,9 @@ class TestAgainstTheReference:
         ]
         for moves, b in cases:
             rule = [
-                (np.array(data.draw(st.lists(
+                np.array(data.draw(st.lists(
                     st.integers(-1, count - 1), min_size=b[k - 1][1], max_size=b[k - 1][1]
-                )), dtype=np.int8), list(range(count)))
+                )), dtype=np.int8)
                 for k in range(1, n + 1)
             ]
             last = np.array(data.draw(st.lists(
@@ -189,6 +206,19 @@ def test_long_chain_of_one_state_levels(side):
     got, want = on_both(lambda: capacity(set_, 2000, event, side))
     assert got.hex() == want.hex()
     assert 0.0 < got < 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_sets(), st.integers(1, 24), tie_prone_functions(), st.data())
+def test_constant_policy_is_its_generators_own_sweep(set_, n, f, data):
+    # P_g^n is one measure of the set: its exact value is generator g's sweep
+    # alone, which the CLI reports for {"constant": g}
+    g = data.draw(st.integers(0, len(set_.generators) - 1))
+    alone = AmbiguitySet(set_.lattice, (set_.generators[g],))
+    policy = constant_policy(set_, n, g)
+    for normalize in (True, False):
+        want = policy_value(set_, policy, n, f, normalize)
+        assert upper_value(alone, n, f, normalize).hex() == want.hex()
 
 
 @settings(max_examples=100, deadline=None)

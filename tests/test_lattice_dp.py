@@ -29,6 +29,8 @@ from sublinexp import (
 )
 from sublinexp import lattice_dp
 from sublinexp.cli import main
+from sublinexp.counterexamples import heavy_lln_value
+from sublinexp.inequalities import capacity_product_identity, ottaviani_check
 from sublinexp.lattice_dp import (
     EVENT_KINDS,
     _FLAG_KINDS,
@@ -37,6 +39,8 @@ from sublinexp.lattice_dp import (
     reachable_masks,
 )
 from sublinexp.lln import lln_sweep
+from sublinexp.montecarlo import SimConfig
+from sublinexp.oracle import enumerate_selections_value
 
 from conftest import make_set, random_pwl, random_set
 
@@ -289,8 +293,8 @@ def all_generator_policy_value(set_, policy, n, f, normalize=True):
     return float(u[0 - bounds[0][0]])
 
 
-class TestDesignatedGeneratorsOnly:
-    """``policy_value`` sweeps only the generators a level designates at reachable states."""
+class TestFixedPolicyRule:
+    """``policy_value`` gives each reachable state its designated generator's candidate."""
 
     def test_robust_and_constant_policies(self):
         rng = np.random.default_rng(5150)
@@ -335,11 +339,54 @@ class TestDesignatedGeneratorsOnly:
                 policy_value(biased_pair, KernelPolicy(n, ()), n, ABS_CLIPPED)
         assert e.value.code == "BAD_HORIZON"
 
+    def test_level_count_is_the_horizon(self, biased_pair):
+        levels = constant_policy(biased_pair, 3, 0).levels
+        for n, wrong in ((3, ()), (3, levels[:2]), (2, levels), (4, levels)):
+            with pytest.raises(InputError) as e:
+                KernelPolicy(n, wrong)
+            assert e.value.code == "BAD_POLICY"
+        assert KernelPolicy(3, levels).n == 3
+
+    def test_unbounded_function_needs_moment_mode(self, biased_pair):
+        pol = constant_policy(biased_pair, 4, 1)
+        with pytest.raises(InputError) as e:
+            policy_value(biased_pair, pol, 4, SQUARE)
+        assert e.value.code == "UNBOUNDED_F"
+        assert policy_value(biased_pair, pol, 4, SQUARE, normalize=False) == upper_value(
+            AmbiguitySet(biased_pair.lattice, biased_pair.generators[1:]), 4, SQUARE, False
+        )
+
     def test_first_reachable_gap_is_named(self, coin_or_rest):
         pol = KernelPolicy.from_entries(3, {(1, 0): 1, (2, -1): 1, (2, 1): 0, (3, 0): 5})
         with pytest.raises(InputError) as e:
             policy_value(coin_or_rest, pol, 3, ABS_CLIPPED)
         assert e.value.message == "reachable state 0 at level 2 has no generator"
+
+
+HORIZON_ENTRY_POINTS = {
+    "upper_value": lambda s, n: upper_value(s, n, ABS_CLIPPED),
+    "robust_value": lambda s, n: robust_value(s, n, ABS_CLIPPED),
+    "policy_value": lambda s, n: policy_value(s, constant_policy(s, 2, 0), n, ABS_CLIPPED),
+    "capacity": lambda s, n: capacity(s, n, PathEvent("FINAL_ABS_GE", 1)),
+    "final_abs_capacities": lambda s, n: final_abs_capacities(s, n, 1),
+    "KernelPolicy": lambda s, n: KernelPolicy(n, ()),
+    "from_entries": lambda s, n: KernelPolicy.from_entries(n, {}),
+    "constant_policy": lambda s, n: constant_policy(s, n, 0),
+    "SimConfig": lambda s, n: SimConfig(constant_policy(s, 2, 0), s, n, 10, 0),
+    "ottaviani_check": lambda s, n: ottaviani_check(s, n, 1.0, 0.5),
+    "capacity_product_identity": lambda s, n: capacity_product_identity(s, n, 1),
+    "brute_force_value": lambda s, n: brute_force_value(s, n, ABS_CLIPPED),
+    "enumerate_selections_value": lambda s, n: enumerate_selections_value(s, n, ABS_CLIPPED),
+    "heavy_lln_value": lambda s, n: heavy_lln_value(50, n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, True])
+@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRY_POINTS))
+def test_horizon_is_an_integer_from_one(biased_pair, entry, n):
+    with pytest.raises(InputError) as e:
+        HORIZON_ENTRY_POINTS[entry](biased_pair, n)
+    assert e.value.code == ("BAD_FAMILY" if entry == "heavy_lln_value" else "BAD_HORIZON")
 
 
 class TestSharedReachability:
@@ -472,13 +519,12 @@ class TestReachableMasks:
             assert e.value.message == f"{charge} level-states exceed budget 1000"
             assert peak < 2**20
 
-    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
-    def test_reachable_choices_keep_narrow_dtypes(self, n, dtype):
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_reachable_choices_keep_narrow_dtypes(self, n):
         s = make_set([(-1, 0.5), (1, 0.5)], [(-1, 0.25), (1, 0.75)])
         pol = robust_value(s, n, tent(0.25, 0.25)).policy
-        _, level, chosen, _, masks = lattice_dp._reachable_choices(s, pol, n)
-        assert level.dtype == dtype and chosen.dtype == np.int8
-        assert level.tolist() == [k for k in range(n) for _ in range(k + 1)]
+        _, chosen, _, masks = lattice_dp._reachable_choices(s, pol, n)
+        assert chosen.dtype == np.int8
         assert len(chosen) == sum(int(mask.sum()) for mask in masks[:n])
 
 
