@@ -266,9 +266,7 @@ def heavy_lln_value(truncation: int, n: int, state_budget: int = DEFAULT_STATE_B
     The weights are not :meth:`ParametricFamily.generator`'s: its
     ``float(Fraction(k - 1, k))`` differs from ``1.0 - 1.0/k`` at k = 3, 7, 19, ...
     """
-    K = truncation
-    if K < 1:
-        raise InputError("BAD_FAMILY", "need truncation >= 1")
+    K = check_horizon(truncation, "BAD_FAMILY", "truncation")
     check_horizon(n, "BAD_FAMILY")
     j = (n - 1) // K  # levels 1..j store k*K + 1 states, the later ones n
     level_states = (n + 1) + K * j * (j + 1) // 2 + (n - j) * (n - 1)

@@ -47,10 +47,13 @@ def check_budget(
     return count
 
 
-def check_horizon(n, code: str = "BAD_HORIZON") -> int:
-    """``n``, or an :class:`InputError` unless it is an integer >= 1 (a bool is not)."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise InputError(code, f"horizon must be an integer >= 1, got {n!r}")
+def check_horizon(n, code: str = "BAD_HORIZON", name: str = "horizon", least: int = 1) -> int:
+    """``n``, or an :class:`InputError` unless it is an integer >= ``least`` (a bool is not).
+
+    Truncation and clamp levels follow the same rule under their own ``name``.
+    """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < least:
+        raise InputError(code, f"{name} must be an integer >= {least}, got {n!r}")
     return n
 
 

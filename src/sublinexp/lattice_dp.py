@@ -21,6 +21,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -85,7 +86,7 @@ class KernelPolicy:
         if len(self.levels) != check_horizon(self.n):
             raise InputError("BAD_POLICY", f"{len(self.levels)} levels for horizon {self.n}")
         for _, choice in self.levels:
-            choice.flags.writeable = False
+            choice.setflags(write=False)  # half the cost of assigning flags.writeable
 
     @classmethod
     def from_entries(cls, n: int, entries: Mapping[Tuple[int, int], int]) -> "KernelPolicy":
@@ -171,41 +172,153 @@ def _level_states(set_: AmbiguitySet, n: int, hold_zero: bool = False) -> int:
     return (n + 1) + span * n * (n + 1) // 2
 
 
-def reachable_masks(set_: AmbiguitySet, n: int):
-    """Boolean reachability per level over the level's state range.
+def _moves(set_: AmbiguitySet) -> Tuple[int, ...]:
+    """The distinct moves of ``set_``'s generators, increasing."""
+    return tuple(sorted({c for gc in set_.coords for c in gc}))
 
-    Reachability depends only on the distinct moves and the horizon, and the
-    last result is kept: the policy builders and ``simulate`` of one job share
-    one forward pass.  The masks are read-only.
-    """
-    return _reachability(tuple(sorted({c for gc in set_.coords for c in gc})), n)
+
+def _reach(set_: AmbiguitySet, n: int):
+    """``(bounds, d, holes, flat)`` of :func:`_reachability` on ``set_``'s moves: the
+    last result is kept, so the policy builders and ``simulate`` of a job share it."""
+    return _reachability(_moves(set_), n)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+_NO_HOLES = _read_only(np.zeros(0, dtype=np.intp))
+
+
+def _zero_bits(bits: int, width: int) -> List[int]:
+    """The positions below ``width`` of the bits of ``bits`` that are 0, increasing."""
+    free = ~bits & ((1 << width) - 1)
+    out = []
+    while free:
+        low = free & -free
+        out.append(low.bit_length() - 1)
+        free ^= low
+    return out
 
 
 @functools.lru_cache(maxsize=1)
 def _reachability(moves: Tuple[int, ...], n: int):
-    bounds = tuple(_move_bounds(moves[0], moves[-1], n))
-    masks = tuple(np.zeros(length, dtype=bool) for _, length in bounds)
-    masks[0][0 - bounds[0][0]] = True
-    for k in range(1, n + 1):  # OR is idempotent, so each distinct move shifts once
-        lo_prev, len_prev = bounds[k - 1]
-        lo_k, _ = bounds[k]
-        for c in moves:
-            a = lo_prev + c - lo_k
-            masks[k][a : a + len_prev] |= masks[k - 1]
-    for mask in masks:
-        mask.flags.writeable = False
-    return bounds, masks
+    """Level k's reachable states, the k-fold sumset of ``moves``, in closed form.
+
+    With moves a = c_0 < ... < c_m = b, d = gcd(c_i - a) and s = (b - a) / d,
+    level k's states lie on the progression k a + d j, j = 0..k s, of the hull
+    [k a, k b]; the reachable j are the k-fold sumset of T = {(c_i - a) / d}.
+    Every j in [(s - 1)^2, k s - (s - 1)^2] is reachable: T generates Z/s, so
+    j's residue is that of a sum y of c <= s - 1 elements of T inside (0, s),
+    where c <= y <= c (s - 1), and j = y + q s with q >= 0 summands s and
+    k - c - q >= 0 zeros.  The unreachable j, the holes, thus lie fewer than
+    E = (s - 1)^2 + 1 steps from either end (Nathanson, "Sums of finite sets of
+    integers", Amer. Math. Monthly 79, 1972, for the form).  The low window,
+    j < E, of level k is a function of level k - 1's (no summand is negative),
+    as is the high window, k s - j < E, and both only grow (0 and s are in T):
+    once both repeat and k s >= 2E - 1 every later level has one pattern.  The
+    windows are stepped as Python-int bit sets until then, about 2s levels, and
+    no level is built.
+
+    Returns ``(bounds, d, holes, flat)``: ``bounds[k] = (lo, length)`` as in
+    :func:`_level_bounds`; ``holes[k]``, for k = 0..n, the progression indices j
+    of level k's holes (state ``lo + d j``) in increasing order of j, those near
+    the top counted from the end (-1 is j = k s), so every level from the
+    repeat on shares one array; with d > 1 every state off the progression is
+    unreachable too.  ``flat`` lists the holes of levels 0..n - 1, the pre-step
+    states of steps 1..n, as indices into their progressions laid end to end,
+    increasing.  The arrays are read-only.
+    """
+    a = moves[0]
+    bounds = tuple(_move_bounds(a, moves[-1], n))
+    d = math.gcd(*(c - a for c in moves)) or 1  # one move: one state per level
+    ts = [(c - a) // d for c in moves]
+    s = ts[-1]
+    E = (s - 1) ** 2 + 1
+    full = (1 << E) - 1
+    low = high = 1  # bit j: the state j steps from the low (high) end is reachable
+    holes, steady = [_NO_HOLES], n + 1
+    for k in range(1, n + 1):
+        prev = low, high
+        low = functools.reduce(operator.or_, [low << t for t in ts]) & full
+        high = functools.reduce(operator.or_, [high << (s - t) for t in ts]) & full
+        top = k * s
+        # the low window's holes, then the top's beyond it, counted from the end
+        level = _zero_bits(low, min(E, top + 1))
+        level += [-1 - h for h in reversed(_zero_bits(high, min(E, max(0, top + 1 - E))))]
+        holes.append(_read_only(np.array(level, dtype=np.intp)) if level else _NO_HOLES)
+        if (low, high) == prev and (top >= 2 * E - 1 or s == 0):  # s = 0: one state a level
+            steady = k
+            holes += holes[-1:] * (n - k)
+            break
+    pieces = [h % (s * k + 1) + (s * k * (k - 1) // 2 + k)  # + where level k starts
+              for k, h in enumerate(holes[: min(steady, n)]) if len(h)]
+    if steady < n and len(holes[-1]):
+        ks = np.arange(steady, n)[:, None]
+        pieces.append((holes[-1] % (s * ks + 1) + (s * ks * (ks - 1) // 2 + ks)).ravel())
+    flat = _read_only(np.concatenate(pieces)) if pieces else _NO_HOLES
+    return bounds, d, tuple(holes), flat
+
+
+def reachable_masks(set_: AmbiguitySet, n: int):
+    """``(bounds, masks)``: boolean reachability per level k = 0..n over its stored states.
+
+    A thin view of the holes of :func:`_reachability`, which no sweep or
+    simulation needs: ``policy_value`` builds it only to name a gap.  The last
+    result is kept, and the masks are read-only.
+    """
+    return _dense_masks(_moves(set_), n)
+
+
+@functools.lru_cache(maxsize=1)
+def _dense_masks(moves: Tuple[int, ...], n: int):
+    bounds, d, holes, _ = _reachability(moves, n)
+    masks = []
+    for (_, length), h in zip(bounds, holes):
+        mask = np.zeros(length, dtype=bool)
+        mask[::d] = True
+        mask[::d][h] = False
+        masks.append(_read_only(mask))
+    return bounds, tuple(masks)
+
+
+def _unmark(levels, d: int, holes) -> None:
+    """Write -1 at the unreachable states of each level's choices, ``levels[k]`` over
+    level k's stored states: the holes, and with d > 1 every state off the progression."""
+    for choice, h in zip(levels, holes):
+        for r in range(1, d):
+            choice[r::d] = -1
+        choice[::d][h] = -1
+
+
+def _constant_levels(set_: AmbiguitySet, n: int, g: int):
+    """``(lo, choice)`` per level 1..n designating generator ``g`` at every reachable
+    state and -1 elsewhere: views of one array over the levels laid end to end."""
+    bounds, d, holes, flat = _reach(set_, n)
+    ends = list(accumulate(length for _, length in bounds[:n]))
+    choices = np.full(ends[-1], g, dtype=_choice_dtype(len(set_.generators)))
+    levels = tuple((lo, choices[end - length : end]) for (lo, length), end in zip(bounds, ends))
+    if d == 1:  # the progressions are the levels: the flat holes index them
+        choices[flat] = -1
+    else:
+        _unmark([choice for _, choice in levels], d, holes)
+    return levels
 
 
 def _reachable_choices(set_: AmbiguitySet, policy: KernelPolicy, n: int):
-    """``(choices, chosen, bounds, masks)`` of ``policy`` on ``set_``'s reachability.
+    """``(choices, chosen, bounds)`` of ``policy`` on ``set_``'s reachability.
 
-    ``choices[k - 1]`` covers level k's states; ``chosen`` lists the choice at
-    every reachable state of levels 1..n, level-major.
+    ``choices[k - 1]`` covers level k's states.  ``chosen`` lays the choices at
+    the progressions of levels 1..n end to end, each hole overwritten by the
+    choice at level 1's one state, 0: its distinct values are the choices at
+    the reachable states.
     """
-    bounds, masks = reachable_masks(set_, n)
+    bounds, d, _, flat = _reach(set_, n)
     choices = [policy.level_choices(k, *bounds[k - 1]) for k in range(1, n + 1)]
-    return choices, np.concatenate(choices)[np.concatenate(masks[:n])], bounds, masks
+    chosen = np.concatenate(choices if d == 1 else [c[::d] for c in choices])
+    chosen[flat] = chosen[0]
+    return choices, chosen, bounds
 
 
 def _invalid(choice, generator_count: int):
@@ -343,7 +456,7 @@ def upper_value(
     normalize: bool = True,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> float:
-    """``robust_value(...).value`` bitwise, without the policy or reachability masks."""
+    """``robust_value(...).value`` bitwise, without the policy or reachability."""
     bounds, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
     return _sweep(set_.coords, _weights(set_), bounds, u, np.greater)
 
@@ -362,11 +475,11 @@ def robust_value(
     worst-case kernel policy.  :func:`upper_value` computes the value alone.
     """
     bounds, state_count, u = _upper_terminal(set_, n, f, normalize, state_budget)
-    _, masks = reachable_masks(set_, n)
+    _, d, holes, flat = _reach(set_, n)
     args = [None] * n
     value = _sweep(set_.coords, _weights(set_), bounds, u, np.greater, record=args)
-    for k, arg in enumerate(args):
-        arg[~masks[k]] = -1
+    if d > 1 or len(flat):
+        _unmark(args, d, holes)
     levels = tuple((bounds[k][0], arg) for k, arg in enumerate(args))
     return RobustResult(value, KernelPolicy(n, levels), state_count)
 
@@ -390,8 +503,9 @@ def policy_value(
     if policy.n != n:
         raise InputError("POLICY_GAP", f"policy is for horizon {policy.n}, not {n}")
     count = len(set_.generators)
-    choices, chosen, _, masks = _reachable_choices(set_, policy, n)
+    choices, chosen, _ = _reachable_choices(set_, policy, n)
     if _invalid(chosen, count).any():  # name the first gap, level by level
+        _, masks = reachable_masks(set_, n)
         for k, (choice, mask) in enumerate(zip(choices, masks), start=1):
             gap = mask & _invalid(choice, count)
             if gap.any():

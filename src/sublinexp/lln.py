@@ -21,7 +21,7 @@ import numpy as np
 
 from .ambiguity import AmbiguitySet, sublinear_expect
 from .counterexamples import ParametricFamily, check_truncation, family_expect
-from .errors import InputError
+from .errors import InputError, check_horizon
 from .functions import TestFunction, clamp, column, psi_fn
 from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, upper_value
 
@@ -80,8 +80,7 @@ class TruncatedMeans:
 
 
 def truncated_means(source: Source, n: int) -> TruncatedMeans:
-    if n < 1:
-        raise InputError("BAD_LEVEL", "truncation level must be >= 1")
+    check_horizon(n, "BAD_LEVEL", "truncation level")
     f = clamp(n)
     if isinstance(source, ParametricFamily):
         values = source.per_index_expectations(f)
@@ -128,8 +127,7 @@ def peng_condition_report(source: Source, n_max: int) -> ConditionReport:
     within 1e-9 ("detected stable"); heavy-tailed families never get a
     false stable flag at that tolerance.
     """
-    if n_max < 2:
-        raise InputError("BAD_LEVEL", "n_max must be >= 2")
+    check_horizon(n_max, "BAD_LEVEL", "n_max", least=2)
     warnings: List[str] = []
     rows: List[ConditionRow] = []
     if isinstance(source, ParametricFamily):
@@ -228,6 +226,7 @@ def chebyshev_bound_check(
     X~ is the coordinate clamped to [-n, n]; E[] is the upper
     expectation of its square over the generators.
     """
+    check_horizon(n)
     if not eps > 0:  # NaN too
         raise InputError("BAD_EPS", "eps must be positive")
     mu_upper = truncated_means(set_, n).mu_upper

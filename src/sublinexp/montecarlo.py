@@ -14,7 +14,6 @@ thread counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -24,12 +23,11 @@ from .functions import TestFunction
 from .lattice_dp import (
     DEFAULT_STATE_BUDGET,
     KernelPolicy,
-    _choice_dtype,
+    _constant_levels,
     _invalid,
     _level_states,
     _reachable_choices,
     _terminal_values,
-    reachable_masks,
 )
 
 __all__ = ["SimConfig", "SimResult", "simulate", "constant_policy"]
@@ -79,13 +77,7 @@ def constant_policy(
     if not 0 <= generator_index < len(set_.generators):
         raise InputError("POLICY_GAP", f"generator index {generator_index} out of range")
     check_budget(_level_states(set_, n), state_budget)
-    bounds, masks = reachable_masks(set_, n)
-    dtype = _choice_dtype(len(set_.generators))
-    flat = np.where(np.concatenate(masks[:n]), generator_index, -1).astype(dtype)
-    ends = accumulate(length for _, length in bounds[:n])
-    return KernelPolicy(
-        n, tuple((lo, flat[end - length : end]) for (lo, length), end in zip(bounds, ends))
-    )
+    return KernelPolicy(n, _constant_levels(set_, n, generator_index))
 
 
 def simulate(
@@ -105,16 +97,17 @@ def simulate(
     set_ = config.set
     n, m = config.n, config.paths
     check_budget(m * n, state_budget, "draws")
-    choices, chosen, bounds, _ = _reachable_choices(set_, config.policy, n)
+    choices, chosen, bounds = _reachable_choices(set_, config.policy, n)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     rows = max(1, _BLOCK_DRAWS // n)
     # row blocks drawn in turn are the rows of one (m, n) draw
     blocks = ((r, rng.random((min(rows, m - r), n))) for r in range(0, m, rows))
-    g = int(chosen[0])
-    if chosen.min() == chosen.max() and 0 <= g < len(set_.generators):
-        rel = _iid_sums(set_, g, n, m, blocks)
+    low, high = int(chosen.min()), int(chosen.max())
+    gap = low < 0 or high >= len(set_.generators)
+    if low == high and not gap:
+        rel = _iid_sums(set_, low, n, m, blocks)
     else:
-        rel = _walk(set_, choices, bounds, n, m, blocks)
+        rel = _walk(set_, choices, bounds, n, m, blocks, gap)
     s = rel + bounds[n][0]
     vals = _terminal_values(set_, n, f, normalize, s)
     estimate = float(np.add.reduce(vals) / m)
@@ -143,14 +136,16 @@ def _iid_sums(set_, g, n, m, blocks):
     return rel
 
 
-def _walk(set_, choices, bounds, n, m, blocks):
+def _walk(set_, choices, bounds, n, m, blocks, gap):
     """Terminal states of a per-level walk through the policy's choices.
 
     Each draw is kept, level-major and in the smallest unsigned dtype, as its
     rank: the number of ``cuts``, the distinct inner cumulative weights of all
     generators, at or below it.  A generator's own inner weights are cuts, so
     the rank fixes its atom: lut[g * R + r] is g's coordinate for rank r, less
-    min_coord, the step of each level's lo.
+    min_coord, the step of each level's lo.  A visited state is reachable, so
+    only with a ``gap``, a reachable choice naming no generator, does a level
+    test its visited choices, to name the first visited gap.
     """
     inner = [np.cumsum(gen.weight_array)[:-1] for gen in set_.generators]
     cuts = np.array(sorted(set(np.concatenate(inner).tolist())))  # np.unique imports numpy.ma
@@ -171,10 +166,10 @@ def _walk(set_, choices, bounds, n, m, blocks):
         ranks[:, r : r + len(u)] = rank.T
     rel = np.zeros(m, dtype=np.intp)  # S_k minus level k's lo
     for k in range(1, n + 1):
-        # widen before scaling: an int8 choice times R overflows; every path
-        # stays inside the level's bounds, so rel indexes the level's states
-        base = (choices[k - 1].astype(np.intp) * R)[rel]
-        if base.view(np.uintp).max() >= top:  # -1 wraps above every index
+        # scale in intp: an int8 choice times R overflows; every path stays
+        # inside the level's bounds, so rel indexes the level's states
+        base = np.multiply(choices[k - 1], R, dtype=np.intp)[rel]
+        if gap and base.view(np.uintp).max() >= top:  # -1 wraps above every index
             bad = bounds[k - 1][0] + int(rel[np.argmax(_invalid(base, top))])
             raise InputError(
                 "POLICY_GAP", f"visited state {bad} at level {k} has no generator"

@@ -1,0 +1,80 @@
+"""The dense forward pass, kept as the reference for ``lattice_dp._reachability``.
+
+Level k's mask is built from level k - 1's by one OR-shift per distinct move,
+and the callers that read reachability are rebuilt on these masks as they
+were before the holes: the -1 marks of a robust policy, ``constant_policy``
+and the i.i.d. test of ``simulate``.  ``tests/test_reachability.py`` checks
+that the package gives the same holes, policies and estimates bit for bit.
+"""
+
+import numpy as np
+
+from sublinexp import KernelPolicy, montecarlo
+from sublinexp.lattice_dp import (
+    _choice_dtype,
+    _move_bounds,
+    _sweep,
+    _terminal_values,
+    _upper_terminal,
+    _weights,
+)
+
+
+def dense_masks(moves, n):
+    """``(bounds, masks)``: level k's reachable states among its stored ones, k = 0..n."""
+    moves = sorted(set(moves))
+    bounds = tuple(_move_bounds(moves[0], moves[-1], n))
+    masks = tuple(np.zeros(length, dtype=bool) for _, length in bounds)
+    masks[0][0 - bounds[0][0]] = True
+    for k in range(1, n + 1):  # OR is idempotent, so each distinct move shifts once
+        lo_prev, len_prev = bounds[k - 1]
+        lo_k, _ = bounds[k]
+        for c in moves:
+            a = lo_prev + c - lo_k
+            masks[k][a : a + len_prev] |= masks[k - 1]
+    return bounds, masks
+
+
+def set_masks(set_, n):
+    return dense_masks([c for gc in set_.coords for c in gc], n)
+
+
+def robust_policy(set_, n, f, normalize=True):
+    """The argmax records of the robust sweep, -1 wherever the mask is False."""
+    bounds, _, u = _upper_terminal(set_, n, f, normalize, 10**12)
+    args = [None] * n
+    _sweep(set_.coords, _weights(set_), bounds, u, np.greater, record=args)
+    _, masks = set_masks(set_, n)
+    for k, arg in enumerate(args):
+        arg[~masks[k]] = -1
+    return KernelPolicy(n, tuple((bounds[k][0], arg) for k, arg in enumerate(args)))
+
+
+def constant_policy(set_, n, g):
+    """One ``np.where`` over the concatenated masks, each level a view of it."""
+    bounds, masks = set_masks(set_, n)
+    flat = np.where(np.concatenate(masks[:n]), g, -1).astype(_choice_dtype(len(set_.generators)))
+    ends = np.cumsum([length for _, length in bounds[:n]])
+    return KernelPolicy(
+        n, tuple((lo, flat[end - length : end]) for (lo, length), end in zip(bounds, ends))
+    )
+
+
+def simulate(config, f, normalize=True):
+    """``(estimate, stderr)`` of ``montecarlo.simulate`` with the i.i.d. test made on the
+    choices the masks select, and the walk testing every visited level."""
+    set_, n, m = config.set, config.n, config.paths
+    bounds, masks = set_masks(set_, n)
+    choices = [config.policy.level_choices(k, *bounds[k - 1]) for k in range(1, n + 1)]
+    chosen = np.concatenate(choices)[np.concatenate(masks[:n])]
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    rows = max(1, montecarlo._BLOCK_DRAWS // n)
+    blocks = ((r, rng.random((min(rows, m - r), n))) for r in range(0, m, rows))
+    g = int(chosen[0])
+    if chosen.min() == chosen.max() and 0 <= g < len(set_.generators):
+        rel = montecarlo._iid_sums(set_, g, n, m, blocks)
+    else:
+        rel = montecarlo._walk(set_, choices, bounds, n, m, blocks, True)
+    vals = _terminal_values(set_, n, f, normalize, rel + bounds[n][0])
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    return float(np.add.reduce(vals) / m), stderr

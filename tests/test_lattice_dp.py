@@ -38,7 +38,7 @@ from sublinexp.lattice_dp import (
     final_abs_capacities,
     reachable_masks,
 )
-from sublinexp.lln import lln_sweep
+from sublinexp.lln import chebyshev_bound_check, lln_sweep, peng_condition_report, truncated_means
 from sublinexp.montecarlo import SimConfig
 from sublinexp.oracle import enumerate_selections_value
 
@@ -378,15 +378,35 @@ HORIZON_ENTRY_POINTS = {
     "brute_force_value": lambda s, n: brute_force_value(s, n, ABS_CLIPPED),
     "enumerate_selections_value": lambda s, n: enumerate_selections_value(s, n, ABS_CLIPPED),
     "heavy_lln_value": lambda s, n: heavy_lln_value(50, n),
+    "chebyshev_bound_check": lambda s, n: chebyshev_bound_check(s, n, 0.5),
+    # truncation and clamp levels follow the horizon rule under their own codes
+    "heavy_lln_value truncation": lambda s, n: heavy_lln_value(n, 5),
+    "truncated_means": lambda s, n: truncated_means(s, n),
+    "peng_condition_report": lambda s, n: peng_condition_report(s, n),
+}
+HORIZON_CODES = {
+    "heavy_lln_value": "BAD_FAMILY",
+    "heavy_lln_value truncation": "BAD_FAMILY",
+    "truncated_means": "BAD_LEVEL",
+    "peng_condition_report": "BAD_LEVEL",
 }
 
 
-@pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, True])
+@pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, 3.0, True])
 @pytest.mark.parametrize("entry", sorted(HORIZON_ENTRY_POINTS))
 def test_horizon_is_an_integer_from_one(biased_pair, entry, n):
     with pytest.raises(InputError) as e:
         HORIZON_ENTRY_POINTS[entry](biased_pair, n)
-    assert e.value.code == ("BAD_FAMILY" if entry == "heavy_lln_value" else "BAD_HORIZON")
+    assert e.value.code == HORIZON_CODES.get(entry, "BAD_HORIZON")
+
+
+def test_levels_from_one_and_two_are_accepted(biased_pair):
+    assert heavy_lln_value(1, 5) == 0.0 < heavy_lln_value(3, 5)
+    assert truncated_means(biased_pair, 1).n == 1
+    assert len(peng_condition_report(biased_pair, 2).rows) == 2
+    with pytest.raises(InputError) as e:
+        peng_condition_report(biased_pair, 1)
+    assert str(e.value) == "BAD_LEVEL: n_max must be an integer >= 2, got 1"
 
 
 class TestSharedReachability:
@@ -414,6 +434,15 @@ class TestSharedReachability:
         assert reachable_masks(biased_pair, 5)[1] is masks
         with pytest.raises(ValueError):
             masks[2][0] = True
+
+    def test_holes_are_read_only(self):
+        s = make_set([(-1, 0.5), (2, 0.5)], [(0, 1.0)])  # a hole at every level from 1
+        _, _, holes, flat = lattice_dp._reach(s, 40)
+        assert len(flat) == 39 and all(len(h) == 1 for h in holes[1:])
+        assert all(h is holes[3] for h in holes[3:])  # from level 3 on, one pattern
+        for array in (flat, holes[1], holes[40]):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestOracleEquivalence:
@@ -521,11 +550,27 @@ class TestReachableMasks:
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_reachable_choices_keep_narrow_dtypes(self, n):
+        # steps of two: level k's progression holds k + 1 states, every one reachable
         s = make_set([(-1, 0.5), (1, 0.5)], [(-1, 0.25), (1, 0.75)])
         pol = robust_value(s, n, tent(0.25, 0.25)).policy
-        _, chosen, _, masks = lattice_dp._reachable_choices(s, pol, n)
+        choices, chosen, _ = lattice_dp._reachable_choices(s, pol, n)
         assert chosen.dtype == np.int8
-        assert len(chosen) == sum(int(mask.sum()) for mask in masks[:n])
+        assert len(chosen) == n * (n + 1) // 2
+        _, masks = reachable_masks(s, n)
+        assert np.array_equal(chosen, np.concatenate([c[m] for c, m in zip(choices, masks)]))
+
+    def test_reachable_choices_cover_the_holes(self):
+        # moves {-1, 0, 2}: state 2k - 1, just below level k's top, is a hole at
+        # every level k >= 1, and holds -1 in a robust policy
+        s = make_set([(-1, 0.5), (2, 0.5)], [(0, 1.0)])
+        n = 30
+        pol = robust_value(s, n, tent(0.25, 0.25)).policy
+        choices, chosen, _ = lattice_dp._reachable_choices(s, pol, n)
+        _, masks = reachable_masks(s, n)
+        reachable = np.concatenate([c[m] for c, m in zip(choices, masks[:n])])
+        assert (reachable >= 0).all() and (np.concatenate(choices) < 0).any()
+        assert len(chosen) == sum(len(c) for c in choices)
+        assert set(chosen.tolist()) == set(reachable.tolist())
 
 
 class TestUpperValue:
@@ -543,9 +588,9 @@ class TestUpperValue:
 
     def test_lln_sweep_and_oracle_build_no_masks(self, monkeypatch, biased_pair, tmp_path):
         def refuse(*args):
-            raise AssertionError("reachable_masks called")
+            raise AssertionError("reachability computed")
 
-        monkeypatch.setattr(lattice_dp, "reachable_masks", refuse)
+        monkeypatch.setattr(lattice_dp, "_reachability", refuse)
         f = tent(0.25, 0.25)
         report = lln_sweep(biased_pair, f, [4, 16, 64])
         assert [r.dp_value for r in report.rows] == [upper_value(biased_pair, n, f) for n in (4, 16, 64)]

@@ -423,7 +423,7 @@ class TestHorizonAndBudgets:
         n = 20
         need = robust_value(biased_pair, n, ABS_CLIPPED).state_count
         assert constant_policy(biased_pair, n, 1, state_budget=need).n == n
-        monkeypatch.setattr(montecarlo, "reachable_masks", refuse("reachable_masks"))
+        monkeypatch.setattr(montecarlo, "_constant_levels", refuse("_constant_levels"))
         with pytest.raises(BudgetError) as e:
             constant_policy(biased_pair, n, 1, state_budget=need - 1)
         assert e.value.code == "STATE_BUDGET_EXCEEDED"
