@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -34,12 +35,15 @@ def to_fraction(x: RationalLike) -> Fraction:
     1/10, not the nearest binary double), so lattice arithmetic behaves
     the way config files read.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
-        try:
-            return Fraction(repr(x) if isinstance(x, float) else x)
-        except (ValueError, ZeroDivisionError):  # inf, nan, "abc", "1/0"
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
+
+
+def _ratio(x: RationalLike) -> Tuple[int, int]:
+    """:func:`to_fraction` of ``x`` as a numerator and a denominator in lowest terms."""
+    if isinstance(x, (int, float, str, Fraction)) and not isinstance(x, bool):
+        try:  # a float through the C decimal parser
+            return (Decimal(repr(x)) if isinstance(x, float) else Fraction(x)).as_integer_ratio()
+        except (ArithmeticError, ValueError):  # inf, nan, "abc", "1/0"
             pass
     raise InputError("BAD_RATIONAL", f"cannot interpret {x!r} as a rational")
 
@@ -58,13 +62,16 @@ class LatticeSpec:
             raise InputError("BAD_LATTICE", "lattice step must be positive")
 
     def coordinate(self, point: RationalLike) -> int:
-        """Integer lattice coordinate of ``point``; OFF_LATTICE if not exact."""
-        q = (to_fraction(point) - self.origin * self.step) / self.step
-        if q.denominator != 1:
+        """Integer lattice coordinate of ``point``; OFF_LATTICE if not exact.  For
+        point num/den on step a/b it is (num*b - origin*a*den) / (den*a)."""
+        num, den = _ratio(point)
+        a, b = self.step.as_integer_ratio()
+        k, r = divmod(num * b - self.origin * a * den, den * a)
+        if r:
             raise InputError(
                 "OFF_LATTICE", f"point {point!r} is not an integer multiple of step {self.step}"
             )
-        return int(q)
+        return k
 
 
 @dataclass(frozen=True)

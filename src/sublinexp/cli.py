@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ambiguity import AmbiguitySet, sublinear_expect, validate_ambiguity_set
@@ -113,10 +112,12 @@ def load_config(command: str, args) -> Dict:
     cfg = {}
     if args.config is not None:
         try:
-            with open(args.config) as handle:
-                cfg = json.load(handle)
+            with open(args.config, "rb") as handle:
+                cfg = json.loads(handle.read().decode("utf-8"))
         except OSError as e:
             raise InputError("BAD_CONFIG", f"cannot read config: {e}") from None
+        except UnicodeDecodeError as e:
+            raise InputError("BAD_CONFIG", f"config is not valid UTF-8: {e}") from None
         except json.JSONDecodeError as e:
             raise InputError("BAD_CONFIG", f"config is not valid JSON: {e}") from None
         if not isinstance(cfg, dict):
@@ -412,9 +413,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(command, args)
         outcome = _COMMANDS[command][0](cfg)
-        out = Path(cfg["out"])
         for report in outcome.reports:
-            write_report(out, *report)
+            write_report(cfg["out"], *report)
         if not args.quiet:
             print(outcome.summary)
         if outcome.failure:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from sublinexp import (
     tent,
     validate_ambiguity_set,
 )
-from sublinexp.ambiguity import to_fraction
+from sublinexp.ambiguity import LatticeSpec, to_fraction
 from sublinexp.functions import pwl_add, pwl_negate, pwl_scale
 
 from conftest import make_set, random_pwl, random_set
@@ -89,6 +90,43 @@ class TestRationals:
         assert to_fraction(0.1) == Fraction(1, 10)
         assert to_fraction("-1/3") == Fraction(-1, 3)
         assert to_fraction(7) == 7 and to_fraction(Fraction(2, 3)) == Fraction(2, 3)
+
+
+def _fraction_coordinate(lattice, point):
+    """The coordinate computed in fractions: (point - origin*step) / step."""
+    q = (to_fraction(point) - lattice.origin * lattice.step) / lattice.step
+    if q.denominator != 1:
+        raise InputError(
+            "OFF_LATTICE", f"point {point!r} is not an integer multiple of step {lattice.step}"
+        )
+    return int(q)
+
+
+class TestCoordinate:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        step=st.sampled_from([1, 2, "0.1", "0.05", "1/3", Fraction(2, 7)]),
+        origin=st.integers(-3, 3),
+        k=st.integers(-(10**6), 10**6) | st.integers(-(10**18), 10**18),
+        off=st.sampled_from([0, 1, -1]),
+        exact=st.booleans(),
+    )
+    def test_integer_coordinate_equals_the_fraction_formula(self, step, origin, k, off, exact):
+        lattice = LatticeSpec(to_fraction(step), origin)
+        point = (origin + k) * lattice.step
+        if not exact:  # the nearest float, or one ulp off it
+            point = float(point)
+            if off:
+                point = math.nextafter(point, off * math.inf)
+            assert to_fraction(point) == Fraction(repr(point))
+        try:
+            want = _fraction_coordinate(lattice, point)
+        except InputError as e:
+            with pytest.raises(InputError) as got:
+                lattice.coordinate(point)
+            assert (got.value.code, got.value.message) == ("OFF_LATTICE", e.message)
+        else:
+            assert lattice.coordinate(point) == want and type(lattice.coordinate(point)) is int
 
 
 class TestLinearExpect:

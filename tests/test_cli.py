@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from sublinexp import cli, lattice_dp
+from sublinexp import InputError, cli, lattice_dp
 from sublinexp.cli import main
 from sublinexp.inequalities import VIOLATED, OttavianiReport, ProductIdentityReport
 from sublinexp.lln import ChebyshevCheck
@@ -216,6 +218,31 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["eval", "--config", str(tmp_path / "nope.json"), "--quiet"]) == 1
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"generators": [[[0, 1.0]]], "function": {"kind": "a\xffbs"}}')
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: BAD_CONFIG: config is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"
+        )
+        cfg.write_bytes(b'\xef\xbb\xbf{"generators": [[[0, 1.0]]], "function": {"kind": "abs"}}')
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: BAD_CONFIG: config is not valid JSON: Unexpected UTF-8 BOM"
+        )
+        assert not list(tmp_path.glob("eval.*"))
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_unwritable_out_is_bad_out(self, tmp_path, capsys, under):
+        cfg = write_config(tmp_path, "cfg.json", dict(PAIR_SET, function={"kind": "abs"}))
+        (tmp_path / "file").write_text("x")
+        out = tmp_path / "file" / under
+        assert main(["eval", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: BAD_OUT: cannot write report 'eval' under {str(out)!r}: [Errno ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
 
     def test_budget_error_is_2(self, tmp_path, capsys):
         payload = dict(
@@ -624,6 +651,30 @@ class TestReports:
             atomic_write_text(tmp_path / "r.csv", "x\ud800\n")
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
         assert (tmp_path / "r.csv").read_text() == "old\n"
+
+    def test_numpy_scalar_cells_are_their_items(self, tmp_path):
+        row = [np.float64(0.1), np.int64(-3), np.bool_(True), np.float32(0.5), np.str_("s")]
+        write_report(tmp_path, "r", list("abcde"), [row])
+        assert (tmp_path / "r.csv").read_bytes() == b"a,b,c,d,e\n0.1,-3,true,0.5,s\n"
+        assert json.loads((tmp_path / "r.json").read_text())["rows"] == [[0.1, -3, True, 0.5, "s"]]
+        assert csv_from_json(tmp_path / "r.json").encode() == (tmp_path / "r.csv").read_bytes()
+
+    @pytest.mark.parametrize("cell", [[1], {"a": 1}, Fraction(1, 3), 1j, b"x", np.complex128(1j)])
+    def test_other_cells_are_refused_before_any_file_is_touched(self, tmp_path, cell):
+        for name in ("r.csv", "r.json"):
+            (tmp_path / name).write_text("old\n")
+        with pytest.raises(InputError) as e:
+            write_report(tmp_path, "r", ["a", "b"], [[1.0, 2], [3.0, cell]])
+        assert e.value.code == "BAD_REPORT"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+        assert all((tmp_path / name).read_text() == "old\n" for name in ("r.csv", "r.json"))
+
+    def test_failed_rename_is_bad_out_and_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "r.csv").mkdir()
+        with pytest.raises(InputError) as e:
+            write_report(tmp_path, "r", ["a"], [[1]])
+        assert e.value.code == "BAD_OUT" and str(tmp_path) in e.value.message
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
     def test_report_bytes(self, tmp_path):
         out = tmp_path / "new" / "dir"
