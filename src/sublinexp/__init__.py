@@ -22,7 +22,6 @@ from .counterexamples import (
     RAMP_DOWN,
     exm3_report,
     family_expect,
-    family_lower_expect,
     heavy_lln_lower_bound,
     heavy_lln_value,
 )
@@ -63,7 +62,6 @@ from .lln import (
     lln_sweep,
     maximal_dist_value,
     peng_condition_report,
-    psi,
     truncated_means,
 )
 from .montecarlo import SimConfig, SimResult, constant_policy, simulate

@@ -198,11 +198,6 @@ def family_expect(
     return FamilyExpectation(value.tolist(), (arg + 1).tolist())
 
 
-def family_lower_expect(family: ParametricFamily, f: TestFunction) -> float:
-    """Lower expectation inf over indices <= truncation of E_j[f]."""
-    return float(np.min(family.per_index_expectations(f)))
-
-
 # -- the tail-separation report ---------------------------------------
 
 

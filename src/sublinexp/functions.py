@@ -179,7 +179,11 @@ def tent(center: float, halfwidth: float) -> TestFunction:
 
 
 def psi_fn(n: int) -> TestFunction:
-    """The Lipschitz tail surrogate at level n (see :func:`sublinexp.lln.psi`)."""
+    """The Lipschitz tail surrogate at level n, n * min(1, max(0, |x| - (n - 1))).
+
+    It equals the supremum over y of ``n * [|y| >= n] - n * |y - x|`` and is
+    sandwiched between ``n * [|x| >= n]`` and ``n * [|x| >= n - 1]``.
+    """
     level = _real(n, "psi level")
     if not level.is_integer() or level < 1:
         raise InputError("BAD_FUNCTION", f"psi level must be an integer >= 1, got {n!r}")
@@ -198,32 +202,3 @@ def constant(c: float) -> TestFunction:
 def column(kind: str, params: Sequence[float]) -> TestFunction:
     """The one-parameter builtin ``kind`` at each of ``params``, as one function of a column."""
     return TestFunction(kind, (np.asarray(params, dtype=float)[:, None],))
-
-
-# -- piecewise-linear algebra (used heavily by the property suites) ----
-
-
-def _as_pwl_values(f: TestFunction, xs: Sequence[float]) -> np.ndarray:
-    return np.asarray(f(np.asarray(xs, dtype=float)))
-
-
-def pwl_add(f: TestFunction, g: TestFunction) -> TestFunction:
-    """Sum of two piecewise-linear functions, again piecewise-linear."""
-    if f.kind != "pwl" or g.kind != "pwl":
-        raise InputError("BAD_FUNCTION", "pwl_add needs two piecewise-linear functions")
-    xs = sorted(set(f.params[0]) | set(g.params[0]))
-    ys = _as_pwl_values(f, xs) + _as_pwl_values(g, xs)
-    return TestFunction("pwl", (tuple(xs), tuple(float(y) for y in ys)))
-
-
-def pwl_scale(f: TestFunction, lam: float) -> TestFunction:
-    """lam * f for a piecewise-linear f."""
-    if f.kind != "pwl":
-        raise InputError("BAD_FUNCTION", "pwl_scale needs a piecewise-linear function")
-    xs, ys = f.params
-    return TestFunction("pwl", (xs, tuple(float(lam * y) for y in ys)))
-
-
-def pwl_negate(f: TestFunction) -> TestFunction:
-    xs, ys = f.params
-    return TestFunction("pwl", (xs, tuple(float(-y) for y in ys)))

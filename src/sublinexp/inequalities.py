@@ -8,7 +8,6 @@ the path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .ambiguity import AmbiguitySet
@@ -102,9 +101,3 @@ def capacity_product_identity(
     )
     rhs = 1.0 - (1.0 - single) ** n
     return ProductIdentityReport(lhs, rhs, abs(lhs - rhs))
-
-
-def exponential_lower_bound(set_: AmbiguitySet, n: int, threshold: float) -> float:
-    """1 - exp(-n V(|X_1| >= t)), a lower bound for the product identity rhs."""
-    single = capacity(set_, 1, PathEvent("FINAL_ABS_GE", threshold), "UPPER")
-    return 1.0 - math.exp(-n * single)

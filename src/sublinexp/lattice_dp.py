@@ -15,6 +15,7 @@ needed.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
@@ -262,12 +263,7 @@ def _reachability(moves: Tuple[int, ...], n: int):
 
 
 def reachable_masks(set_: AmbiguitySet, n: int):
-    """``(bounds, masks)``: boolean reachability per level k = 0..n over its stored states.
-
-    A thin view of the holes of :func:`_reachability`, which no sweep or
-    simulation needs: ``policy_value`` builds it only to name a gap.  The last
-    result is kept, and the masks are read-only.
-    """
+    """``(bounds, masks)``: per-level boolean reachability from the holes, cached and read-only."""
     return _dense_masks(_moves(set_), n)
 
 
@@ -283,26 +279,28 @@ def _dense_masks(moves: Tuple[int, ...], n: int):
     return bounds, tuple(masks)
 
 
-def _unmark(levels, d: int, holes) -> None:
-    """Write -1 at the unreachable states of each level's choices, ``levels[k]`` over
-    level k's stored states: the holes, and with d > 1 every state off the progression."""
-    for choice, h in zip(levels, holes):
-        for r in range(1, d):
-            choice[r::d] = -1
-        choice[::d][h] = -1
+def _frame_levels(set_: AmbiguitySet, n: int, fill: int):
+    """``(levels, unmark)``: ``levels[k - 1] = (lo, choice)`` over level k - 1's stored
+    states, k = 1..n, views of one array filled with ``fill``.  Each level is padded to
+    a multiple of d, so row j of the array in rows of d is progression state j as
+    ``flat`` counts them; ``unmark()`` writes -1 at every unreachable state."""
+    bounds, d, _, flat = _reach(set_, n)
+    starts = list(accumulate((length + d - 1 for _, length in bounds[:n]), initial=0))
+    frame = np.full(starts[n], fill, dtype=_choice_dtype(len(set_.generators)))
+    levels = tuple((lo, frame[a : a + length]) for (lo, length), a in zip(bounds[:n], starts))
+
+    def unmark():
+        rows = frame.reshape(-1, d)
+        rows[:, 1:] = -1
+        rows[flat, 0] = -1
+
+    return levels, unmark
 
 
 def _constant_levels(set_: AmbiguitySet, n: int, g: int):
-    """``(lo, choice)`` per level 1..n designating generator ``g`` at every reachable
-    state and -1 elsewhere: views of one array over the levels laid end to end."""
-    bounds, d, holes, flat = _reach(set_, n)
-    ends = list(accumulate(length for _, length in bounds[:n]))
-    choices = np.full(ends[-1], g, dtype=_choice_dtype(len(set_.generators)))
-    levels = tuple((lo, choices[end - length : end]) for (lo, length), end in zip(bounds, ends))
-    if d == 1:  # the progressions are the levels: the flat holes index them
-        choices[flat] = -1
-    else:
-        _unmark([choice for _, choice in levels], d, holes)
+    """``(lo, choice)`` per level 1..n: generator ``g`` at every reachable state, -1 elsewhere."""
+    levels, unmark = _frame_levels(set_, n, g)
+    unmark()
     return levels
 
 
@@ -354,10 +352,10 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
     arrays over the stored states: every level sweeps all generators, and a state
     keeps generator 0's candidate unless its choice names a later one.  With
     ``absorb`` (max or min), a move off level k's stored states reads one float,
-    which follows the same recursion.  ``record`` gets the argmax per level and
-    ``visit(k, u)`` every level, as an array or a list.  The order is fixed
-    (states, generators, then atoms in increasing-point order), so results are
-    bitwise reproducible.
+    which follows the same recursion.  ``record[k - 1]``, a zeroed array over
+    level k - 1's stored states, gets the argmax of step k, and ``visit(k, u)``
+    every level, as an array or a list.  The order is fixed (states, generators,
+    then atoms in increasing-point order), so results are bitwise reproducible.
 
     A level whose lower level stores one state (every level of an increment
     trigger or of a tail sum's prefix, the last step of every sweep) runs on Python
@@ -368,7 +366,6 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
     n = len(bounds) - 1
     fixed = not callable(rule)
     better = None if fixed else _SCALAR_RULE[rule]
-    dtype = _choice_dtype(len(weights))
     if visit is not None:
         visit(n, u)
     for k in range(n, 0, -1):
@@ -389,13 +386,13 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
                     best, arg = cand, g
             u = [best]
             if record is not None:
-                record[k - 1] = np.array([arg], dtype=dtype)
+                record[k - 1][0] = arg
         else:
             if absorb is not None:
                 pad = np.full(len_prev, absorb)
                 u = np.concatenate((pad, u, pad))
             if record is not None:
-                arg = record[k - 1] = np.zeros(len_prev, dtype=dtype)
+                arg = record[k - 1]
             best = None
             for g in range(len(weights)):
                 cand = None
@@ -475,12 +472,9 @@ def robust_value(
     worst-case kernel policy.  :func:`upper_value` computes the value alone.
     """
     bounds, state_count, u = _upper_terminal(set_, n, f, normalize, state_budget)
-    _, d, holes, flat = _reach(set_, n)
-    args = [None] * n
-    value = _sweep(set_.coords, _weights(set_), bounds, u, np.greater, record=args)
-    if d > 1 or len(flat):
-        _unmark(args, d, holes)
-    levels = tuple((bounds[k][0], arg) for k, arg in enumerate(args))
+    levels, unmark = _frame_levels(set_, n, 0)
+    value = _sweep(set_.coords, _weights(set_), bounds, u, np.greater, record=[c for _, c in levels])
+    unmark()
     return RobustResult(value, KernelPolicy(n, levels), state_count)
 
 
@@ -502,17 +496,14 @@ def policy_value(
     bounds, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
     if policy.n != n:
         raise InputError("POLICY_GAP", f"policy is for horizon {policy.n}, not {n}")
-    count = len(set_.generators)
     choices, chosen, _ = _reachable_choices(set_, policy, n)
-    if _invalid(chosen, count).any():  # name the first gap, level by level
-        _, masks = reachable_masks(set_, n)
-        for k, (choice, mask) in enumerate(zip(choices, masks), start=1):
-            gap = mask & _invalid(choice, count)
-            if gap.any():
-                state = bounds[k - 1][0] + int(np.argmax(gap))
-                raise InputError(
-                    "POLICY_GAP", f"reachable state {state} at level {k} has no generator"
-                )
+    gaps = _invalid(chosen, len(set_.generators))
+    if gaps.any():  # the first in chosen's order: level by level, increasing states
+        i, d = int(np.argmax(gaps)), _reach(set_, n)[1]
+        starts = list(accumulate(((length - 1) // d + 1 for _, length in bounds[: n - 1]), initial=0))
+        k = bisect.bisect_right(starts, i)
+        state = bounds[k - 1][0] + d * (i - starts[k - 1])
+        raise InputError("POLICY_GAP", f"reachable state {state} at level {k} has no generator")
     return _sweep(set_.coords, _weights(set_), bounds, u, choices)
 
 

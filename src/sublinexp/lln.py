@@ -1,9 +1,8 @@
 """Law-of-large-numbers machinery.
 
-The tail surrogate ``psi``, truncated upper/lower means, the
-three-condition convergence report, the maximal-distribution limit
-value, horizon sweeps of the robust DP against that limit, and the
-explicit Chebyshev-style tail bound.
+Truncated upper/lower means, the three-condition convergence report,
+the maximal-distribution limit value, horizon sweeps of the robust DP
+against that limit, and the explicit Chebyshev-style tail bound.
 
 Verdicts about limits are always labeled as trends observed over the
 computed range; limits are not computable from finitely many terms and
@@ -28,43 +27,6 @@ from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, upper_value
 Source = Union[AmbiguitySet, ParametricFamily]
 
 STABLE_TOL = 1e-9
-
-
-# -- the tail surrogate ------------------------------------------------
-
-
-def psi(n: int, x):
-    """Closed form n * min(1, max(0, |x| - (n - 1))).
-
-    Equals the supremum over y of ``n * [|y| >= n] - n * |y - x|`` and is
-    sandwiched between ``n * [|x| >= n]`` and ``n * [|x| >= n - 1]``.
-    """
-    try:
-        f = psi_fn(n)
-    except InputError as e:
-        raise InputError("BAD_LEVEL", e.message) from None
-    return f(x)
-
-
-def psi_grid_sup(n: int, x, y_step: float = 1e-3, y_pad: float = 1.5):
-    """The defining supremum restricted to a y-grid of spacing ``y_step``.
-
-    Only y within ``y_pad`` of x can beat the trivial candidate y = x, so
-    the grid maximum reduces to two candidates: the nearest grid point to
-    x itself and the nearest grid point with |y| >= n.  Both are located
-    in closed form; the result is exactly the maximum a literal scan of
-    the grid would return (cross-checked by brute force in the tests).
-    """
-    x = np.asarray(x, dtype=float)
-    # candidate 1: grid point nearest x (indicator almost surely 0 there)
-    y_near = np.round(x / y_step) * y_step
-    val_near = n * (np.abs(y_near) >= n) - n * np.abs(y_near - x)
-    # candidate 2: nearest grid point inside {|y| >= n}
-    up = np.ceil(n / y_step) * y_step  # smallest grid y >= n
-    y_tail = np.where(x >= 0, np.maximum(y_near, up), np.minimum(y_near, -up))
-    val_tail = n - n * np.abs(y_tail - x)
-    out = np.maximum(val_near, val_tail)
-    return out if out.ndim else float(out)
 
 
 # -- truncated means ---------------------------------------------------

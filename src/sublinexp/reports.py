@@ -8,6 +8,7 @@ regenerates a byte-identical CSV.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import itertools
 import json
@@ -51,40 +52,44 @@ def _texts(columns: Sequence[str], rows: Sequence[Sequence], meta: Dict):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([c for c, _ in row] for row in (head, *body))
     columns_json = _json_list([j for _, j in head], "    ")
-    meta_json = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+    try:  # a numpy scalar is its .item(), as in a cell; what json cannot encode is refused
+        meta_json = json.dumps(meta, indent=2, sort_keys=True, default=np.generic.item).replace("\n", "\n  ")
+    except (TypeError, ValueError):
+        raise InputError("BAD_REPORT", f"cannot write the report meta {meta!r}") from None
     rows_json = _json_list([_json_list([j for _, j in row], "      ") for row in body], "    ")
     mirror = f'{{\n  "columns": {columns_json},\n  "meta": {meta_json},\n  "rows": {rows_json}\n}}\n'
     return buf.getvalue(), mirror
 
 
-def csv_text(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
-    return _texts(columns, rows, {})[0]
-
-
 _TEMP_IDS = itertools.count()
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename.  The temp file
-    is made with mode 0o666, so the report gets the umask's mode like any file."""
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{next(_TEMP_IDS)}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def _atomic_write(paths: Sequence[str], payloads: Sequence[bytes]) -> None:
+    """Write each payload to a temp file beside its path, then rename them all: a path that
+    is a directory is refused first, so a failure replaces none and leaves no temp file."""
+    temps, renamed = [], 0
     try:
-        try:
-            written = 0
-            while written < len(data):
-                written += os.write(fd, data[written:])
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
+        for path, data in zip(paths, payloads):
+            head, tail = os.path.split(path)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{next(_TEMP_IDS)}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask's mode
+            temps.append(tmp)
+            try:
+                written = 0
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                os.close(fd)
+        for path in paths:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+            renamed += 1
     except BaseException:
-        os.unlink(tmp)
+        for tmp in temps[renamed:]:
+            os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    _atomic_write(os.fspath(path), text.encode("utf-8"))
 
 
 def write_report(
@@ -94,17 +99,17 @@ def write_report(
     rows: Sequence[Sequence],
     meta: Optional[Dict] = None,
 ) -> List[str]:
-    """Emit ``<name>.csv`` and ``<name>.json`` (UTF-8) under ``out_dir``.  A cell that
-    cannot be written is ``BAD_REPORT`` before any file is touched, and a directory
-    or file that cannot be made or replaced is ``BAD_OUT``."""
+    """Emit ``<name>.csv`` and ``<name>.json`` (UTF-8) under ``out_dir``.  A cell or
+    ``meta`` value that cannot be written is ``BAD_REPORT`` before any file is touched,
+    and a directory or file that cannot be made or replaced is ``BAD_OUT``: a target
+    that is a directory is found before either file is replaced."""
     data = [text.encode("utf-8") for text in _texts(columns, rows, meta or {})]
     out_dir = os.fspath(out_dir)
     paths = [os.path.join(out_dir, f"{name}.{ext}") for ext in ("csv", "json")]
     try:
         if not os.path.isdir(out_dir):
             os.makedirs(out_dir, exist_ok=True)
-        for path, payload in zip(paths, data):
-            _atomic_write(path, payload)
+        _atomic_write(paths, data)
     except OSError as e:
         raise InputError("BAD_OUT", f"cannot write report {name!r} under {out_dir!r}: {e}") from None
     return paths
@@ -114,4 +119,4 @@ def csv_from_json(json_path) -> str:
     """Regenerate the CSV text from a report's JSON mirror."""
     with open(json_path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    return csv_text(payload["columns"], payload["rows"])
+    return _texts(payload["columns"], payload["rows"], {})[0]

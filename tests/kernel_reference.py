@@ -7,8 +7,6 @@ same values and argmax records bit for bit.
 
 import numpy as np
 
-from sublinexp.lattice_dp import _choice_dtype
-
 
 def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None) -> float:
     """Backward induction ``u_{k-1}(s) = extremize_g sum_j w_j u_k(s + x_j)``; u_0 at state 0.
@@ -20,14 +18,13 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
     arrays over the stored states: every level sweeps all generators, and a state
     keeps generator 0's candidate unless its choice names a later one.  With
     ``absorb`` (max or min), a move off level k's stored states reads one float,
-    which follows the same recursion.  ``record`` gets the argmax per
-    level and ``visit(k, u)`` every level.  The order is fixed (states,
-    generators, then atoms in increasing-point order), so results are bitwise
-    reproducible.
+    which follows the same recursion.  ``record[k - 1]``, a zeroed array over
+    level k - 1's stored states, gets the argmax of step k, and ``visit(k, u)``
+    every level.  The order is fixed (states, generators, then atoms in
+    increasing-point order), so results are bitwise reproducible.
     """
     n = len(bounds) - 1
     fixed = not callable(rule)
-    dtype = _choice_dtype(len(weights))
     if visit is not None:
         visit(n, u)
     for k in range(n, 0, -1):
@@ -37,7 +34,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
             pad = np.full(len_prev, absorb)
             u = np.concatenate((pad, u, pad))
         if record is not None:
-            arg = record[k - 1] = np.zeros(len_prev, dtype=dtype)
+            arg = record[k - 1]
         best = best_absorb = None
         for g in range(len(weights)):
             gm, gw = moves[g], weights[g]

@@ -42,7 +42,7 @@ def set_masks(set_, n):
 def robust_policy(set_, n, f, normalize=True):
     """The argmax records of the robust sweep, -1 wherever the mask is False."""
     bounds, _, u = _upper_terminal(set_, n, f, normalize, 10**12)
-    args = [None] * n
+    args = [np.zeros(length, _choice_dtype(len(set_.generators))) for _, length in bounds[:n]]
     _sweep(set_.coords, _weights(set_), bounds, u, np.greater, record=args)
     _, masks = set_masks(set_, n)
     for k, arg in enumerate(args):

@@ -34,7 +34,6 @@ from sublinexp import (
     peng_condition_report,
     piecewise_linear,
     policy_value,
-    psi,
     robust_value,
     simulate,
     sublinear_expect,
@@ -42,12 +41,11 @@ from sublinexp import (
     truncated_means,
 )
 from sublinexp.cli import build_function, build_set
-from sublinexp.functions import pwl_add, pwl_scale
-from sublinexp.inequalities import VACUOUS, VIOLATED, exponential_lower_bound
-from sublinexp.lln import psi_grid_sup
+from sublinexp.inequalities import VACUOUS, VIOLATED
 from sublinexp.montecarlo import SimConfig, constant_policy
 
 from conftest import random_pwl, random_set
+from oracle_helpers import exponential_lower_bound, psi, psi_grid_sup, pwl_add, pwl_scale
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

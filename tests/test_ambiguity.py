@@ -22,9 +22,9 @@ from sublinexp import (
     validate_ambiguity_set,
 )
 from sublinexp.ambiguity import LatticeSpec, to_fraction
-from sublinexp.functions import pwl_add, pwl_negate, pwl_scale
 
 from conftest import make_set, random_pwl, random_set
+from oracle_helpers import pwl_add, pwl_negate, pwl_scale
 
 
 class TestValidation:

@@ -15,7 +15,9 @@ from sublinexp import InputError, cli, lattice_dp
 from sublinexp.cli import main
 from sublinexp.inequalities import VIOLATED, OttavianiReport, ProductIdentityReport
 from sublinexp.lln import ChebyshevCheck
-from sublinexp.reports import atomic_write_text, csv_from_json, write_report
+from sublinexp.reports import csv_from_json, write_report
+
+from oracle_helpers import atomic_write_text
 
 PAIR_SET = {
     "lattice": {"step": 1},
@@ -675,6 +677,53 @@ class TestReports:
             write_report(tmp_path, "r", ["a"], [[1]])
         assert e.value.code == "BAD_OUT" and str(tmp_path) in e.value.message
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    @pytest.mark.parametrize("blocked", ["r.csv", "r.json", "second write"])
+    def test_failed_write_replaces_neither_file(self, tmp_path, monkeypatch, blocked):
+        old = {"r.csv": b"old csv\n", "r.json": b"old json\n"}
+        for name, data in old.items():
+            if name == blocked:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_bytes(data)
+        if blocked == "second write":
+            write, calls = os.write, []
+
+            def fail_second(fd, data):
+                calls.append(fd)
+                if len(calls) == 2:
+                    raise OSError(28, "No space left on device")
+                return write(fd, data)
+
+            monkeypatch.setattr(os, "write", fail_second)
+        with pytest.raises(InputError) as e:
+            write_report(tmp_path, "r", ["a"], [[1]])
+        monkeypatch.undo()
+        assert e.value.code == "BAD_OUT"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+        for name, data in old.items():
+            assert (tmp_path / name).is_dir() if name == blocked else (tmp_path / name).read_bytes() == data
+
+    def test_numpy_meta_values_are_their_items(self, tmp_path):
+        meta = {"k": np.int64(1), "b": np.bool_(True), "f": np.float32(0.5), "x": np.float64(0.1)}
+        write_report(tmp_path / "np", "r", ["a"], [[1]], meta)
+        write_report(tmp_path / "py", "r", ["a"], [[1]], {"k": 1, "b": True, "f": 0.5, "x": 0.1})
+        for name in ("r.csv", "r.json"):
+            assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "py" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "value",
+        [Fraction(1, 3), 1j, {1}, np.complex128(1j), np.array([1])],
+        ids=["Fraction", "complex", "set", "complex128", "ndarray"],
+    )
+    def test_other_meta_values_are_refused_before_any_file_is_touched(self, tmp_path, value):
+        for name in ("r.csv", "r.json"):
+            (tmp_path / name).write_text("old\n")
+        with pytest.raises(InputError) as e:
+            write_report(tmp_path, "r", ["a"], [[1]], {"k": value})
+        assert e.value.code == "BAD_REPORT"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+        assert all((tmp_path / name).read_text() == "old\n" for name in ("r.csv", "r.json"))
 
     def test_report_bytes(self, tmp_path):
         out = tmp_path / "new" / "dir"

@@ -18,7 +18,6 @@ from sublinexp import (
     clamp,
     exm3_report,
     family_expect,
-    family_lower_expect,
     heavy_lln_lower_bound,
     heavy_lln_value,
     linear_expect,
@@ -26,6 +25,8 @@ from sublinexp import (
     psi_fn,
     tent,
 )
+
+from oracle_helpers import family_lower_expect
 
 # -- oracles: the atom-by-atom scans the closed forms replace ------------
 

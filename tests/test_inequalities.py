@@ -9,9 +9,10 @@ from sublinexp import (
     capacity_product_identity,
     ottaviani_check,
 )
-from sublinexp.inequalities import HOLDS, VACUOUS, VIOLATED, exponential_lower_bound
+from sublinexp.inequalities import HOLDS, VACUOUS, VIOLATED
 
 from conftest import make_set, random_set
+from oracle_helpers import exponential_lower_bound
 
 
 class TestOttaviani:

@@ -30,7 +30,7 @@ from sublinexp import (
 )
 from sublinexp import cli, counterexamples, lattice_dp
 from sublinexp.counterexamples import heavy_lln_value
-from sublinexp.lattice_dp import EVENT_KINDS, final_abs_capacities
+from sublinexp.lattice_dp import EVENT_KINDS, _choice_dtype, final_abs_capacities
 
 from conftest import make_set
 from kernel_reference import _sweep as reference_sweep
@@ -161,7 +161,8 @@ class TestAgainstTheReference:
             (trigger, [(0, 1)] * (n + 1), u[:1], absorbing),
         ]
         for moves, b, last, absorb in cases:
-            got_record, want_record = [None] * n, [None] * n
+            got_record = [np.zeros(length, _choice_dtype(len(weights))) for _, length in b[:n]]
+            want_record = [record.copy() for record in got_record]
             with np.errstate(all="ignore"):
                 got = lattice_dp._sweep(moves, weights, b, last.copy(), rule, absorb, got_record)
                 want = reference_sweep(moves, weights, b, last.copy(), rule, absorb, want_record)

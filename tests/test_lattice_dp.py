@@ -42,6 +42,7 @@ from sublinexp.lln import chebyshev_bound_check, lln_sweep, peng_condition_repor
 from sublinexp.montecarlo import SimConfig
 from sublinexp.oracle import enumerate_selections_value
 
+import reachability_reference as reachable
 from conftest import make_set, random_pwl, random_set
 
 ABS_CLIPPED = piecewise_linear([(-1, 1), (0, 0), (1, 1)])
@@ -293,6 +294,20 @@ def all_generator_policy_value(set_, policy, n, f, normalize=True):
     return float(u[0 - bounds[0][0]])
 
 
+def random_entries(rng, bounds, masks, count):
+    """A generator at every reachable state of levels 1..n, and at some unreachable ones
+    any index, even one out of range."""
+    entries = {}
+    for k in range(1, len(bounds)):
+        lo, length = bounds[k - 1]
+        for i in range(length):
+            if masks[k - 1][i]:
+                entries[k, lo + i] = int(rng.integers(0, count))
+            elif rng.random() < 0.5:
+                entries[k, lo + i] = int(rng.integers(0, count + 2))
+    return entries
+
+
 class TestFixedPolicyRule:
     """``policy_value`` gives each reachable state its designated generator's candidate."""
 
@@ -311,23 +326,38 @@ class TestFixedPolicyRule:
                 )
 
     def test_random_gap_free_policies(self):
-        rng = np.random.default_rng(6160)
+        rng, knock = np.random.default_rng(6160), np.random.default_rng(6161)
         for trial in range(30):
             s = random_set(rng, max_generators=4, max_atoms=3, span=2 + trial % 3)
             n = int(rng.integers(1, 25))
             count = len(s.generators)
             bounds, masks = reachable_masks(s, n)
-            entries = {}
-            for k in range(1, n + 1):
-                lo, length = bounds[k - 1]
-                for i in range(length):
-                    if masks[k - 1][i]:
-                        entries[k, lo + i] = int(rng.integers(0, count))
-                    elif rng.random() < 0.5:  # unreachable: any index, even one out of range
-                        entries[k, lo + i] = int(rng.integers(0, count + 2))
+            entries = random_entries(rng, bounds, masks, count)
             pol = KernelPolicy.from_entries(n, entries)
             f = random_pwl(rng)
             assert policy_value(s, pol, n, f) == all_generator_policy_value(s, pol, n, f)
+            # the moves times d = 1, 2 or 3, some reachable states knocked out: the
+            # gap named is the first that a search over the dense masks finds
+            d = 1 + trial // 3 % 3
+            s = make_set(*([(d * x, w) for x, w in zip(g.points, g.weights)] for g in s.generators))
+            bounds, masks = reachable.set_masks(s, n)
+            entries = random_entries(knock, bounds, masks, count)
+            reached = [(k, st) for k, st in entries if masks[k - 1][st - bounds[k - 1][0]]]
+            for i in knock.choice(len(reached), size=min(len(reached), 3), replace=False):
+                if knock.random() < 0.5:
+                    del entries[reached[i]]
+                else:
+                    entries[reached[i]] = count + int(knock.integers(0, 2))
+            pol = KernelPolicy.from_entries(n, entries)
+            for k in range(1, n + 1):
+                choice = pol.level_choices(k, *bounds[k - 1])
+                gap = masks[k - 1] & ((choice < 0) | (choice >= count))
+                if gap.any():
+                    state = bounds[k - 1][0] + int(np.argmax(gap))
+                    break
+            with pytest.raises(InputError) as e:
+                policy_value(s, pol, n, f)
+            assert e.value.message == f"reachable state {state} at level {k} has no generator"
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_horizon_below_one(self, biased_pair, n):

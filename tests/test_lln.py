@@ -12,19 +12,16 @@ from sublinexp import (
     chebyshev_bound_check,
     clamp,
     family_expect,
-    family_lower_expect,
     linear_expect,
     lln_sweep,
     maximal_dist_value,
     peng_condition_report,
-    psi,
     psi_fn,
     tent,
     truncated_means,
 )
-from sublinexp.lln import psi_grid_sup
-
 from conftest import make_set
+from oracle_helpers import family_lower_expect, psi, psi_grid_sup
 
 
 class TestPsi:

@@ -13,7 +13,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sublinexp import SimConfig, constant_policy, lattice_dp, robust_value, simulate, tent
+from sublinexp import (
+    InputError,
+    KernelPolicy,
+    SimConfig,
+    constant_policy,
+    lattice_dp,
+    policy_value,
+    robust_value,
+    simulate,
+    tent,
+)
 from sublinexp.cli import main
 
 import reachability_reference as reference
@@ -70,6 +80,12 @@ def assert_same_policy(got, want):
         assert lo == want_lo and a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def assert_one_array(policy):
+    """Every level's choices are a view of one array."""
+    bases = {id(choice.base) for _, choice in policy.levels}
+    assert len(bases) == 1 and policy.levels[0][1].base is not None
+
+
 def assert_same_estimate(got_policy, want_policy, s, n, f, seed):
     got = simulate(SimConfig(got_policy, s, n, 700, seed), f)
     want = reference.simulate(SimConfig(want_policy, s, n, 700, seed), f)
@@ -84,10 +100,12 @@ def test_policies_and_estimates_match_the_dense_path(name, n):
     for f in (tent(0.25, 0.5), tent(-0.5, 0.25), random_pwl(rng, lo=-1, hi=2)):
         got, want = robust_value(s, n, f).policy, reference.robust_policy(s, n, f)
         assert_same_policy(got, want)
+        assert_one_array(got)
         assert_same_estimate(got, want, s, n, f, seed=n)
     for g in range(len(s.generators)):
         got, want = constant_policy(s, n, g), reference.constant_policy(s, n, g)
         assert_same_policy(got, want)
+        assert_one_array(got)
         assert_same_estimate(got, want, s, n, tent(0.25, 0.5), seed=g)
 
 
@@ -113,3 +131,8 @@ def test_simulate_jobs_build_no_masks(monkeypatch, tmp_path, generators, policy)
         "n": 40, "paths": 500, "seed": 3, "policy": policy,
     }))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    # a gap is named from the choices at the progressions, without masks
+    gapped = KernelPolicy.from_entries(40, {(1, 0): 0})
+    with pytest.raises(InputError) as e:
+        policy_value(make_set(*generators), gapped, 40, tent(0.25, 0.5))
+    assert e.value.message == "reachable state -1 at level 2 has no generator"
