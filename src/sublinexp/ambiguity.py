@@ -140,14 +140,6 @@ class AmbiguitySet:
         )
         object.__setattr__(self, "coords", coords)
 
-    @property
-    def min_coord(self) -> int:
-        return min(min(c) for c in self.coords)
-
-    @property
-    def max_coord(self) -> int:
-        return max(max(c) for c in self.coords)
-
     def describe(self) -> str:
         gens = "; ".join(
             "{" + ", ".join(f"{p:g}: {w:g}" for p, w in zip(g.points, g.weights)) + "}"

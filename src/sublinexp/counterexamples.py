@@ -43,8 +43,7 @@ class ParametricFamily:
     def __post_init__(self):
         if self.name not in FAMILY_NAMES:
             raise InputError("BAD_FAMILY", f"unknown family {self.name!r}")
-        if self.truncation < 1:
-            raise InputError("BAD_FAMILY", "truncation index must be >= 1")
+        check_horizon(self.truncation, "BAD_FAMILY", "truncation")
 
     # -- single generators (exact rational construction) ---------------
 

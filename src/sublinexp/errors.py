@@ -8,6 +8,7 @@ exception families onto exit statuses 1/2/3.
 from __future__ import annotations
 
 import numbers
+from typing import Optional
 
 
 class EngineError(Exception):
@@ -47,13 +48,15 @@ def check_budget(
     return count
 
 
-def check_horizon(n, code: str = "BAD_HORIZON", name: str = "horizon", least: int = 1) -> int:
-    """``n``, or an :class:`InputError` unless it is an integer >= ``least`` (a bool is not).
+def check_horizon(n, code: str = "BAD_HORIZON", name: str = "horizon", least: Optional[int] = 1) -> int:
+    """``n``, or an :class:`InputError` unless it is an integer >= ``least`` (a bool is not);
+    ``least=None`` admits every integer.
 
     Truncation and clamp levels follow the same rule under their own ``name``.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < least:
-        raise InputError(code, f"{name} must be an integer >= {least}, got {n!r}")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < (n if least is None else least):
+        bound = "" if least is None else f" >= {least}"
+        raise InputError(code, f"{name} must be an integer{bound}, got {n!r}")
     return n
 
 

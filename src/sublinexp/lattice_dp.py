@@ -18,13 +18,12 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -52,12 +51,7 @@ class PathEvent:
             raise InputError("UNSUPPORTED_EVENT", f"unknown event kind {self.kind!r}")
         object.__setattr__(self, "threshold", to_fraction(self.threshold))
         if self.kind == "TAIL_SUM_ABS_GE":
-            index = self.from_index
-            if not isinstance(index, numbers.Integral) or isinstance(index, bool) or index < 0:
-                raise InputError(
-                    "UNSUPPORTED_EVENT",
-                    f"TAIL_SUM_ABS_GE needs an integer from_index >= 0, got {index!r}",
-                )
+            check_horizon(self.from_index, "UNSUPPORTED_EVENT", "TAIL_SUM_ABS_GE's from_index", least=0)
         elif self.from_index is not None:
             raise InputError("UNSUPPORTED_EVENT", f"{self.kind} takes no from_index")
 
@@ -71,17 +65,55 @@ def _choice_dtype(generator_count: int) -> np.dtype:
     return np.min_scalar_type(-generator_count)
 
 
+class _Frame(NamedTuple):
+    """A set's moves on their own progression: with a the lowest move and d the gcd of
+    the moves less a, every move is a + d t, t = 0..s, and level k's states are the
+    progression k a + d j, j = 0..k s.  Every sweep stores and indexes level k by j."""
+
+    a: int
+    d: int
+    moves: Tuple[Tuple[int, ...], ...]  # generator g's moves as t = (c - a) / d
+    s: int
+    steps: Tuple[int, ...]  # the distinct t of the generators, increasing
+
+    def bounds(self, n: int):
+        """``(0, k s + 1)`` per level k = 0..n: the j that ``_sweep`` stores."""
+        return [(0, k * self.s + 1) for k in range(n + 1)]
+
+    def states(self, k: int) -> np.ndarray:
+        """Level k's states as integers, k a + d j."""
+        return k * self.a + self.d * np.arange(k * self.s + 1)
+
+
+def _frame(set_: AmbiguitySet, hold_zero: bool = False) -> _Frame:
+    """``set_``'s frame; ``hold_zero`` takes the move -origin into a and d, so that the
+    state -k origin, where S_k = 0, lies on every level's progression."""
+    return _frame_of(set_.coords, frozenset({-set_.lattice.origin} if hold_zero else ()))
+
+
+@functools.lru_cache(maxsize=4)  # a job's frames: one set, with and without hold_zero
+def _frame_of(coords: Tuple[Tuple[int, ...], ...], held: frozenset) -> _Frame:
+    moves = {c for gc in coords for c in gc}
+    a, b = min(moves | held), max(moves | held)
+    d = math.gcd(*(c - a for c in moves | held)) or 1  # one move: one state per level
+    ts = tuple(tuple((c - a) // d for c in gc) for gc in coords)
+    return _Frame(a, d, ts, (b - a) // d, tuple(sorted((c - a) // d for c in moves)))
+
+
 @dataclass(frozen=True, eq=False)
 class KernelPolicy:
     """Deterministic Markov kernel policy: one generator index per (level, pre-step state).
 
     ``levels[k - 1] = (lo, choice)`` covers level ``k`` of the horizon ``n``:
-    ``choice[i]`` is the generator designated at state ``lo + i``, and ``-1``
-    designates none.  The arrays are read-only.
+    ``choice[i]`` is the generator designated at state ``lo + step * i``, and ``-1``
+    designates none.  The arrays are read-only.  ``step`` is 1, or a set's d for a
+    policy built on its frame (:func:`robust_value`, ``constant_policy``).
     """
 
     n: int
     levels: Tuple[Tuple[int, np.ndarray], ...]
+    # (frame, array) of a built policy: its levels are the frame's, views of array
+    _framed: Optional[Tuple[_Frame, np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.levels) != check_horizon(self.n):
@@ -89,16 +121,20 @@ class KernelPolicy:
         for _, choice in self.levels:
             choice.setflags(write=False)  # half the cost of assigning flags.writeable
 
+    @property
+    def step(self) -> int:
+        return self._framed[0].d if self._framed else 1
+
     @classmethod
     def from_entries(cls, n: int, entries: Mapping[Tuple[int, int], int]) -> "KernelPolicy":
         """Policy from a ``{(level, state): generator index}`` mapping."""
         per_level: List[Dict[int, int]] = [{} for _ in range(check_horizon(n))]
         for (level, state), g in entries.items():
-            if not 1 <= level <= n or g < 0:
-                raise InputError(
-                    "BAD_POLICY", f"entry ({level}, {state}) -> {g} is not a level"
-                    f" in 1..{n} mapped to a generator index"
-                )
+            check_horizon(level, "BAD_POLICY", "policy level")
+            check_horizon(state, "BAD_POLICY", "policy state", least=None)
+            check_horizon(g, "BAD_POLICY", "generator index", least=0)
+            if level > n:
+                raise InputError("BAD_POLICY", f"entry ({level}, {state}) -> {g}: level beyond {n}")
             per_level[level - 1][state] = g
         dtype = _choice_dtype(max(entries.values(), default=0) + 1)
         levels = []
@@ -115,30 +151,28 @@ class KernelPolicy:
         """Read-only ``{(level, state): generator index}`` view of the designated states."""
         return MappingProxyType(
             {
-                (k, lo + int(i)): int(choice[i])
+                (k, lo + self.step * int(i)): int(choice[i])
                 for k, (lo, choice) in enumerate(self.levels, start=1)
                 for i in np.flatnonzero(choice >= 0)
             }
         )
 
     def get(self, level: int, state: int) -> int:
-        if 1 <= level <= len(self.levels):
-            lo, choice = self.levels[level - 1]
-            if 0 <= state - lo < len(choice) and choice[state - lo] >= 0:
-                return int(choice[state - lo])
+        if 1 <= level <= len(self.levels) and (g := int(self.level_choices(level, state, 1)[0])) >= 0:
+            return g
         raise InputError(
             "POLICY_GAP", f"no generator designated at level {level}, state {state}"
         )
 
-    def level_choices(self, level: int, lo: int, length: int) -> np.ndarray:
-        """Choices at ``level`` over states ``lo .. lo + length - 1``, -1 where none."""
+    def level_choices(self, level: int, lo: int, length: int, step: int = 1) -> np.ndarray:
+        """Choices at ``level`` at the states ``lo + step * i``, i < ``length``, -1 where none."""
         plo, choice = self.levels[level - 1]
-        if plo == lo and len(choice) == length:
+        if (plo, len(choice), self.step) == (lo, length, step):
             return choice
         out = np.full(length, -1, dtype=choice.dtype)
-        a, b = max(lo, plo), min(lo + length, plo + len(choice))
-        if a < b:
-            out[a - lo : b - lo] = choice[a - plo : b - plo]
+        i, off = np.divmod(lo - plo + step * np.arange(length), self.step)
+        at = (off == 0) & (0 <= i) & (i < len(choice))
+        out[at] = choice[i[at]]
         return out
 
 
@@ -152,36 +186,10 @@ class RobustResult:
 # -- shared helpers ----------------------------------------------------
 
 
-def _move_bounds(minc: int, maxc: int, n: int):
-    """(lo_k, length_k) of the sums of k moves in [minc, maxc], for k = 0..n."""
-    return [(k * minc, k * (maxc - minc) + 1) for k in range(n + 1)]
-
-
-def _level_bounds(set_: AmbiguitySet, n: int, hold_zero: bool = False):
-    """(lo_k, length_k) per level k = 0..n: the sums of k moves in the move hull, which
-    ``hold_zero`` widens by the move ``-origin`` to hold state ``-k * origin``, where S_k = 0."""
-    minc, maxc, origin = set_.min_coord, set_.max_coord, set_.lattice.origin
-    if hold_zero:
-        minc, maxc = min(minc, -origin), max(maxc, -origin)
-    return _move_bounds(minc, maxc, n)
-
-
 def _level_states(set_: AmbiguitySet, n: int, hold_zero: bool = False) -> int:
-    """The summed lengths of ``_level_bounds(set_, n, hold_zero)`` in closed form,
-    (n + 1) + (max - min) n (n + 1) / 2: every sweep charges it before it builds a level."""
-    span = _level_bounds(set_, 1, hold_zero)[1][1] - 1
-    return (n + 1) + span * n * (n + 1) // 2
-
-
-def _moves(set_: AmbiguitySet) -> Tuple[int, ...]:
-    """The distinct moves of ``set_``'s generators, increasing."""
-    return tuple(sorted({c for gc in set_.coords for c in gc}))
-
-
-def _reach(set_: AmbiguitySet, n: int):
-    """``(bounds, d, holes, flat)`` of :func:`_reachability` on ``set_``'s moves: the
-    last result is kept, so the policy builders and ``simulate`` of a job share it."""
-    return _reachability(_moves(set_), n)
+    """The states of ``_frame(set_, hold_zero).bounds(n)`` in closed form,
+    (n + 1) + s n (n + 1) / 2: every sweep charges it before it builds a level."""
+    return (n + 1) + _frame(set_, hold_zero).s * n * (n + 1) // 2
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -204,37 +212,28 @@ def _zero_bits(bits: int, width: int) -> List[int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _reachability(moves: Tuple[int, ...], n: int):
-    """Level k's reachable states, the k-fold sumset of ``moves``, in closed form.
+def _reachability(ts: Tuple[int, ...], n: int):
+    """Level k's reachable j, the k-fold sumset of a frame's ``steps`` T, in closed form.
 
-    With moves a = c_0 < ... < c_m = b, d = gcd(c_i - a) and s = (b - a) / d,
-    level k's states lie on the progression k a + d j, j = 0..k s, of the hull
-    [k a, k b]; the reachable j are the k-fold sumset of T = {(c_i - a) / d}.
-    Every j in [(s - 1)^2, k s - (s - 1)^2] is reachable: T generates Z/s, so
-    j's residue is that of a sum y of c <= s - 1 elements of T inside (0, s),
-    where c <= y <= c (s - 1), and j = y + q s with q >= 0 summands s and
-    k - c - q >= 0 zeros.  The unreachable j, the holes, thus lie fewer than
-    E = (s - 1)^2 + 1 steps from either end (Nathanson, "Sums of finite sets of
-    integers", Amer. Math. Monthly 79, 1972, for the form).  The low window,
-    j < E, of level k is a function of level k - 1's (no summand is negative),
-    as is the high window, k s - j < E, and both only grow (0 and s are in T):
-    once both repeat and k s >= 2E - 1 every later level has one pattern.  The
-    windows are stepped as Python-int bit sets until then, about 2s levels, and
-    no level is built.
+    T runs from 0 to s with gcd 1, so every j in [(s - 1)^2, k s - (s - 1)^2] is
+    reachable: T generates Z/s, so j's residue is that of a sum y of c <= s - 1
+    elements of T inside (0, s), where c <= y <= c (s - 1), and j = y + q s with
+    q >= 0 summands s and k - c - q >= 0 zeros.  The unreachable j, the holes,
+    thus lie fewer than E = (s - 1)^2 + 1 steps from either end (Nathanson, "Sums
+    of finite sets of integers", Amer. Math. Monthly 79, 1972, for the form).  The
+    low window, j < E, of level k is a function of level k - 1's (no summand is
+    negative), as is the high window, k s - j < E, and both only grow (0 and s are
+    in T): once both repeat and k s >= 2E - 1 every later level has one pattern.
+    The windows are stepped as Python-int bit sets until then, about 2s levels,
+    and no level is built.
 
-    Returns ``(bounds, d, holes, flat)``: ``bounds[k] = (lo, length)`` as in
-    :func:`_level_bounds`; ``holes[k]``, for k = 0..n, the progression indices j
-    of level k's holes (state ``lo + d j``) in increasing order of j, those near
-    the top counted from the end (-1 is j = k s), so every level from the
-    repeat on shares one array; with d > 1 every state off the progression is
-    unreachable too.  ``flat`` lists the holes of levels 0..n - 1, the pre-step
-    states of steps 1..n, as indices into their progressions laid end to end,
-    increasing.  The arrays are read-only.
+    Returns ``(holes, flat)``: ``holes[k]``, for k = 0..n, level k's holes in
+    increasing order of j, those near the top counted from the end (-1 is
+    j = k s), so every level from the repeat on shares one array.  ``flat`` lists
+    the holes of levels 0..n - 1, the pre-step states of steps 1..n, as indices
+    into their progressions laid end to end, increasing.  The arrays are read-only,
+    and the last result is kept: the policy builders and ``simulate`` of a job share it.
     """
-    a = moves[0]
-    bounds = tuple(_move_bounds(a, moves[-1], n))
-    d = math.gcd(*(c - a for c in moves)) or 1  # one move: one state per level
-    ts = [(c - a) // d for c in moves]
     s = ts[-1]
     E = (s - 1) ** 2 + 1
     full = (1 << E) - 1
@@ -259,64 +258,66 @@ def _reachability(moves: Tuple[int, ...], n: int):
         ks = np.arange(steady, n)[:, None]
         pieces.append((holes[-1] % (s * ks + 1) + (s * ks * (ks - 1) // 2 + ks)).ravel())
     flat = _read_only(np.concatenate(pieces)) if pieces else _NO_HOLES
-    return bounds, d, tuple(holes), flat
+    return tuple(holes), flat
 
 
 def reachable_masks(set_: AmbiguitySet, n: int):
-    """``(bounds, masks)``: per-level boolean reachability from the holes, cached and read-only."""
-    return _dense_masks(_moves(set_), n)
+    """``(bounds, masks)``: per level k = 0..n the hull ``(lo, length)`` of the sums of k
+    moves and its boolean reachability, cached and read-only.  No sweep reads them:
+    this is the one place that lays the frame back onto the hull."""
+    return _dense_masks(_frame(set_), n)
 
 
 @functools.lru_cache(maxsize=1)
-def _dense_masks(moves: Tuple[int, ...], n: int):
-    bounds, d, holes, _ = _reachability(moves, n)
-    masks = []
-    for (_, length), h in zip(bounds, holes):
-        mask = np.zeros(length, dtype=bool)
-        mask[::d] = True
-        mask[::d][h] = False
+def _dense_masks(frame: _Frame, n: int):
+    bounds, masks = [], []
+    for k, h in enumerate(_reachability(frame.steps, n)[0]):
+        mask = np.zeros(frame.d * k * frame.s + 1, dtype=bool)
+        mask[:: frame.d] = True
+        mask[:: frame.d][h] = False
+        bounds.append((k * frame.a, len(mask)))
         masks.append(_read_only(mask))
-    return bounds, tuple(masks)
+    return tuple(bounds), tuple(masks)
 
 
 def _frame_levels(set_: AmbiguitySet, n: int, fill: int):
-    """``(levels, unmark)``: ``levels[k - 1] = (lo, choice)`` over level k - 1's stored
-    states, k = 1..n, views of one array filled with ``fill``.  Each level is padded to
-    a multiple of d, so row j of the array in rows of d is progression state j as
-    ``flat`` counts them; ``unmark()`` writes -1 at every unreachable state."""
-    bounds, d, _, flat = _reach(set_, n)
-    starts = list(accumulate((length + d - 1 for _, length in bounds[:n]), initial=0))
-    frame = np.full(starts[n], fill, dtype=_choice_dtype(len(set_.generators)))
-    levels = tuple((lo, frame[a : a + length]) for (lo, length), a in zip(bounds[:n], starts))
+    """``(levels, seal)``: ``levels[k - 1] = (lo, choice)`` over level k - 1's progression,
+    k = 1..n, views of one array filled with ``fill`` and laid out as ``flat`` counts;
+    ``seal()`` writes -1 at every unreachable state and returns the policy."""
+    frame = _frame(set_)
+    flat = _reachability(frame.steps, n)[1]
+    starts = list(accumulate((k * frame.s + 1 for k in range(n)), initial=0))
+    array = np.full(starts[n], fill, dtype=_choice_dtype(len(set_.generators)))
+    levels = tuple((k * frame.a, array[starts[k] : starts[k + 1]]) for k in range(n))
 
-    def unmark():
-        rows = frame.reshape(-1, d)
-        rows[:, 1:] = -1
-        rows[flat, 0] = -1
+    def seal():
+        array[flat] = -1
+        return KernelPolicy(n, levels, (frame, _read_only(array)))
 
-    return levels, unmark
-
-
-def _constant_levels(set_: AmbiguitySet, n: int, g: int):
-    """``(lo, choice)`` per level 1..n: generator ``g`` at every reachable state, -1 elsewhere."""
-    levels, unmark = _frame_levels(set_, n, g)
-    unmark()
-    return levels
+    return levels, seal
 
 
 def _reachable_choices(set_: AmbiguitySet, policy: KernelPolicy, n: int):
-    """``(choices, chosen, bounds)`` of ``policy`` on ``set_``'s reachability.
+    """``(choices, chosen)`` of ``policy`` on ``set_``'s frame.
 
-    ``choices[k - 1]`` covers level k's states.  ``chosen`` lays the choices at
-    the progressions of levels 1..n end to end, each hole overwritten by the
-    choice at level 1's one state, 0: its distinct values are the choices at
-    the reachable states.
+    ``choices[k - 1]`` covers level k - 1's progression.  ``chosen`` lays them end to
+    end, each hole overwritten by the choice at level 1's one state, 0: its distinct
+    values are the choices at the reachable states.  A policy built on this frame
+    hands over its own array; any other is read level by level.
     """
-    bounds, d, _, flat = _reach(set_, n)
-    choices = [policy.level_choices(k, *bounds[k - 1]) for k in range(1, n + 1)]
-    chosen = np.concatenate(choices if d == 1 else [c[::d] for c in choices])
+    frame = _frame(set_)
+    flat = _reachability(frame.steps, n)[1]
+    if policy._framed is not None and policy._framed[0] == frame and policy.n == n:
+        choices = [choice for _, choice in policy.levels]
+        chosen = policy._framed[1].copy()
+    else:
+        choices = [
+            policy.level_choices(k, (k - 1) * frame.a, (k - 1) * frame.s + 1, frame.d)
+            for k in range(1, n + 1)
+        ]
+        chosen = np.concatenate(choices)
     chosen[flat] = chosen[0]
-    return choices, chosen, bounds
+    return choices, chosen
 
 
 def _invalid(choice, generator_count: int):
@@ -435,15 +436,13 @@ def _weights(set_: AmbiguitySet):
 
 
 def _upper_terminal(set_, n, f, normalize, state_budget):
-    """Checked level bounds, their state count and the terminal values of an upper sweep."""
+    """The frame, its checked state count and the terminal values of an upper sweep."""
     check_horizon(n)
     if normalize and not f.bounded:
         raise InputError("UNBOUNDED_F", f"{f.describe()} is unbounded; use moment mode")
     state_count = check_budget(_level_states(set_, n), state_budget)
-    bounds = _level_bounds(set_, n)
-    lo, length = bounds[n]
-    u = _terminal_values(set_, n, f, normalize, np.arange(lo, lo + length))
-    return bounds, state_count, u
+    frame = _frame(set_)
+    return frame, state_count, _terminal_values(set_, n, f, normalize, frame.states(n))
 
 
 def upper_value(
@@ -454,8 +453,8 @@ def upper_value(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> float:
     """``robust_value(...).value`` bitwise, without the policy or reachability."""
-    bounds, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
-    return _sweep(set_.coords, _weights(set_), bounds, u, np.greater)
+    frame, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
+    return _sweep(frame.moves, _weights(set_), frame.bounds(n), u, np.greater)
 
 
 def robust_value(
@@ -471,11 +470,11 @@ def robust_value(
     w_j u_k(s + x_j)``, with the argmax recorded as the extracted
     worst-case kernel policy.  :func:`upper_value` computes the value alone.
     """
-    bounds, state_count, u = _upper_terminal(set_, n, f, normalize, state_budget)
-    levels, unmark = _frame_levels(set_, n, 0)
-    value = _sweep(set_.coords, _weights(set_), bounds, u, np.greater, record=[c for _, c in levels])
-    unmark()
-    return RobustResult(value, KernelPolicy(n, levels), state_count)
+    frame, state_count, u = _upper_terminal(set_, n, f, normalize, state_budget)
+    levels, seal = _frame_levels(set_, n, 0)
+    record = [choice for _, choice in levels]
+    value = _sweep(frame.moves, _weights(set_), frame.bounds(n), u, np.greater, record=record)
+    return RobustResult(value, seal(), state_count)
 
 
 def policy_value(
@@ -493,18 +492,19 @@ def policy_value(
     argmax policy reproduces the robust value bitwise.  Unreachable states
     never feed reachable ones, so only reachable states need a generator.
     """
-    bounds, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
+    frame, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
     if policy.n != n:
         raise InputError("POLICY_GAP", f"policy is for horizon {policy.n}, not {n}")
-    choices, chosen, _ = _reachable_choices(set_, policy, n)
+    choices, chosen = _reachable_choices(set_, policy, n)
     gaps = _invalid(chosen, len(set_.generators))
+    bounds = frame.bounds(n)
     if gaps.any():  # the first in chosen's order: level by level, increasing states
-        i, d = int(np.argmax(gaps)), _reach(set_, n)[1]
-        starts = list(accumulate(((length - 1) // d + 1 for _, length in bounds[: n - 1]), initial=0))
+        i = int(np.argmax(gaps))
+        starts = list(accumulate((length for _, length in bounds[: n - 1]), initial=0))
         k = bisect.bisect_right(starts, i)
-        state = bounds[k - 1][0] + d * (i - starts[k - 1])
+        state = (k - 1) * frame.a + frame.d * (i - starts[k - 1])
         raise InputError("POLICY_GAP", f"reachable state {state} at level {k} has no generator")
-    return _sweep(set_.coords, _weights(set_), bounds, u, choices)
+    return _sweep(frame.moves, _weights(set_), bounds, u, choices)
 
 
 # -- capacities --------------------------------------------------------
@@ -573,15 +573,16 @@ def _final_capacity(set_, n, hit, better, state_budget, from_index, hold_zero=Fa
     The levels up to ``from_index`` move nothing: a sweep of one-state levels of their own."""
     h = n - from_index
     check_budget(from_index + _level_states(set_, h, hold_zero), state_budget)
-    bounds, origin = _level_bounds(set_, h, hold_zero), set_.lattice.origin
-    lo, length = bounds[h]
-    u = hit(np.arange(lo, lo + length) + h * origin).astype(float)
+    frame, origin = _frame(set_, hold_zero), set_.lattice.origin
+    u = hit(frame.states(h) + h * origin).astype(float)
     weights, at_zero = _weights(set_), []
+    zero = (-origin - frame.a) // frame.d  # S_k = 0 at j = k zero, a state under hold_zero
 
     def visit(k, values):
-        at_zero.append(float(values[-k * origin - bounds[k][0]]))
+        at_zero.append(float(values[k * zero]))
 
-    value = _sweep(set_.coords, weights, bounds, u, better, visit=visit if hold_zero else None)
+    bounds = frame.bounds(h)
+    value = _sweep(frame.moves, weights, bounds, u, better, visit=visit if hold_zero else None)
     still = tuple((0,) * len(gc) for gc in set_.coords)
     value = _sweep(still, weights, [(0, 1)] * (from_index + 1), np.array([value]), better)
     return at_zero if hold_zero else value
@@ -599,13 +600,14 @@ def _flagged_capacity(set_, n, event, better, state_budget):
     origin, step = set_.lattice.origin, set_.lattice.step
     if event.kind == "MAX_PARTIAL_ABS_GE":
         check_budget(2 * _level_states(set_, n), state_budget)
-        bounds = _level_bounds(set_, n)
+        frame = _frame(set_)
+        a, d, moves = frame.a + origin, frame.d, frame.moves
         ceil_t = math.ceil(event.threshold / step)  # as in _event_hit
+        bounds = [(0, 1)]  # level k keeps the j with |k a + d j| < ceil_t
         for k in range(1, n + 1):
-            lo, length = bounds[k]
-            a, b = max(lo, 1 - ceil_t - k * origin), min(lo + length, ceil_t - k * origin)
-            bounds[k] = (a, max(0, b - a))
-        moves = set_.coords
+            lo = max(0, -((ceil_t - 1 + k * a) // d))
+            hi = min(k * frame.s, (ceil_t - 1 - k * a) // d)
+            bounds.append((lo, max(0, hi - lo + 1)))
     else:
         check_budget(2 * (n + 1), state_budget)
         bounds = [(0, 1)] * (n + 1)

@@ -23,7 +23,8 @@ from .functions import TestFunction
 from .lattice_dp import (
     DEFAULT_STATE_BUDGET,
     KernelPolicy,
-    _constant_levels,
+    _frame,
+    _frame_levels,
     _invalid,
     _level_states,
     _reachable_choices,
@@ -45,10 +46,10 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise InputError("BAD_PATHS", "need at least one path")
+        check_horizon(self.paths, "BAD_PATHS", "paths")
         check_horizon(self.n)
-        if not 0 <= self.seed < 2**128:  # the Philox key range
+        check_horizon(self.seed, "BAD_SEED", "seed", least=0)
+        if self.seed >= 2**128:  # the Philox key range
             raise InputError("BAD_SEED", f"seed must be in [0, 2**128), got {self.seed}")
         if self.policy.n != self.n:
             raise InputError(
@@ -74,10 +75,12 @@ def constant_policy(
     Charges the level-states of :func:`~sublinexp.lattice_dp.robust_value`.
     """
     check_horizon(n)
-    if not 0 <= generator_index < len(set_.generators):
+    check_horizon(generator_index, "POLICY_GAP", "generator index", least=0)
+    if generator_index >= len(set_.generators):
         raise InputError("POLICY_GAP", f"generator index {generator_index} out of range")
     check_budget(_level_states(set_, n), state_budget)
-    return KernelPolicy(n, _constant_levels(set_, n, generator_index))
+    _, seal = _frame_levels(set_, n, generator_index)  # generator g, then -1 at every hole
+    return seal()
 
 
 def simulate(
@@ -94,10 +97,10 @@ def simulate(
     walk.  Aggregation order is fixed by path index.  The ``paths * n``
     draws are charged against ``state_budget``.
     """
-    set_ = config.set
+    set_, frame = config.set, _frame(config.set)
     n, m = config.n, config.paths
     check_budget(m * n, state_budget, "draws")
-    choices, chosen, bounds = _reachable_choices(set_, config.policy, n)
+    choices, chosen = _reachable_choices(set_, config.policy, n)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     rows = max(1, _BLOCK_DRAWS // n)
     # row blocks drawn in turn are the rows of one (m, n) draw
@@ -105,11 +108,10 @@ def simulate(
     low, high = int(chosen.min()), int(chosen.max())
     gap = low < 0 or high >= len(set_.generators)
     if low == high and not gap:
-        rel = _iid_sums(set_, low, n, m, blocks)
+        j = _iid_sums(set_, frame, low, n, m, blocks)
     else:
-        rel = _walk(set_, choices, bounds, n, m, blocks, gap)
-    s = rel + bounds[n][0]
-    vals = _terminal_values(set_, n, f, normalize, s)
+        j = _walk(set_, frame, choices, n, m, blocks, gap)
+    vals = _terminal_values(set_, n, f, normalize, n * frame.a + frame.d * j)
     estimate = float(np.add.reduce(vals) / m)
     if m > 1:
         stderr = float(np.std(vals, ddof=1) / np.sqrt(m))
@@ -120,32 +122,32 @@ def simulate(
 
 # Generator g's atom for a draw x is the number of its inner cumulative weights
 # <= x: searchsorted(cumsum(w), x, "right") capped at the last atom, which guards
-# the w-sum rounding edge.  Both helpers return S_n less level n's lo, n * min_coord.
+# the w-sum rounding edge.  Both helpers return S_n as the frame's j at level n.
 
 
-def _iid_sums(set_, g, n, m, blocks):
-    """Terminal states under generator ``g`` at every step: with c its coordinates,
-    ``n (c_0 - min_coord) + sum_j (c_j - c_{j-1}) #{k : u_k >= cumsum(w)_j}``."""
-    gc = set_.coords[g]
+def _iid_sums(set_, frame, g, n, m, blocks):
+    """Terminal j under generator ``g`` at every step: with t its frame moves,
+    ``n t_0 + sum_i (t_i - t_{i-1}) #{k : u_k >= cumsum(w)_i}``."""
+    gt = frame.moves[g]
     inner = np.cumsum(set_.generators[g].weight_array)[:-1]
-    rel = np.full(m, n * (gc[0] - set_.min_coord), dtype=np.intp)
+    j = np.full(m, n * gt[0], dtype=np.intp)
     for r, u in blocks:
-        out = rel[r : r + len(u)]
-        for w, step in zip(inner, np.diff(gc)):
+        out = j[r : r + len(u)]
+        for w, step in zip(inner, np.diff(gt)):
             out += step * np.count_nonzero(u >= w, axis=1)
-    return rel
+    return j
 
 
-def _walk(set_, choices, bounds, n, m, blocks, gap):
-    """Terminal states of a per-level walk through the policy's choices.
+def _walk(set_, frame, choices, n, m, blocks, gap):
+    """Terminal j of a per-level walk through the policy's choices.
 
     Each draw is kept, level-major and in the smallest unsigned dtype, as its
     rank: the number of ``cuts``, the distinct inner cumulative weights of all
     generators, at or below it.  A generator's own inner weights are cuts, so
-    the rank fixes its atom: lut[g * R + r] is g's coordinate for rank r, less
-    min_coord, the step of each level's lo.  A visited state is reachable, so
-    only with a ``gap``, a reachable choice naming no generator, does a level
-    test its visited choices, to name the first visited gap.
+    the rank fixes its atom: lut[g * R + r] is g's frame move t for rank r.  A
+    visited state is reachable, so only with a ``gap``, a reachable choice
+    naming no generator, does a level test its visited choices, to name the
+    first visited gap.
     """
     inner = [np.cumsum(gen.weight_array)[:-1] for gen in set_.generators]
     cuts = np.array(sorted(set(np.concatenate(inner).tolist())))  # np.unique imports numpy.ma
@@ -153,8 +155,9 @@ def _walk(set_, choices, bounds, n, m, blocks, gap):
     top = len(set_.generators) * R
     at = np.concatenate(([-np.inf], cuts))  # a draw of rank r lies in [at[r], at[r + 1])
     lut = np.concatenate([
-        np.asarray(gc)[np.searchsorted(w, at, "right")] for w, gc in zip(inner, set_.coords)
-    ]) - set_.min_coord  # min_coord scans every generator: subtract it once
+        np.asarray(gt, dtype=np.intp)[np.searchsorted(w, at, "right")]
+        for w, gt in zip(inner, frame.moves)
+    ])
     ranks = np.empty((n, m), dtype=np.min_scalar_type(R - 1))
     for r, u in blocks:
         if len(cuts) >= _SEARCH_CUTS:
@@ -164,16 +167,16 @@ def _walk(set_, choices, bounds, n, m, blocks, gap):
             for c in cuts:
                 rank += u >= c
         ranks[:, r : r + len(u)] = rank.T
-    rel = np.zeros(m, dtype=np.intp)  # S_k minus level k's lo
+    j = np.zeros(m, dtype=np.intp)  # S_k as the frame's j at level k
     for k in range(1, n + 1):
         # scale in intp: an int8 choice times R overflows; every path stays
-        # inside the level's bounds, so rel indexes the level's states
-        base = np.multiply(choices[k - 1], R, dtype=np.intp)[rel]
+        # on the level's progression, so j indexes the level's choices
+        base = np.multiply(choices[k - 1], R, dtype=np.intp)[j]
         if gap and base.view(np.uintp).max() >= top:  # -1 wraps above every index
-            bad = bounds[k - 1][0] + int(rel[np.argmax(_invalid(base, top))])
+            bad = (k - 1) * frame.a + frame.d * int(j[np.argmax(_invalid(base, top))])
             raise InputError(
                 "POLICY_GAP", f"visited state {bad} at level {k} has no generator"
             )
         base += ranks[k - 1]
-        rel += lut[base]
-    return rel
+        j += lut[base]
+    return j

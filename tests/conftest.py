@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sublinexp import AmbiguitySet, DiscreteDistribution, LatticeSpec, piecewise_linear
 
@@ -46,6 +47,14 @@ def random_set(rng, max_generators=3, max_atoms=3, span=3, step=1, origin=0):
         weights = weights / weights.sum()
         gens.append(list(zip(points.tolist(), weights.tolist())))
     return make_set(*gens, step=step, origin=origin)
+
+
+@st.composite
+def tie_prone_functions(draw):
+    """Piecewise-linear functions with few distinct quarter values, so candidates tie."""
+    xs = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True))
+    ys = draw(st.lists(st.integers(-4, 4), min_size=len(xs), max_size=len(xs)))
+    return piecewise_linear([(x / 4, y / 4) for x, y in zip(sorted(xs), ys)])
 
 
 def random_pwl(rng, lo=-3.0, hi=3.0, max_breaks=5, scale=2.0):

@@ -1,23 +1,19 @@
 """The dense forward pass, kept as the reference for ``lattice_dp._reachability``.
 
 Level k's mask is built from level k - 1's by one OR-shift per distinct move,
-and the callers that read reachability are rebuilt on these masks as they
-were before the holes: the -1 marks of a robust policy, ``constant_policy``
-and the i.i.d. test of ``simulate``.  ``tests/test_reachability.py`` checks
-that the package gives the same holes, policies and estimates bit for bit.
+on the hull of each level, and the callers that read reachability are rebuilt
+on these masks as they were before the holes: the -1 marks of a robust policy,
+``constant_policy`` and the i.i.d. test of ``simulate``.
+``tests/test_reachability.py`` checks that the package gives the same holes,
+policies and estimates bit for bit.
 """
 
 import numpy as np
 
-from sublinexp import KernelPolicy, montecarlo
-from sublinexp.lattice_dp import (
-    _choice_dtype,
-    _move_bounds,
-    _sweep,
-    _terminal_values,
-    _upper_terminal,
-    _weights,
-)
+from sublinexp import KernelPolicy, lattice_dp, montecarlo
+from sublinexp.lattice_dp import _choice_dtype, _terminal_values
+
+from hull_reference import _move_bounds, robust_records
 
 
 def dense_masks(moves, n):
@@ -40,10 +36,8 @@ def set_masks(set_, n):
 
 
 def robust_policy(set_, n, f, normalize=True):
-    """The argmax records of the robust sweep, -1 wherever the mask is False."""
-    bounds, _, u = _upper_terminal(set_, n, f, normalize, 10**12)
-    args = [np.zeros(length, _choice_dtype(len(set_.generators))) for _, length in bounds[:n]]
-    _sweep(set_.coords, _weights(set_), bounds, u, np.greater, record=args)
+    """The argmax records of the hull's robust sweep, -1 wherever the mask is False."""
+    _, bounds, args = robust_records(set_, n, f, normalize)
     _, masks = set_masks(set_, n)
     for k, arg in enumerate(args):
         arg[~masks[k]] = -1
@@ -62,19 +56,21 @@ def constant_policy(set_, n, g):
 
 def simulate(config, f, normalize=True):
     """``(estimate, stderr)`` of ``montecarlo.simulate`` with the i.i.d. test made on the
-    choices the masks select, and the walk testing every visited level."""
+    hull choices the masks select, and the walk testing every visited level."""
     set_, n, m = config.set, config.n, config.paths
+    frame = lattice_dp._frame(set_)
     bounds, masks = set_masks(set_, n)
-    choices = [config.policy.level_choices(k, *bounds[k - 1]) for k in range(1, n + 1)]
-    chosen = np.concatenate(choices)[np.concatenate(masks[:n])]
+    hull = [config.policy.level_choices(k, *bounds[k - 1]) for k in range(1, n + 1)]
+    chosen = np.concatenate(hull)[np.concatenate(masks[:n])]
+    choices = [choice[:: frame.d] for choice in hull]  # the progression, as the walk reads it
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     rows = max(1, montecarlo._BLOCK_DRAWS // n)
     blocks = ((r, rng.random((min(rows, m - r), n))) for r in range(0, m, rows))
     g = int(chosen[0])
     if chosen.min() == chosen.max() and 0 <= g < len(set_.generators):
-        rel = montecarlo._iid_sums(set_, g, n, m, blocks)
+        j = montecarlo._iid_sums(set_, frame, g, n, m, blocks)
     else:
-        rel = montecarlo._walk(set_, choices, bounds, n, m, blocks, True)
-    vals = _terminal_values(set_, n, f, normalize, rel + bounds[n][0])
+        j = montecarlo._walk(set_, frame, choices, n, m, blocks, True)
+    vals = _terminal_values(set_, n, f, normalize, n * frame.a + frame.d * j)
     stderr = float(np.std(vals, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
     return float(np.add.reduce(vals) / m), stderr

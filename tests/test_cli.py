@@ -496,8 +496,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("policy", [{"constant": 1}, "robust"])
     def test_simulate_budget_covers_policy_and_draws(self, tmp_path, capsys, policy):
-        n, paths = 6, 40  # levels of 1, 3, .., 13 states: 49 level-states; 240 draws
-        for budget, refusal in ((240, None), (239, "240 draws"), (48, "49 level-states")):
+        n, paths = 6, 40  # levels of 1, 2, .., 7 states: 28 level-states; 240 draws
+        for budget, refusal in ((240, None), (239, "240 draws"), (27, "28 level-states")):
             payload = dict(PAIR_SET, function={"kind": "abs"}, n=n, paths=paths, policy=policy,
                            budgets={"states": budget})
             assert run(tmp_path, "simulate", payload) == (2 if refusal else 0)

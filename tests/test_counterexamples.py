@@ -171,6 +171,18 @@ class TestGenerators:
         with pytest.raises(InputError):
             ParametricFamily("NOPE", 3)
 
+    @pytest.mark.parametrize("truncation", [0, -1, 2.5, 2.0, True, "3", 100.5, 1000.0])
+    def test_truncation_is_an_integer_from_one(self, truncation):
+        # refused where the family is made, not later inside a numpy scan
+        makers = [lambda name=name: ParametricFamily(name, truncation) for name in ("EXM3", "HEAVY")]
+        if isinstance(truncation, float) and truncation >= 40:  # past TRUNCATION_TOO_SMALL
+            makers.append(lambda: exm3_report(truncation, [10], [10]))
+        for make in makers:
+            with pytest.raises(InputError) as e:
+                make()
+            assert e.value.code == "BAD_FAMILY"
+            assert e.value.message == f"truncation must be an integer >= 1, got {truncation!r}"
+
 
 class TestFamilyExpect:
     def test_vectorized_scan_matches_per_generator_summation(self):

@@ -84,9 +84,10 @@ class TestOttavianiSweep:
         assert rep.rhs == capacity(s, n, ev) / (1.0 - 0.5)
 
     def test_budget_counts_the_widened_sweep(self):
-        # a point mass at 5: level k holds 1 state, widened to the 5k + 1 states of 0..5k
+        # a point mass at 5: level k holds 1 state, widened by the move 0 to the
+        # k + 1 states 0, 5, .., 5k on the progression of step 5
         s = make_set([(5, 1.0)])
-        widened = sum(5 * k + 1 for k in range(11))
+        widened = sum(k + 1 for k in range(11))
         ottaviani_check(s, 10, 1.0, 0.5, state_budget=widened)
         with pytest.raises(BudgetError) as e:
             ottaviani_check(s, 10, 1.0, 0.5, state_budget=widened - 1)

@@ -23,7 +23,6 @@ from sublinexp import (
     PathEvent,
     capacity,
     constant_policy,
-    piecewise_linear,
     policy_value,
     robust_value,
     upper_value,
@@ -32,7 +31,8 @@ from sublinexp import cli, counterexamples, lattice_dp
 from sublinexp.counterexamples import heavy_lln_value
 from sublinexp.lattice_dp import EVENT_KINDS, _choice_dtype, final_abs_capacities
 
-from conftest import make_set
+import hull_reference as hull
+from conftest import make_set, tie_prone_functions
 from kernel_reference import _sweep as reference_sweep
 
 FINITE = [0.0, -0.0, 0.5, 1.0, -2.0]
@@ -75,14 +75,6 @@ def ambiguity_sets(draw):
         twin = gens[draw(st.integers(0, len(gens) - 1))]
         gens.insert(draw(st.integers(0, len(gens))), twin)
     return make_set(*gens, step=step, origin=origin)
-
-
-@st.composite
-def tie_prone_functions(draw):
-    """Piecewise-linear functions with few distinct quarter values, so candidates tie."""
-    xs = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True))
-    ys = draw(st.lists(st.integers(-4, 4), min_size=len(xs), max_size=len(xs)))
-    return piecewise_linear([(x / 4, y / 4) for x, y in zip(sorted(xs), ys)])
 
 
 @st.composite
@@ -151,7 +143,7 @@ class TestAgainstTheReference:
         # false on both, and an infinite absorbing value takes the same branches
         rule = np.greater if upper else np.less
         weights = [gen.weights for gen in set_.generators]
-        bounds = lattice_dp._level_bounds(set_, n)
+        bounds = hull.level_bounds(set_, n)
         width = bounds[n][1]
         u = np.array(data.draw(st.lists(st.sampled_from(SPECIAL), min_size=width, max_size=width)))
         trigger = tuple(tuple(data.draw(st.sampled_from([0, 1])) for _ in gc) for gc in set_.coords)
@@ -178,7 +170,7 @@ class TestAgainstTheReference:
         count = len(weights)
         still = tuple((0,) * len(gc) for gc in set_.coords)
         cases = [  # (moves, bounds): a full lattice, and a chain of still one-state levels
-            (set_.coords, lattice_dp._level_bounds(set_, n)),
+            (set_.coords, hull.level_bounds(set_, n)),
             (still, [(0, 1)] * (n + 1)),
         ]
         for moves, b in cases:

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from sublinexp.lln import chebyshev_bound_check, lln_sweep, peng_condition_repor
 from sublinexp.montecarlo import SimConfig
 from sublinexp.oracle import enumerate_selections_value
 
+import hull_reference as hull
 import reachability_reference as reachable
 from conftest import make_set, random_pwl, random_set
 
@@ -185,7 +187,7 @@ class TestCapacity:
 
     def test_partial_budget_refusals_unchanged(self, biased_pair):
         n = 40
-        charged = 2 * sum(2 * k + 1 for k in range(n + 1))  # both flags over every level's range
+        charged = 2 * sum(k + 1 for k in range(n + 1))  # both flags over every level's progression
         ev = PathEvent("MAX_PARTIAL_ABS_GE", 3)
         with pytest.raises(BudgetError) as e:
             capacity(biased_pair, n, ev, state_budget=charged - 1)
@@ -277,7 +279,7 @@ class TestPolicyValue:
 
 def all_generator_policy_value(set_, policy, n, f, normalize=True):
     """The fixed-policy sweep that evaluates every generator at every level, as a reference."""
-    bounds = lattice_dp._level_bounds(set_, n)
+    bounds = hull.level_bounds(set_, n)
     lo, length = bounds[n]
     u = lattice_dp._terminal_values(set_, n, f, normalize, np.arange(lo, lo + length))
     for k in range(n, 0, -1):
@@ -457,7 +459,7 @@ class TestSharedReachability:
             "n": 40, "paths": 500, "seed": 3, "policy": policy,
         }))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-        assert passes == [((-1, 0, 1, 2), 40)]
+        assert passes == [((0, 1, 2, 3), 40)]  # the moves -1, 0, 1, 2 on their frame
 
     def test_masks_are_read_only(self, biased_pair):
         bounds, masks = reachable_masks(biased_pair, 5)
@@ -467,7 +469,7 @@ class TestSharedReachability:
 
     def test_holes_are_read_only(self):
         s = make_set([(-1, 0.5), (2, 0.5)], [(0, 1.0)])  # a hole at every level from 1
-        _, _, holes, flat = lattice_dp._reach(s, 40)
+        holes, flat = lattice_dp._reachability(lattice_dp._frame(s).steps, 40)
         assert len(flat) == 39 and all(len(h) == 1 for h in holes[1:])
         assert all(h is holes[3] for h in holes[3:])  # from level 3 on, one pattern
         for array in (flat, holes[1], holes[40]):
@@ -521,50 +523,57 @@ class TestReachableMasks:
                 level = {x + c for x in level for c in moves}
 
 
-    def test_bounds_and_closed_form_count_match_the_level_bounds(self):
+    def test_masks_lie_on_the_hull_and_the_count_on_the_frame(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             s = random_set(rng, max_generators=4, max_atoms=4, span=5)
+            d = lattice_dp._frame(s).d
             for n in (1, 2, 7, 40):
-                bounds = lattice_dp._level_bounds(s, n)
-                assert reachable_masks(s, n)[0] == tuple(bounds)
-                assert lattice_dp._level_states(s, n) == sum(length for _, length in bounds)
+                bounds, masks = reachable_masks(s, n)
+                assert bounds == tuple(hull.level_bounds(s, n))
+                assert lattice_dp._level_states(s, n) == sum(len(mask[::d]) for mask in masks)
 
-    def test_hold_zero_bounds_are_the_widened_levels(self):
+    def test_hold_zero_frame_holds_zero_and_spans_the_widened_levels(self):
         rng = np.random.default_rng(32)
         zero_in_hull = set()
         for origin in range(-3, 4):
             for _ in range(8):
                 s = random_set(rng, max_generators=2, max_atoms=3, span=2, origin=origin)
-                zero_in_hull.add(s.min_coord <= -origin <= s.max_coord)
+                frame = lattice_dp._frame(s, hold_zero=True)
+                moves = {c for gc in s.coords for c in gc}
+                zero_in_hull.add(min(moves) <= -origin <= max(moves))
+                every = moves | {-origin}
+                assert frame.a == min(every) and frame.d == (math.gcd(*(c - frame.a for c in every)) or 1)
                 for n in (1, 2, 7, 40):
-                    bounds = lattice_dp._level_bounds(s, n, hold_zero=True)
-                    widened = lattice_dp._level_bounds(s, n)  # widen each level to hold S_k = 0
+                    widened = hull.level_bounds(s, n, hold_zero=True)
                     for k, (lo, length) in enumerate(widened):
-                        lo, hi = min(lo, -k * origin), max(lo + length - 1, -k * origin)
-                        widened[k] = (lo, hi - lo + 1)
-                    assert bounds == widened
+                        states = frame.states(k)  # both ends of the widened hull, and S_k = 0
+                        assert (states[0], states[-1]) == (lo, lo + length - 1)
+                        assert -k * origin in set(states.tolist())
                     count = lattice_dp._level_states(s, n, hold_zero=True)
-                    assert count == sum(length for _, length in bounds)
+                    assert count == sum(len(frame.states(k)) for k in range(n + 1))
         assert zero_in_hull == {True, False}
 
     def test_every_entry_point_refuses_before_building_a_level(self, biased_pair):
-        # the biased pair stores 2k + 1 states at level k: (n + 1)^2 in all, and
-        # a tail sum from m charges m one-state levels and (n - m + 1)^2
+        # the biased pair stores the k + 1 states of its progression at level k:
+        # (n + 1)(n + 2) / 2 in all, and a tail sum from m charges m one-state
+        # levels and the same count at horizon n - m
         n, m = 10**6, 5 * 10**5
         f = tent(0.25, 0.25)
+        states = lambda h: (h + 1) * (h + 2) // 2
         calls = [
-            (lambda: upper_value(biased_pair, n, f, state_budget=1000), (n + 1) ** 2),
-            (lambda: robust_value(biased_pair, n, f, state_budget=1000), (n + 1) ** 2),
+            (lambda: upper_value(biased_pair, n, f, state_budget=1000), states(n)),
+            (lambda: robust_value(biased_pair, n, f, state_budget=1000), states(n)),
+            # held at S_k = 0, the move 0 joins: every state of the hull, (n + 1)^2
             (lambda: final_abs_capacities(biased_pair, n, 1, state_budget=1000), (n + 1) ** 2),
         ]
         for kind in KINDS:
             event = PathEvent(kind, 1, m if kind == "TAIL_SUM_ABS_GE" else None)
             charge = {
-                "MAX_PARTIAL_ABS_GE": 2 * (n + 1) ** 2,
+                "MAX_PARTIAL_ABS_GE": 2 * states(n),
                 "MAX_INCREMENT_ABS_GE": 2 * (n + 1),
-                "TAIL_SUM_ABS_GE": m + (n - m + 1) ** 2,
-            }.get(kind, (n + 1) ** 2)
+                "TAIL_SUM_ABS_GE": m + states(n - m),
+            }.get(kind, states(n))
             calls.append((lambda e=event: capacity(biased_pair, n, e, state_budget=1000), charge))
         for call, charge in calls:
             tracemalloc.start()
@@ -583,11 +592,31 @@ class TestReachableMasks:
         # steps of two: level k's progression holds k + 1 states, every one reachable
         s = make_set([(-1, 0.5), (1, 0.5)], [(-1, 0.25), (1, 0.75)])
         pol = robust_value(s, n, tent(0.25, 0.25)).policy
-        choices, chosen, _ = lattice_dp._reachable_choices(s, pol, n)
+        choices, chosen = lattice_dp._reachable_choices(s, pol, n)
         assert chosen.dtype == np.int8
         assert len(chosen) == n * (n + 1) // 2
         _, masks = reachable_masks(s, n)
-        assert np.array_equal(chosen, np.concatenate([c[m] for c, m in zip(choices, masks)]))
+        assert np.array_equal(chosen, np.concatenate([c[m[::2]] for c, m in zip(choices, masks)]))
+
+    def test_reachable_choices_trust_only_a_policy_built_on_the_frame(self, monkeypatch):
+        # a built policy hands over its array; one rewrapped from its levels shares
+        # their .base but is read level by level, and both give the same choices
+        s = make_set([(-1, 0.5), (2, 0.5)], [(-1, 0.25), (0, 0.25), (2, 0.5)])  # d = 1
+        n = 30
+        built = robust_value(s, n, tent(0.25, 0.25)).policy
+        rewrapped = KernelPolicy(n, built.levels)
+        assert rewrapped.levels[0][1].base is built.levels[0][1].base
+        reads = []
+        read = KernelPolicy.level_choices
+        monkeypatch.setattr(KernelPolicy, "level_choices", lambda *a: reads.append(a) or read(*a))
+        got = lattice_dp._reachable_choices(s, built, n)
+        assert reads == []
+        want = lattice_dp._reachable_choices(s, rewrapped, n)
+        assert len(reads) == n
+        assert np.array_equal(got[1], want[1]) and all(map(np.array_equal, got[0], want[0]))
+        other = make_set([(-2, 0.5), (4, 0.5)], [(-2, 0.25), (0, 0.25), (4, 0.5)])  # d = 2
+        lattice_dp._reachable_choices(other, built, n)  # another frame: read level by level
+        assert len(reads) == 2 * n
 
     def test_reachable_choices_cover_the_holes(self):
         # moves {-1, 0, 2}: state 2k - 1, just below level k's top, is a hole at
@@ -595,7 +624,7 @@ class TestReachableMasks:
         s = make_set([(-1, 0.5), (2, 0.5)], [(0, 1.0)])
         n = 30
         pol = robust_value(s, n, tent(0.25, 0.25)).policy
-        choices, chosen, _ = lattice_dp._reachable_choices(s, pol, n)
+        choices, chosen = lattice_dp._reachable_choices(s, pol, n)
         _, masks = reachable_masks(s, n)
         reachable = np.concatenate([c[m] for c, m in zip(choices, masks[:n])])
         assert (reachable >= 0).all() and (np.concatenate(choices) < 0).any()
@@ -638,7 +667,7 @@ class TestUpperValue:
         n = 12
         result = robust_value(biased_pair, n, f)
         need = result.state_count
-        assert need == sum(k * 2 + 1 for k in range(n + 1))
+        assert need == sum(k + 1 for k in range(n + 1))  # the progression, every other state
         for call in (
             lambda b: robust_value(biased_pair, n, f, state_budget=b),
             lambda b: upper_value(biased_pair, n, f, state_budget=b),

@@ -17,9 +17,10 @@ from sublinexp import (
     tent,
 )
 from sublinexp import montecarlo
-from sublinexp.lattice_dp import DEFAULT_STATE_BUDGET, _level_bounds, _terminal_values
+from sublinexp.lattice_dp import DEFAULT_STATE_BUDGET, _terminal_values
 
 from conftest import make_set, random_pwl, random_set
+from hull_reference import level_bounds
 
 ABS_CLIPPED = piecewise_linear([(-1, 1), (0, 0), (1, 1)])
 
@@ -156,11 +157,37 @@ class TestValidation:
         with pytest.raises(InputError):
             constant_policy(coin, 2, 5)
 
+    @pytest.mark.parametrize("index", [0.5, 1.0, True, -1, "0", None])
+    def test_generator_index_is_an_integer(self, coin_or_rest, index):
+        with pytest.raises(InputError) as e:
+            constant_policy(coin_or_rest, 2, index)
+        assert e.value.code == "POLICY_GAP"
+        assert e.value.message == f"generator index must be an integer >= 0, got {index!r}"
+
+    @pytest.mark.parametrize(
+        "entry", [((1, 0), 1.5), ((1, 0), 1.0), ((1, 0), True), ((1.0, 0), 1), ((1, 0.5), 1)]
+    )
+    def test_entries_are_integers(self, entry):
+        with pytest.raises(InputError) as e:
+            KernelPolicy.from_entries(1, dict([entry]))
+        assert e.value.code == "BAD_POLICY"
+        assert KernelPolicy.from_entries(1, {(1, -3): 1}).get(1, -3) == 1  # any integer state
+
+    @pytest.mark.parametrize("field, value", [
+        ("paths", 2.5), ("paths", True), ("paths", 0), ("seed", 1.5), ("seed", True),
+        ("seed", -1), ("seed", 2**128),
+    ])
+    def test_paths_and_seed_are_integers(self, coin, field, value):
+        kwargs = {"paths": 10, "seed": 0, field: value}
+        with pytest.raises(InputError) as e:
+            SimConfig(constant_policy(coin, 2, 0), coin, 2, **kwargs)
+        assert e.value.code == {"paths": "BAD_PATHS", "seed": "BAD_SEED"}[field]
+
 
 def reference_simulate(config, f, normalize=True):
     """The per-generator ``searchsorted`` loop that ``simulate`` replaced, as a reference."""
     set_, n, m = config.set, config.n, config.paths
-    bounds = _level_bounds(set_, n)
+    bounds = level_bounds(set_, n)
     cumw = [np.cumsum(g.weight_array) for g in set_.generators]
     coords = [np.asarray(gc, dtype=np.int64) for gc in set_.coords]
     u = np.random.Generator(np.random.Philox(key=config.seed)).random((m, n))
@@ -256,11 +283,13 @@ class TestSimulationStep:
             assert res.paths == paths
 
     def test_robust_policy_with_unreachable_states(self):
-        # odd states are unreachable under steps of two, so the policy holds -1 there
+        # odd states are unreachable under steps of two: the policy stores the
+        # even ones, every one reachable, and reads -1 at the odd ones
         s = make_set([(-2, 0.5), (2, 0.5)], [(0, 0.5), (2, 0.5)])
         f = tent(0.5, 1.0)
         pol = robust_value(s, 7, f).policy
-        assert any(np.any(choice < 0) for _, choice in pol.levels)
+        assert pol.step == 2 and all((choice >= 0).all() for _, choice in pol.levels)
+        assert pol.level_choices(3, -4, 9)[1::2].tolist() == [-1] * 4
         assert_matches_reference(SimConfig(pol, s, 7, 5000, seed=8), f)
 
     def test_random_sets_match_reference(self):
@@ -276,14 +305,14 @@ class TestSimulationStep:
 def walk_simulate(config, f, normalize=True):
     """The per-level walk over one ``(paths, n)`` draw matrix that ``simulate`` used for every policy."""
     set_, n, m = config.set, config.n, config.paths
-    bounds = _level_bounds(set_, n)
+    bounds = level_bounds(set_, n)
     J = max(len(gc) for gc in set_.coords)
     top = len(set_.generators) * J
     th = np.full((J - 1, top), np.inf)
     co = np.zeros(top, dtype=np.intp)
     for g, (gen, gc) in enumerate(zip(set_.generators, set_.coords)):
         th[: len(gc) - 1, g * J] = np.cumsum(gen.weight_array)[:-1]
-        co[g * J : g * J + len(gc)] = np.asarray(gc) - set_.min_coord
+        co[g * J : g * J + len(gc)] = np.asarray(gc) - bounds[1][0]  # less the lowest move
     u = np.random.Generator(np.random.Philox(key=config.seed)).random((m, n))
     rel = np.zeros(m, dtype=np.intp)
     for k in range(1, n + 1):
@@ -368,7 +397,7 @@ class TestIidSums:
         f = piecewise_linear([(-1, 0), (1, 1)])
         pol = robust_value(biased_pair, 40, f).policy
         assert set(pol.entries.values()) == {1}
-        assert any(np.any(choice < 0) for _, choice in pol.levels)
+        assert pol.step == 2 and all((choice == 1).all() for _, choice in pol.levels)
         assert_takes(monkeypatch, "iid", SimConfig(pol, biased_pair, 40, 3000, seed=1), f)
 
 
@@ -423,7 +452,7 @@ class TestHorizonAndBudgets:
         n = 20
         need = robust_value(biased_pair, n, ABS_CLIPPED).state_count
         assert constant_policy(biased_pair, n, 1, state_budget=need).n == n
-        monkeypatch.setattr(montecarlo, "_constant_levels", refuse("_constant_levels"))
+        monkeypatch.setattr(montecarlo, "_frame_levels", refuse("_frame_levels"))
         with pytest.raises(BudgetError) as e:
             constant_policy(biased_pair, n, 1, state_budget=need - 1)
         assert e.value.code == "STATE_BUDGET_EXCEEDED"

@@ -46,11 +46,16 @@ def move_sets(draw):
 @example((-8, -7, 8), 200)  # the widest edge windows
 @example((-1, 0, 2), 1)
 def test_holes_are_the_dense_masks(moves, n):
-    bounds, d, holes, flat = lattice_dp._reachability(moves, n)
-    want_bounds, masks = reference.dense_masks(moves, n)
-    assert bounds == want_bounds and len(holes) == n + 1
-    assert d == (np.gcd.reduce(np.array(moves) - moves[0]) or 1)
-    for (_, length), h, mask in zip(bounds, holes, masks):
+    # the frame of one generator on these moves: a, d and the steps t = (c - a) / d
+    frame = lattice_dp._frame(make_set([(c, 1 / len(moves)) for c in moves]))
+    a, d, ts = frame.a, frame.d, frame.steps
+    assert a == moves[0] and d == (np.gcd.reduce(np.array(moves) - a) or 1)
+    assert ts == tuple((c - a) // d for c in moves) and frame.s == ts[-1]
+    holes, flat = lattice_dp._reachability(ts, n)
+    bounds, masks = reference.dense_masks(moves, n)
+    assert len(holes) == n + 1
+    for k, ((lo, length), h, mask) in enumerate(zip(bounds, holes, masks)):
+        assert lo == k * a and np.array_equal(lo + d * np.arange(k * frame.s + 1), frame.states(k))
         off = np.ones(length, dtype=bool)
         off[::d] = False
         assert not mask[off].any()  # nothing off the progression is reachable
@@ -60,8 +65,8 @@ def test_holes_are_the_dense_masks(moves, n):
         assert np.array_equal(h % on, np.flatnonzero(~mask[::d]))
     want_flat = np.flatnonzero(np.concatenate([~mask[::d] for mask in masks[:n]]))
     assert np.array_equal(flat, want_flat)
-    dense = lattice_dp._dense_masks(moves, n)
-    assert dense[0] == bounds and all(map(np.array_equal, dense[1], masks))
+    dense = lattice_dp._dense_masks(frame, n)
+    assert dense[0] == tuple(bounds) and all(map(np.array_equal, dense[1], masks))
 
 
 # sets whose levels have holes: moves {-1, 0, 2}, {-1, 1, 2}, {-2, 2} (step 4),
@@ -75,15 +80,22 @@ HOLE_SETS = {
 
 
 def assert_same_policy(got, want):
+    """The same choice at every hull state, -1 off the reachable ones, in the same dtype."""
     assert got.n == want.n and len(got.levels) == len(want.levels)
-    for (lo, a), (want_lo, b) in zip(got.levels, want.levels):
-        assert lo == want_lo and a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.entries == want.entries
+    for k, (lo, b) in enumerate(want.levels, start=1):
+        a = got.level_choices(k, lo, len(b))
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def assert_one_array(policy):
-    """Every level's choices are a view of one array."""
+def assert_one_array(policy, s):
+    """Every level's choices are a view of one array, laid on the set's frame."""
+    frame = lattice_dp._frame(s)
     bases = {id(choice.base) for _, choice in policy.levels}
     assert len(bases) == 1 and policy.levels[0][1].base is not None
+    assert policy.step == frame.d
+    for k, (lo, choice) in enumerate(policy.levels):
+        assert lo == k * frame.a and len(choice) == k * frame.s + 1
 
 
 def assert_same_estimate(got_policy, want_policy, s, n, f, seed):
@@ -100,12 +112,12 @@ def test_policies_and_estimates_match_the_dense_path(name, n):
     for f in (tent(0.25, 0.5), tent(-0.5, 0.25), random_pwl(rng, lo=-1, hi=2)):
         got, want = robust_value(s, n, f).policy, reference.robust_policy(s, n, f)
         assert_same_policy(got, want)
-        assert_one_array(got)
+        assert_one_array(got, s)
         assert_same_estimate(got, want, s, n, f, seed=n)
     for g in range(len(s.generators)):
         got, want = constant_policy(s, n, g), reference.constant_policy(s, n, g)
         assert_same_policy(got, want)
-        assert_one_array(got)
+        assert_one_array(got, s)
         assert_same_estimate(got, want, s, n, tent(0.25, 0.5), seed=g)
 
 
