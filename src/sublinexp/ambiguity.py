@@ -113,15 +113,6 @@ class DiscreteDistribution:
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
 
-    def tail_mass_fraction(self, threshold: RationalLike) -> Fraction:
-        """P(|X| >= threshold) as an exact rational over the float weights."""
-        t = to_fraction(threshold)
-        acc = Fraction(0)
-        for p, w in zip(self.points, self.weights):
-            if abs(Fraction(p)) >= t:
-                acc += Fraction(w)
-        return acc
-
 
 @dataclass(frozen=True)
 class AmbiguitySet:
@@ -202,19 +193,21 @@ def validate_ambiguity_set(
         raise InputError(e.code, e.message) from None
 
 
-def linear_expect(dist: DiscreteDistribution, f: TestFunction) -> float:
-    """Classical expectation sum(w_j * f(x_j)) in increasing-point order.
+def linear_expect(dist: DiscreteDistribution, f: TestFunction) -> Union[float, np.ndarray]:
+    """Classical expectation sum(w_j * f(x_j)) in increasing-point order, a float; for a
+    :func:`~sublinexp.functions.column` ``f`` an array of one per row.
 
     A value of ``f`` on the support that is not finite is ``UNBOUNDED_EVAL``.
 
     Summation uses numpy's deterministic single-threaded pairwise reduce,
-    consuming atoms in increasing-point order; results are reproducible
-    across runs and thread counts.
+    consuming atoms in increasing-point order, each row on its own; results
+    are reproducible across runs and thread counts.
     """
     vals = np.asarray(f(dist.point_array), dtype=float)
     if not np.isfinite(vals).all():
         raise InputError("UNBOUNDED_EVAL", f"{f.describe()} overflows on the support")
-    return float(np.add.reduce(vals * dist.weight_array))
+    out = np.add.reduce(vals * dist.weight_array, axis=-1)
+    return out if out.ndim else float(out)
 
 
 def sublinear_expect(set_: AmbiguitySet, f: TestFunction) -> SublinearValue:

@@ -22,9 +22,7 @@ from .counterexamples import (
     RAMP_DOWN, ParametricFamily, exm3_report, heavy_lln_lower_bound, heavy_lln_value,
 )
 from .errors import EngineError, InputError, PropertyViolation, check_budget
-from .functions import (
-    TestFunction, _real, abs_excess, clamp, constant, piecewise_linear, psi_fn, tent,
-)
+from .functions import _KINDS, TestFunction, _real, constant
 from .inequalities import VIOLATED, capacity_product_identity, ottaviani_check
 from .lattice_dp import (
     DEFAULT_STATE_BUDGET, PathEvent, capacity, robust_value, upper_value,
@@ -146,16 +144,9 @@ def build_source(cfg: Dict):
     return family
 
 
-#: function kind -> (constructor, the ``params`` keys it takes in order)
-_FUNCTION_KINDS = {
-    "pwl": (piecewise_linear, ("breakpoints",)),
-    "tent": (tent, ("center", "halfwidth")),
-    "clamp": (clamp, ("n",)),
-    "psi": (psi_fn, ("n",)),
-    "abs_excess": (abs_excess, ("lambda",)),
-    "constant": (constant, ("value",)),
-    **{kind: (functools.partial(TestFunction, kind), ()) for kind in ("abs", "square", "identity")},
-}
+#: function kind -> (constructor, the ``params`` keys it takes in order); ``constant`` is a ``pwl``
+_FUNCTION_KINDS = {kind: (row.make, row.keys) for kind, row in _KINDS.items()}
+_FUNCTION_KINDS["constant"] = (constant, ("value",))
 
 
 def build_function(cfg: Dict) -> TestFunction:

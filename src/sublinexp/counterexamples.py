@@ -227,12 +227,12 @@ def exm3_report(
     truncation: int, lambdas: Sequence[float], ms: Sequence[int]
 ) -> Exm3Report:
     """Tabulate the two sides of the separation exhibited by EXM3, in row blocks."""
+    fam = ParametricFamily("EXM3", truncation)
     if lambdas and truncation < 4 * max(lambdas):
         raise BudgetError(
             "TRUNCATION_TOO_SMALL",
             f"truncation {truncation} below 4 * max(lambda) = {4 * max(lambdas):g}",
         )
-    fam = ParametricFamily("EXM3", truncation)
     lambda_rows, m_rows, warnings = [], [], []
     for block, values in _sup_blocks(fam, abs_excess, lambdas):
         lambda_rows += [(f.params[0], value) for f, value in zip(block, values)]

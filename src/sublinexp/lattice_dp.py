@@ -106,24 +106,23 @@ class KernelPolicy:
 
     ``levels[k - 1] = (lo, choice)`` covers level ``k`` of the horizon ``n``:
     ``choice[i]`` is the generator designated at state ``lo + step * i``, and ``-1``
-    designates none.  The arrays are read-only.  ``step`` is 1, or a set's d for a
-    policy built on its frame (:func:`robust_value`, ``constant_policy``).
+    designates none.  The arrays are read-only.  ``step`` is 1 by default, and a set's
+    d for a policy built on its frame (:func:`robust_value`, ``constant_policy``), so
+    ``KernelPolicy(n, p.levels, p.step)`` rebuilds a policy ``p``.
     """
 
     n: int
     levels: Tuple[Tuple[int, np.ndarray], ...]
+    step: int = 1
     # (frame, array) of a built policy: its levels are the frame's, views of array
     _framed: Optional[Tuple[_Frame, np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.levels) != check_horizon(self.n):
             raise InputError("BAD_POLICY", f"{len(self.levels)} levels for horizon {self.n}")
+        check_horizon(self.step, "BAD_POLICY", "policy step")
         for _, choice in self.levels:
             choice.setflags(write=False)  # half the cost of assigning flags.writeable
-
-    @property
-    def step(self) -> int:
-        return self._framed[0].d if self._framed else 1
 
     @classmethod
     def from_entries(cls, n: int, entries: Mapping[Tuple[int, int], int]) -> "KernelPolicy":
@@ -292,7 +291,7 @@ def _frame_levels(set_: AmbiguitySet, n: int, fill: int):
 
     def seal():
         array[flat] = -1
-        return KernelPolicy(n, levels, (frame, _read_only(array)))
+        return KernelPolicy(n, levels, frame.d, (frame, _read_only(array)))
 
     return levels, seal
 

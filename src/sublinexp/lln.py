@@ -11,18 +11,21 @@ no asymptotic claim is ever made beyond the range.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ambiguity import AmbiguitySet, sublinear_expect
+from .ambiguity import AmbiguitySet, linear_expect, sublinear_expect
 from .counterexamples import ParametricFamily, check_truncation, family_expect
 from .errors import InputError, check_horizon
-from .functions import TestFunction, clamp, column, psi_fn
+from .functions import TestFunction, clamp, column
 from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, upper_value
+from .montecarlo import _BLOCK_DRAWS
 
 Source = Union[AmbiguitySet, ParametricFamily]
 
@@ -54,9 +57,24 @@ def truncated_means(source: Source, n: int) -> TruncatedMeans:
     return TruncatedMeans(n, lower, upper)
 
 
-def _single_step_tail_capacity(set_: AmbiguitySet, threshold) -> Fraction:
-    """V(|X_1| >= threshold) for one coordinate, as an exact rational."""
-    return max(g.tail_mass_fraction(threshold) for g in set_.generators)
+def _tail_capacities(set_: AmbiguitySet, ns: Sequence[int]) -> List[Fraction]:
+    """V(|X_1| >= n) for each of ``ns``, exact rationals of the float weights: per
+    generator one pass over its atoms by increasing |x| for the suffix sums of their
+    weights, then one bisect per n."""
+    best = [Fraction(0)] * len(ns)
+    for g in set_.generators:
+        atoms = sorted(zip(map(abs, g.points), g.weights))
+        suffix = list(accumulate((Fraction(w) for _, w in reversed(atoms)), initial=Fraction(0)))[::-1]
+        mags = [x for x, _ in atoms]
+        best = [max(b, suffix[bisect.bisect_left(mags, n)]) for b, n in zip(best, ns)]
+    return best
+
+
+def _extremes(tables: np.ndarray):
+    """Per column of the ``(generators, rows)`` ``tables``, its entries at the first
+    argmax and the first argmin, as :func:`sublinear_expect` picks them."""
+    cols = np.arange(tables.shape[1])
+    return tables[tables.argmax(0), cols].tolist(), tables[tables.argmin(0), cols].tolist()
 
 
 # -- the three-condition report ----------------------------------------
@@ -102,11 +120,16 @@ def peng_condition_report(source: Source, n_max: int) -> ConditionReport:
                 if source.truncation_binding_for_tail(n, arg):
                     warnings.append(f"FAMILY_TRUNCATION_WARNING: tail sup at n={n} limited by truncation")
                 rows.append(ConditionRow(n, float(n * tail), *row))
-    else:
-        for n in range(1, n_max + 1):
-            tail, tm = _single_step_tail_capacity(source, n), truncated_means(source, n)
-            psi_value = sublinear_expect(source, psi_fn(n)).upper
-            rows.append(ConditionRow(n, float(n * tail), psi_value, tm.mu_lower, tm.mu_upper))
+    else:  # one clamp and one psi table per generator and block of rows, each scanned once
+        tails = _tail_capacities(source, range(1, n_max + 1))
+        step = max(1, _BLOCK_DRAWS // max(map(len, source.coords)))
+        for lo in range(1, n_max + 1, step):
+            ns = range(lo, min(lo + step, n_max + 1))
+            clamps, psis = (np.stack([linear_expect(g, column(kind, ns)) for g in source.generators])
+                            for kind in ("clamp", "psi"))
+            (uppers, lowers), (psi_sups, _) = _extremes(clamps), _extremes(psis)
+            for n, *row in zip(ns, psi_sups, lowers, uppers):
+                rows.append(ConditionRow(n, float(n * tails[n - 1]), *row))
     nv = np.array([r.nV_tail for r in rows])
     peak = float(np.max(nv))
     if peak == 0.0 or nv[-1] <= 0.5 * peak:
@@ -194,7 +217,7 @@ def chebyshev_bound_check(
     mu_upper = truncated_means(set_, n).mu_upper
     event = PathEvent("FINAL_GT", n * (mu_upper + eps))
     lhs = capacity(set_, n, event, "UPPER", state_budget=state_budget)
-    tail = _single_step_tail_capacity(set_, n)
+    (tail,) = _tail_capacities(set_, [n])
     clamped_sq = max(
         float(np.add.reduce(np.minimum(np.abs(g.point_array), n) ** 2 * g.weight_array))
         for g in set_.generators

@@ -16,10 +16,9 @@ support values, never merges states, and never consults
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Optional
+from itertools import accumulate, product
 
-from .ambiguity import AmbiguitySet
+from .ambiguity import AmbiguitySet, to_fraction
 from .errors import InputError, check_budget, check_horizon
 from .functions import TestFunction
 from .lattice_dp import PathEvent
@@ -86,20 +85,20 @@ def brute_force_capacity(
     """Extreme over history-dependent kernel selections of P(event).
 
     The event is evaluated directly on the explicit path of partial sums,
-    so running-max events need no trigger-flag machinery here.
+    so running-max events need no trigger-flag machinery here.  The sums are
+    exact rationals of the points, as config files read them (see
+    :func:`~sublinexp.ambiguity.to_fraction`), compared with the exact threshold.
     """
     if side not in ("UPPER", "LOWER"):
         raise InputError("BAD_SIDE", f"side must be UPPER or LOWER, got {side!r}")
-    t = float(event.threshold)
+    t = event.threshold
     kind = event.kind
     fi = event.from_index or 0
+    exact = {p: to_fraction(p) for g in set_.generators for p in g.points}
 
-    def indicator(increments, _) -> float:
-        sums = []
-        s = 0.0
-        for x in increments:
-            s += x
-            sums.append(s)
+    def indicator(path, _) -> float:
+        increments = [exact[x] for x in path]
+        sums = list(accumulate(increments))
         if kind == "FINAL_ABS_GE":
             hit = abs(sums[-1]) >= t
         elif kind == "FINAL_ABS_LT":
@@ -113,7 +112,7 @@ def brute_force_capacity(
         elif kind == "MAX_INCREMENT_ABS_GE":
             hit = max(abs(x) for x in increments) >= t
         elif kind == "TAIL_SUM_ABS_GE":
-            hit = abs(sums[-1] - (sums[fi - 1] if fi >= 1 else 0.0)) >= t
+            hit = abs(sums[-1] - (sums[fi - 1] if fi >= 1 else 0)) >= t
         else:  # pragma: no cover - grammar enforced by PathEvent
             raise InputError("UNSUPPORTED_EVENT", kind)
         return 1.0 if hit else 0.0

@@ -21,7 +21,8 @@ from sublinexp import (
     tent,
     validate_ambiguity_set,
 )
-from sublinexp.ambiguity import LatticeSpec, to_fraction
+from sublinexp.ambiguity import DiscreteDistribution, LatticeSpec, to_fraction
+from sublinexp import functions
 
 from conftest import make_set, random_pwl, random_set
 from oracle_helpers import pwl_add, pwl_negate, pwl_scale
@@ -149,6 +150,22 @@ class TestLinearExpect:
             linear_expect(d, SQUARE)
         assert e.value.code == "UNBOUNDED_EVAL"
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-80, 80), min_size=1, max_size=40, unique=True),
+        st.data(),
+        st.sampled_from([("clamp", clamp), ("psi", psi_fn), ("abs_excess", abs_excess)]),
+    )
+    def test_column_rows_are_the_scalar_expectations(self, coords, data, kind):
+        # 1-40 atoms: numpy's pairwise sum unrolls by 8, so each row must be reduced alone
+        weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(coords), max_size=len(coords)))
+        total = sum(weights)
+        d = DiscreteDistribution.from_pairs([(c / 4, w / total) for c, w in zip(coords, weights)])
+        params = data.draw(st.lists(st.integers(1, 25), min_size=1, max_size=12))
+        name, make = kind
+        rows = linear_expect(d, functions.column(name, params))
+        assert [v.hex() for v in rows.tolist()] == [linear_expect(d, make(p)).hex() for p in params]
+
 
 class TestSublinearExpect:
     def test_square_over_two_generators(self, coin_or_rest):
@@ -242,3 +259,33 @@ class TestFunctionParameters:
         with pytest.raises(InputError) as info:
             make()
         assert info.value.code == "BAD_FUNCTION"
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("clamp", ("x",)),  # not a number
+            ("clamp", (True,)),  # a bool is not a number
+            ("clamp", ()),  # parameter counts other than the kind's
+            ("tent", (1.0,)),
+            ("abs", (1.0,)),
+            ("psi", (1, 2)),
+            ("clamp", 1.0),  # not a tuple
+            ("pwl", (1,)),  # not an (xs, ys) pair
+            ("pwl", (1, 2)),
+            ("pwl", ((0.0, 1.0), (1.0,))),
+            ("pwl", ((), ())),
+            ("pwl", (("a",), (1.0,))),
+            ("pwl", ((0.0,), (None,))),
+            ("pwl", ((1.0, 0.0), (0.0, 1.0))),  # decreasing breakpoints
+            ("tent", (0.0, -1.0)),  # a halfwidth that is not positive
+            ("tent", (0.0, 0.0)),
+            ("cube", ()),  # not a kind
+            (["abs"], ()),
+        ],
+    )
+    def test_malformed_parameters_are_coded(self, kind, params):
+        with pytest.raises(InputError) as info:
+            functions.TestFunction(kind, params)
+        assert info.value.code == "BAD_FUNCTION"
+        if kind == "tent" and len(params) == 2:
+            assert info.value.message == "tent halfwidth must be positive"

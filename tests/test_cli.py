@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 
 from sublinexp import InputError, cli, lattice_dp
 from sublinexp.cli import main
+from sublinexp.functions import _KINDS
 from sublinexp.inequalities import VIOLATED, OttavianiReport, ProductIdentityReport
 from sublinexp.lln import ChebyshevCheck
 from sublinexp.reports import csv_from_json, write_report
@@ -519,8 +521,9 @@ class TestExitCodes:
         assert not (tmp_path / "heavy.csv").exists()
 
     def test_exm3_zero_truncation_is_not_unset(self, tmp_path, capsys):
-        assert run(tmp_path, "counterexample", {}, "exm3", "--K", "0") == 2
-        assert "TRUNCATION_TOO_SMALL" in capsys.readouterr().err
+        # refused as a truncation, before the lambdas are checked against it
+        assert run(tmp_path, "counterexample", {}, "exm3", "--K", "0") == 1
+        assert "BAD_FAMILY: truncation must be an integer >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "cmd, payload, extra",
@@ -809,3 +812,16 @@ def test_readme_config_table_is_the_command_table():
         for command, (_, keys) in cli._COMMANDS.items()
     }
     assert rows == table
+
+
+def test_readme_function_kinds_are_the_kind_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("Function kinds, each with the `params` keys it takes:", 1)[1]
+    kinds, unbounded = text.split(".\n", 2)[:2]
+    named = re.findall(r"`(\w+)`(?:\s+\(`\{(.*?)\}`[^)]*\))?", kinds)
+    assert {kind: tuple(re.findall(r'"(\w+)"', keys)) for kind, keys in named} == {
+        kind: keys for kind, (_, keys) in cli._FUNCTION_KINDS.items()
+    }
+    assert set(re.findall(r"`(\w+)`", unbounded.split(" are unbounded")[0])) == {
+        kind for kind, row in _KINDS.items() if not row.bounded
+    }

@@ -350,8 +350,15 @@ class TestExm3Report:
             assert psi_val == pytest.approx(m_tail, abs=1e-12)
 
     def test_truncation_guard_for_lambda(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError) as e:
             exm3_report(10, [5.0], [])
+        assert e.value.code == "TRUNCATION_TOO_SMALL"
+
+    @pytest.mark.parametrize("truncation", ["3", 0, True])
+    def test_truncation_is_checked_before_the_lambdas(self, truncation):
+        with pytest.raises(InputError) as e:
+            exm3_report(truncation, [10], [10])
+        assert e.value.code == "BAD_FAMILY"
 
     @pytest.mark.parametrize("m", [0, -3, 2.5])
     def test_tail_level_must_be_a_positive_integer(self, m):

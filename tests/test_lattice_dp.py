@@ -40,7 +40,7 @@ from sublinexp.lattice_dp import (
     reachable_masks,
 )
 from sublinexp.lln import chebyshev_bound_check, lln_sweep, peng_condition_report, truncated_means
-from sublinexp.montecarlo import SimConfig
+from sublinexp.montecarlo import SimConfig, simulate
 from sublinexp.oracle import enumerate_selections_value
 
 import hull_reference as hull
@@ -231,13 +231,36 @@ class TestEventPredicates:
 @pytest.mark.parametrize("side", ["UPPER", "LOWER"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_capacity_matches_brute_force_on_integer_steps(kind, side, origin):
-    # integer steps keep the oracle's float partial sums exact
+    # integer steps; test_capacity_matches_brute_force_on_decimal_steps takes decimal ones
     rng = np.random.default_rng([KINDS.index(kind), origin + 1, side == "UPPER"])
     for _ in range(4):
         step = int(rng.integers(1, 4))
         s = random_set(rng, max_generators=2, step=step, origin=origin)
         n = int(rng.integers(1, 6))
         t = Fraction(int(rng.integers(-2, 2 * (3 + abs(origin)) * n)), 2) * step
+        k = int(rng.integers(0, n + 1)) if kind == "TAIL_SUM_ABS_GE" else None
+        ev = PathEvent(kind, t, k)
+        assert capacity(s, n, ev, side) == pytest.approx(
+            brute_force_capacity(s, n, ev, side), abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("step", ["1/4", 0.1, "0.3"])
+@pytest.mark.parametrize("side", ["UPPER", "LOWER"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_capacity_matches_brute_force_on_decimal_steps(kind, side, step):
+    # the oracle sums each path exactly, so thresholds at a sum of decimal steps are exact too
+    rng = np.random.default_rng([KINDS.index(kind), side == "UPPER", int(step == 0.1)])
+    unit = Fraction(step) if isinstance(step, str) else Fraction(str(step))
+    for _ in range(6):
+        gens = []
+        for _ in range(int(rng.integers(1, 3))):
+            coords = rng.choice(np.arange(-3, 4), size=int(rng.integers(1, 4)), replace=False)
+            weights = rng.random(len(coords)) + 0.05
+            gens.append([(float(int(c) * unit), w) for c, w in zip(coords, weights / weights.sum())])
+        s = make_set(*gens, step=step)
+        n = int(rng.integers(1, 5))
+        t = int(rng.integers(-2, 4 * n)) * unit
         k = int(rng.integers(0, n + 1)) if kind == "TAIL_SUM_ABS_GE" else None
         ev = PathEvent(kind, t, k)
         assert capacity(s, n, ev, side) == pytest.approx(
@@ -378,6 +401,31 @@ class TestFixedPolicyRule:
                 KernelPolicy(n, wrong)
             assert e.value.code == "BAD_POLICY"
         assert KernelPolicy(3, levels).n == 3
+
+    @pytest.mark.parametrize(
+        "gens, d",
+        [
+            ([[(-1, 0.5), (1, 0.5)], [(-1, 0.25), (1, 0.75)]], 2),  # biased_pair
+            ([[(-1, 0.5), (2, 0.5)], [(-1, 0.25), (2, 0.75)]], 3),
+            ([[(-2, 0.5), (4, 0.5)], [(1, 1.0)]], 3),
+        ],
+    )
+    def test_levels_and_step_rebuild_a_built_policy(self, gens, d):
+        s, n, f = make_set(*gens), 6, tent(0.25, 0.25)
+        for built in (robust_value(s, n, f).policy, constant_policy(s, n, 0), constant_policy(s, n, 1)):
+            assert built.step == d
+            rebuilt = KernelPolicy(n, built.levels, built.step)
+            assert dict(rebuilt.entries) == dict(built.entries)
+            assert policy_value(s, rebuilt, n, f).hex() == policy_value(s, built, n, f).hex()
+            want, got = (simulate(SimConfig(p, s, n, 500, 3), f) for p in (built, rebuilt))
+            assert (got.estimate.hex(), got.stderr.hex()) == (want.estimate.hex(), want.stderr.hex())
+
+    @pytest.mark.parametrize("step", [0, -2, 1.5, 2.0, True, "2"])
+    def test_step_is_an_integer_from_one(self, biased_pair, step):
+        levels = constant_policy(biased_pair, 3, 0).levels
+        with pytest.raises(InputError) as e:
+            KernelPolicy(3, levels, step)
+        assert e.value.code == "BAD_POLICY" and "policy step" in e.value.message
 
     def test_unbounded_function_needs_moment_mode(self, biased_pair):
         pol = constant_policy(biased_pair, 4, 1)

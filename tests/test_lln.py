@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,9 @@ from sublinexp import (
     tent,
     truncated_means,
 )
+from sublinexp import lln
+from sublinexp.ambiguity import sublinear_expect
+
 from conftest import make_set
 from oracle_helpers import family_lower_expect, psi, psi_grid_sup
 
@@ -135,6 +140,28 @@ class TestConditionReport:
         assert "satisfied" in rep.condition_i_trend
         assert rep.mu_upper_limit == 0.5 and rep.mu_lower_limit == 0.0
         assert rep.warnings == ()
+
+    @pytest.mark.parametrize("block", [1, 40, 1 << 16])
+    def test_set_rows_are_the_per_n_expectations(self, monkeypatch, block):
+        # each block of rows scans one table per generator; a row is the scalar path's,
+        # ties (a repeated generator, one at 0) going to the first generator as there
+        monkeypatch.setattr(lln, "_BLOCK_DRAWS", block)
+        rng = np.random.default_rng(block)
+        for _ in range(4):
+            gens = []
+            for _ in range(3):
+                coords = rng.choice(np.arange(-40, 41), size=int(rng.integers(1, 12)), replace=False)
+                weights = rng.random(len(coords)) + 0.05
+                gens.append(list(zip((coords / 4).tolist(), (weights / weights.sum()).tolist())))
+            s = make_set(*gens, gens[1], [(0, 1.0)], step=0.25)
+            rep = peng_condition_report(s, 15)
+            for r in rep.rows:
+                tail = max(sum(Fraction(w) for p, w in zip(g.points, g.weights) if abs(p) >= r.n)
+                           for g in s.generators)
+                mu = sublinear_expect(s, clamp(r.n))
+                want = (float(r.n * tail), sublinear_expect(s, psi_fn(r.n)).upper, mu.lower, mu.upper)
+                got = (r.nV_tail, r.psi_expect, r.mu_lower_n, r.mu_upper_n)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_heavy_family_condition_i_fails(self):
         rep = peng_condition_report(ParametricFamily("HEAVY", 64), 8)

@@ -8,6 +8,7 @@ from sublinexp import (
     KernelPolicy,
     PathEvent,
     brute_force_capacity,
+    capacity,
     brute_force_value,
     enumerate_selections_value,
     piecewise_linear,
@@ -52,6 +53,13 @@ class TestBruteForceCapacity:
                 biased_pair, 3, PathEvent("FINAL_ABS_GE", a), "UPPER"
             )
             assert peak >= final
+
+    def test_events_are_tested_on_exact_sums(self):
+        # in floats 0.1 + 0.2 > 0.3, but only 0.2 + 0.2 exceeds 0.3
+        s = make_set([(0.1, 0.5), (0.2, 0.5)], step=0.1)
+        for kind, want in (("FINAL_GT", 0.25), ("FINAL_LT", 0.25), ("TAIL_SUM_ABS_GE", 0.75)):
+            ev = PathEvent(kind, 0.3, 0 if kind == "TAIL_SUM_ABS_GE" else None)
+            assert brute_force_capacity(s, 2, ev) == capacity(s, 2, ev) == want
 
 
 class TestSelectionEnumeration:
