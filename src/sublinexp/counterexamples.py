@@ -24,7 +24,7 @@ import numpy as np
 
 from .ambiguity import DiscreteDistribution
 from .errors import BudgetError, InputError, check_budget, check_horizon
-from .functions import TestFunction, abs_excess, column, piecewise_linear, psi_fn
+from .functions import TestFunction, _real, abs_excess, column, piecewise_linear, psi_fn
 from .lattice_dp import DEFAULT_STATE_BUDGET, _sweep
 from .montecarlo import _BLOCK_DRAWS
 
@@ -228,6 +228,7 @@ def exm3_report(
 ) -> Exm3Report:
     """Tabulate the two sides of the separation exhibited by EXM3, in row blocks."""
     fam = ParametricFamily("EXM3", truncation)
+    lambdas = [_real(lam, "abs_excess lambda") for lam in lambdas]
     if lambdas and truncation < 4 * max(lambdas):
         raise BudgetError(
             "TRUNCATION_TOO_SMALL",
@@ -269,7 +270,7 @@ def heavy_lln_value(truncation: int, n: int, state_budget: int = DEFAULT_STATE_B
     weights = [(1.0 - 1.0 / k, 1.0 / k) for k in ks]
     bounds = [(0, min(level * K, n - 1) + 1) for level in range(n + 1)]
     u = np.asarray(RAMP_DOWN(np.arange(bounds[n][1]) / n), dtype=float)
-    return _sweep(tuple((0, k) for k in ks), weights, bounds, u, np.greater, absorb=0.0)
+    return _sweep(tuple((0, k) for k in ks), weights, bounds, u, absorb=0.0)
 
 
 def heavy_lln_lower_bound(truncation: int, n: int) -> float:

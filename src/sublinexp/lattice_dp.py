@@ -55,6 +55,11 @@ class PathEvent:
         elif self.from_index is not None:
             raise InputError("UNSUPPORTED_EVENT", f"{self.kind} takes no from_index")
 
+    def check_within(self, n: int) -> None:
+        """Refuse a tail sum from an index beyond horizon ``n``."""
+        if self.kind == "TAIL_SUM_ABS_GE" and self.from_index > n:
+            raise InputError("UNSUPPORTED_EVENT", f"from_index {self.from_index} beyond horizon {n}")
+
     def describe(self) -> str:
         extra = f", from {self.from_index}" if self.from_index is not None else ""
         return f"{self.kind}({self.threshold}{extra})"
@@ -338,24 +343,21 @@ def _terminal_values(set_: AmbiguitySet, n: int, f: TestFunction, normalize: boo
     return values
 
 
-#: the combine rule on two Python floats: the same strict test, false on NaN
-_SCALAR_RULE = {np.greater: operator.gt, np.less: operator.lt}
-
-
-def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None) -> float:
-    """Backward induction ``u_{k-1}(s) = extremize_g sum_j w_j u_k(s + x_j)``; u_0 at state 0.
+def _sweep(moves, weights, bounds, u, choices=None, absorb=None, record=None, visit=None) -> float:
+    """Backward induction ``u_{k-1}(s) = max_g sum_j w_j u_k(s + x_j)``; u_0 at state 0.
 
     The kernel is stationary: ``moves[g]`` holds generator g's integer atom moves
     at every level and ``weights[g]`` its atom weights; ``bounds[k] = (lo, length)``:
-    the states stored at level k; ``u``: the last level's values.  ``rule`` is
-    ``np.greater`` (max), ``np.less`` (min) or a fixed policy's per-level choice
-    arrays over the stored states: every level sweeps all generators, and a state
-    keeps generator 0's candidate unless its choice names a later one.  With
-    ``absorb`` (max or min), a move off level k's stored states reads one float,
-    which follows the same recursion.  ``record[k - 1]``, a zeroed array over
-    level k - 1's stored states, gets the argmax of step k, and ``visit(k, u)``
-    every level, as an array or a list.  The order is fixed (states, generators,
-    then atoms in increasing-point order), so results are bitwise reproducible.
+    the states stored at level k; ``u``: the last level's values.  A state keeps the
+    first generator's candidate that no later one beats by the strict ``>``, or,
+    with ``choices``, a fixed policy's per-level choice arrays over the stored
+    states, generator 0's unless its choice names a later one.  With ``absorb``, a
+    move off level k's stored states reads one float, which follows the same max.
+    ``record[k - 1]``, a zeroed array over level k - 1's stored states, gets the
+    argmax of step k, and ``visit(k, u)`` every level, as an array or a list.  The
+    order is fixed (states, generators, then atoms in increasing-point order), so
+    results are bitwise reproducible.  A LOWER capacity is the negated max of the
+    negated indicator (see :func:`capacity`).
 
     A level whose lower level stores one state (every level of an increment
     trigger or of a tail sum's prefix, the last step of every sweep) runs on Python
@@ -364,8 +366,6 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
     numpy's per-call cost.  The absorbing value is always stepped that way.
     """
     n = len(bounds) - 1
-    fixed = not callable(rule)
-    better = None if fixed else _SCALAR_RULE[rule]
     if visit is not None:
         visit(n, u)
     for k in range(n, 0, -1):
@@ -382,7 +382,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
                     cand = w * x if cand is None else cand + w * x
                 if best is None:
                     best = cand
-                elif rule[k - 1][0] == g if fixed else better(cand, best):
+                elif cand > best if choices is None else choices[k - 1][0] == g:
                     best, arg = cand, g
             u = [best]
             if record is not None:
@@ -391,8 +391,6 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
             if absorb is not None:
                 pad = np.full(len_prev, absorb)
                 u = np.concatenate((pad, u, pad))
-            if record is not None:
-                arg = record[k - 1]
             best = None
             for g in range(len(weights)):
                 cand = None
@@ -408,10 +406,10 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
                 if best is None:
                     best = cand
                 else:  # best and cand are this level's own arrays, so update in place
-                    mask = rule[k - 1] == g if fixed else rule(cand, best)
+                    mask = cand > best if choices is None else choices[k - 1] == g
                     np.putmask(best, mask, cand)
                     if record is not None:
-                        np.putmask(arg, mask, g)
+                        np.putmask(record[k - 1], mask, g)
             u = best
         if absorb is not None:
             best_absorb = None
@@ -419,7 +417,7 @@ def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None
                 acc = None
                 for w in gw:
                     acc = w * absorb if acc is None else acc + w * absorb
-                if best_absorb is None or better(acc, best_absorb):
+                if best_absorb is None or acc > best_absorb:
                     best_absorb = acc
             absorb = best_absorb
         if visit is not None:
@@ -453,7 +451,7 @@ def upper_value(
 ) -> float:
     """``robust_value(...).value`` bitwise, without the policy or reachability."""
     frame, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
-    return _sweep(frame.moves, _weights(set_), frame.bounds(n), u, np.greater)
+    return _sweep(frame.moves, _weights(set_), frame.bounds(n), u)
 
 
 def robust_value(
@@ -472,7 +470,7 @@ def robust_value(
     frame, state_count, u = _upper_terminal(set_, n, f, normalize, state_budget)
     levels, seal = _frame_levels(set_, n, 0)
     record = [choice for _, choice in levels]
-    value = _sweep(frame.moves, _weights(set_), frame.bounds(n), u, np.greater, record=record)
+    value = _sweep(frame.moves, _weights(set_), frame.bounds(n), u, record=record)
     return RobustResult(value, seal(), state_count)
 
 
@@ -536,21 +534,20 @@ def capacity(
 ) -> float:
     """Upper capacity V(event) or lower capacity v(event) at horizon ``n``.
 
-    UPPER maximizes the event's indicator by robust DP, LOWER minimizes.
+    UPPER maximizes the event's indicator by robust DP.  LOWER, v(A) = -V[-1_A], is
+    the negated max of the indicator times ``sign`` -1.0: bitwise the min, as no
+    term is negative and the zeros, all -0.0, negate back to 0.0.
     Running-max events keep the triggered paths as one absorbing value.
     """
     check_horizon(n)
     if side not in ("UPPER", "LOWER"):
         raise InputError("BAD_SIDE", f"side must be UPPER or LOWER, got {side!r}")
-    better = np.greater if side == "UPPER" else np.less
+    event.check_within(n)
+    sign = 1.0 if side == "UPPER" else -1.0
     if event.kind in _FLAG_KINDS:
-        return _flagged_capacity(set_, n, event, better, state_budget)
-    if event.kind == "TAIL_SUM_ABS_GE" and event.from_index > n:
-        raise InputError(
-            "UNSUPPORTED_EVENT", f"from_index {event.from_index} beyond horizon {n}"
-        )
+        return sign * _flagged_capacity(set_, n, event, sign, state_budget)
     hit = _event_hit(event.kind, event.threshold, set_.lattice.step)
-    return _final_capacity(set_, n, hit, better, state_budget, event.from_index or 0)
+    return sign * _final_capacity(set_, n, hit, sign, state_budget, event.from_index or 0)
 
 
 def final_abs_capacities(
@@ -563,17 +560,17 @@ def final_abs_capacities(
     """
     check_horizon(n)
     hit = _event_hit("FINAL_ABS_GE", to_fraction(t), set_.lattice.step)
-    return _final_capacity(set_, n, hit, np.greater, state_budget, 0, hold_zero=True)
+    return _final_capacity(set_, n, hit, 1.0, state_budget, 0, hold_zero=True)
 
 
-def _final_capacity(set_, n, hit, better, state_budget, from_index, hold_zero=False):
-    """Capacity of ``hit`` on the sum of the increments after level ``from_index``,
+def _final_capacity(set_, n, hit, sign, state_budget, from_index, hold_zero=False):
+    """Capacity of ``sign * hit`` on the sum of the increments after level ``from_index``,
     or with ``hold_zero`` the value at the state where S_k = 0 per level, level n first.
     The levels up to ``from_index`` move nothing: a sweep of one-state levels of their own."""
     h = n - from_index
     check_budget(from_index + _level_states(set_, h, hold_zero), state_budget)
     frame, origin = _frame(set_, hold_zero), set_.lattice.origin
-    u = hit(frame.states(h) + h * origin).astype(float)
+    u = sign * hit(frame.states(h) + h * origin)
     weights, at_zero = _weights(set_), []
     zero = (-origin - frame.a) // frame.d  # S_k = 0 at j = k zero, a state under hold_zero
 
@@ -581,14 +578,14 @@ def _final_capacity(set_, n, hit, better, state_budget, from_index, hold_zero=Fa
         at_zero.append(float(values[k * zero]))
 
     bounds = frame.bounds(h)
-    value = _sweep(frame.moves, weights, bounds, u, better, visit=visit if hold_zero else None)
+    value = _sweep(frame.moves, weights, bounds, u, visit=visit if hold_zero else None)
     still = tuple((0,) * len(gc) for gc in set_.coords)
-    value = _sweep(still, weights, [(0, 1)] * (from_index + 1), np.array([value]), better)
+    value = _sweep(still, weights, [(0, 1)] * (from_index + 1), np.array([value]))
     return at_zero if hold_zero else value
 
 
-def _flagged_capacity(set_, n, event, better, state_budget):
-    """Running-max capacity; triggered paths share one absorbing value, 1.0 at level n.
+def _flagged_capacity(set_, n, event, sign, state_budget):
+    """Running-max capacity of ``sign`` times the indicator; triggered paths absorb at ``sign``.
 
     Level k stores only the untriggered partial sums ``|S_k| < t``.  An increment
     trigger ignores the state, so that kind runs on state 0 and a triggering atom
@@ -612,4 +609,4 @@ def _flagged_capacity(set_, n, event, better, state_budget):
         bounds = [(0, 1)] * (n + 1)
         hit = _event_hit(event.kind, event.threshold, step)
         moves = tuple(tuple(int(hit(c + origin)) for c in gc) for gc in set_.coords)
-    return _sweep(moves, _weights(set_), bounds, np.zeros(bounds[n][1]), better, absorb=1.0)
+    return _sweep(moves, _weights(set_), bounds, sign * np.zeros(bounds[n][1]), absorb=sign)

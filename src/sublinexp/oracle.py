@@ -91,6 +91,7 @@ def brute_force_capacity(
     """
     if side not in ("UPPER", "LOWER"):
         raise InputError("BAD_SIDE", f"side must be UPPER or LOWER, got {side!r}")
+    event.check_within(check_horizon(n))
     t = event.threshold
     kind = event.kind
     fi = event.from_index or 0

@@ -5,7 +5,9 @@ integer state of it, widened under ``hold_zero`` to hold the state where
 S_k = 0, and each sweep steps the set's own coordinates.  The package stores
 only the moves' own progression k a + d j.  ``tests/test_hull_reference.py``
 checks that every sweep entry point gives the same floats on both, and the
-same generator at every reachable state.
+same generator at every reachable state.  The sweeps run on the all-numpy
+reference kernel of ``tests/kernel_reference.py``, and a lower capacity on its
+``np.less`` rule, where the package negates an upper sweep.
 """
 
 import math
@@ -14,7 +16,9 @@ import numpy as np
 
 from sublinexp import AmbiguitySet, DiscreteDistribution, LatticeSpec
 from sublinexp.counterexamples import RAMP_DOWN
-from sublinexp.lattice_dp import _choice_dtype, _event_hit, _sweep, _terminal_values, _weights
+from sublinexp.lattice_dp import _choice_dtype, _event_hit, _terminal_values, _weights
+
+from kernel_reference import _sweep
 
 
 def _move_bounds(minc, maxc, n):
@@ -39,14 +43,14 @@ def _terminal(set_, n, f, normalize):
 
 def upper_value(set_, n, f, normalize=True):
     bounds, u = _terminal(set_, n, f, normalize)
-    return _sweep(set_.coords, _weights(set_), bounds, u, np.greater)
+    return _sweep(set_.coords, _weights(set_), bounds, u)
 
 
 def robust_records(set_, n, f, normalize=True):
     """``(value, bounds, records)``: the argmax at every hull state of levels 0..n - 1."""
     bounds, u = _terminal(set_, n, f, normalize)
     records = [np.zeros(length, _choice_dtype(len(set_.generators))) for _, length in bounds[:n]]
-    value = _sweep(set_.coords, _weights(set_), bounds, u, np.greater, record=records)
+    value = _sweep(set_.coords, _weights(set_), bounds, u, record=records)
     return value, bounds, records
 
 

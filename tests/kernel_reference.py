@@ -2,25 +2,28 @@
 
 Every level here runs on per-atom numpy slices, one-state levels included.
 ``tests/test_kernel_reference.py`` checks that the package's kernel gives the
-same values and argmax records bit for bit.
+same values and argmax records bit for bit.  The package's kernel only
+maximizes, and takes a lower capacity as the negated max of the negated
+indicator; this one keeps its own ``np.less`` rule, so ``hull_reference``
+computes the lower side on an independent min path.
 """
 
 import numpy as np
 
 
-def _sweep(moves, weights, bounds, u, rule, absorb=None, record=None, visit=None) -> float:
+def _sweep(moves, weights, bounds, u, rule=np.greater, absorb=None, record=None, visit=None) -> float:
     """Backward induction ``u_{k-1}(s) = extremize_g sum_j w_j u_k(s + x_j)``; u_0 at state 0.
 
     The kernel is stationary: ``moves[g]`` holds generator g's integer atom moves
     at every level and ``weights[g]`` its atom weights; ``bounds[k] = (lo, length)``:
     the states stored at level k; ``u``: the last level's values.  ``rule`` is
-    ``np.greater`` (max), ``np.less`` (min) or a fixed policy's per-level choice
-    arrays over the stored states: every level sweeps all generators, and a state
-    keeps generator 0's candidate unless its choice names a later one.  With
-    ``absorb`` (max or min), a move off level k's stored states reads one float,
-    which follows the same recursion.  ``record[k - 1]``, a zeroed array over
-    level k - 1's stored states, gets the argmax of step k, and ``visit(k, u)``
-    every level.  The order is fixed (states, generators, then atoms in
+    ``np.greater`` (max, the default), ``np.less`` (min) or a fixed policy's
+    per-level choice arrays over the stored states: every level sweeps all
+    generators, and a state keeps generator 0's candidate unless its choice
+    names a later one.  With ``absorb`` (max or min), a move off level k's
+    stored states reads one float, which follows the same recursion.
+    ``record[k - 1]``, a zeroed array over level k - 1's stored states, gets the
+    argmax of step k, and ``visit(k, u)`` every level.  The order is fixed (states, generators, then atoms in
     increasing-point order), so results are bitwise reproducible.
     """
     n = len(bounds) - 1

@@ -74,6 +74,20 @@ class TestSubcommands:
         # adversary switches generator with the sign of the partial sum
         assert float(row["value"]) == 0.6875
 
+    @pytest.mark.parametrize("kind", ["MAX_PARTIAL_ABS_GE", "MAX_INCREMENT_ABS_GE", "FINAL_ABS_GE"])
+    def test_lower_capacity_of_zero_reads_positive(self, tmp_path, kind):
+        # the walk may freeze at 0, so v = 0; the cell must not read -0.0
+        payload = dict(
+            lattice={"step": 1},
+            generators=[[[0, 1.0]], [[-1, 0.5], [1, 0.5]]],
+            n=3,
+            event={"kind": kind, "threshold": 2},
+            side="LOWER",
+        )
+        assert run(tmp_path, "capacity", payload) == 0
+        (row,) = read_rows(tmp_path, "capacity")
+        assert row["value"] == "0.0"
+
     def test_lln_sweep(self, tmp_path):
         payload = dict(
             PAIR_SET,

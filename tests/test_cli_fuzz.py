@@ -32,6 +32,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SUBCOMMANDS = {
     "capacity.json": ["capacity"],
+    "capacity_lower.json": ["capacity"],
     "chebyshev.json": ["chebyshev"],
     "chebyshev_wide.json": ["chebyshev"],
     "conditions_heavy.json": ["conditions"],

@@ -24,7 +24,7 @@ from sublinexp import BudgetError, EngineError, InputError, ParametricFamily
 from sublinexp import clamp, exm3_report, family_expect, peng_condition_report, psi_fn
 from sublinexp.counterexamples import Exm3Report
 from sublinexp.functions import TestFunction as Function
-from sublinexp.functions import column
+from sublinexp.functions import _real, column
 from sublinexp.lln import STABLE_TOL, ConditionReport, ConditionRow
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,6 +115,7 @@ def row_condition_report(family, n_max):
 
 
 def row_exm3_report(truncation, lambdas, ms):
+    lambdas = [_real(lam, "abs_excess lambda") for lam in lambdas]
     if lambdas and truncation < 4 * max(lambdas):
         raise BudgetError(
             "TRUNCATION_TOO_SMALL",
@@ -377,6 +378,7 @@ class TestFirstErrorOrder:
             ([math.nan, 10.0], [5], "BAD_FUNCTION", "NaN"),
             ([1.0], [3, 0, 2.5], "BAD_FUNCTION", "got 0"),
             ([1.0], [3, 2], None, None),
+            (["a"], [5], "BAD_FUNCTION", "'a'"),
         ],
     )
     def test_exm3_first_error(self, lambdas, ms, code, where):

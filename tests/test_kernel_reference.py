@@ -4,6 +4,9 @@ Each entry point runs twice: once on the package's kernel, once with the
 reference of ``tests/kernel_reference.py`` patched in.  Floats must agree by
 ``float.hex`` and argmax records by ``np.array_equal`` and dtype.  The sets
 include a duplicated generator, so ties must go to the first copy on both.
+A LOWER capacity runs the negated max on both kernels here; the reference's own
+``np.less`` min checks it in ``tests/test_hull_reference.py`` and below, where
+the kernel is called directly.
 """
 
 import csv
@@ -37,6 +40,7 @@ from kernel_reference import _sweep as reference_sweep
 
 FINITE = [0.0, -0.0, 0.5, 1.0, -2.0]
 SPECIAL = FINITE + [float("nan"), float("inf"), float("-inf")]
+UNSIGNED = [0.0, 0.5, 1.0, float("inf"), float("nan")]  # a capacity's terms, none negative
 
 
 def on_both(fn):
@@ -137,17 +141,21 @@ class TestAgainstTheReference:
         assert got.hex() == want.hex()
 
     @settings(max_examples=200, deadline=None)
-    @given(ambiguity_sets(), st.integers(1, 6), st.booleans(), st.data())
-    def test_non_finite_values_and_ties(self, set_, n, upper, data):
+    @given(ambiguity_sets(), st.integers(1, 6), st.booleans(), st.booleans(), st.data())
+    def test_non_finite_values_and_ties(self, set_, n, upper, unsigned, data):
         # NaN and infinities straight into the kernel: a comparison with NaN is
-        # false on both, and an infinite absorbing value takes the same branches
-        rule = np.greater if upper else np.less
+        # false on both, and an infinite absorbing value takes the same branches.
+        # The lower side is the negated max of the negated values against the
+        # reference's own min.  On values none of which is negative no sum cancels,
+        # so they agree by float.hex; with mixed signs a sum may cancel to an exact
+        # zero, 0.0 on the min and -0.0 on the max, and that zero's sign may differ.
+        values = UNSIGNED if unsigned else SPECIAL
         weights = [gen.weights for gen in set_.generators]
         bounds = hull.level_bounds(set_, n)
         width = bounds[n][1]
-        u = np.array(data.draw(st.lists(st.sampled_from(SPECIAL), min_size=width, max_size=width)))
+        u = np.array(data.draw(st.lists(st.sampled_from(values), min_size=width, max_size=width)))
         trigger = tuple(tuple(data.draw(st.sampled_from([0, 1])) for _ in gc) for gc in set_.coords)
-        absorbing = data.draw(st.sampled_from(SPECIAL))
+        absorbing = data.draw(st.sampled_from(values))
         cases = [  # (moves, bounds, last level, absorbing value)
             (set_.coords, bounds, u, None),
             (trigger, [(0, 1)] * (n + 1), u[:1], absorbing),
@@ -156,9 +164,17 @@ class TestAgainstTheReference:
             got_record = [np.zeros(length, _choice_dtype(len(weights))) for _, length in b[:n]]
             want_record = [record.copy() for record in got_record]
             with np.errstate(all="ignore"):
-                got = lattice_dp._sweep(moves, weights, b, last.copy(), rule, absorb, got_record)
-                want = reference_sweep(moves, weights, b, last.copy(), rule, absorb, want_record)
-            assert got.hex() == want.hex()
+                if upper:
+                    got = lattice_dp._sweep(moves, weights, b, last.copy(), absorb=absorb, record=got_record)
+                    want = reference_sweep(moves, weights, b, last.copy(), np.greater, absorb, want_record)
+                else:
+                    negated = None if absorb is None else -absorb
+                    got = -lattice_dp._sweep(moves, weights, b, -last, absorb=negated, record=got_record)
+                    want = reference_sweep(moves, weights, b, last.copy(), np.less, absorb, want_record)
+            if upper or unsigned:
+                assert got.hex() == want.hex()
+            else:
+                assert got.hex() == want.hex() or got == want == 0.0
             assert_same_records(got_record, want_record)
 
     @settings(max_examples=200, deadline=None)
@@ -174,7 +190,7 @@ class TestAgainstTheReference:
             (still, [(0, 1)] * (n + 1)),
         ]
         for moves, b in cases:
-            rule = [
+            choices = [
                 np.array(data.draw(st.lists(
                     st.integers(-1, count - 1), min_size=b[k - 1][1], max_size=b[k - 1][1]
                 )), dtype=np.int8)
@@ -183,20 +199,21 @@ class TestAgainstTheReference:
             last = np.array(data.draw(st.lists(
                 st.sampled_from(FINITE), min_size=b[n][1], max_size=b[n][1]
             )))
-            got = lattice_dp._sweep(moves, weights, b, last.copy(), rule)
-            want = reference_sweep(moves, weights, b, last.copy(), rule)
+            got = lattice_dp._sweep(moves, weights, b, last.copy(), choices)
+            want = reference_sweep(moves, weights, b, last.copy(), choices)
             assert got.hex() == want.hex()
 
 
 @pytest.mark.parametrize("side", ["UPPER", "LOWER"])
 def test_long_chain_of_one_state_levels(side):
     # MAX_INCREMENT_ABS_GE at n = 2000 steps 2,000 one-state levels, each on the
-    # value the last one left; rare triggers keep both sides inside (0, 1)
+    # value the last one left; rare triggers keep both sides inside (0, 1).  The
+    # hull reference runs the lower side on its own min, not the negated max
     set_ = make_set(
         [(-1, 0.4995), (1, 0.4995), (2, 0.001)], [(-2, 0.0005), (0, 0.9995)], [(0, 0.9995), (3, 0.0005)]
     )
     event = PathEvent("MAX_INCREMENT_ABS_GE", 2)
-    got, want = on_both(lambda: capacity(set_, 2000, event, side))
+    got, want = capacity(set_, 2000, event, side), hull.capacity(set_, 2000, event, side)
     assert got.hex() == want.hex()
     assert 0.0 < got < 1.0
 

@@ -94,6 +94,12 @@ class TestCapacity:
     def test_final_abs_upper_two_generators(self, coin_or_rest):
         assert capacity(coin_or_rest, 2, PathEvent("FINAL_ABS_GE", 2), "UPPER") == 0.5
 
+    @pytest.mark.parametrize("kind", ["MAX_PARTIAL_ABS_GE", "MAX_INCREMENT_ABS_GE", "FINAL_ABS_GE"])
+    def test_lower_zero_is_positive(self, coin_or_rest, kind):
+        # LOWER negates an upper sweep whose zeros are all -0.0: an exact 0 reads 0.0
+        v = capacity(coin_or_rest, 3, PathEvent(kind, 2), "LOWER")
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
     def test_duality_with_complement(self, biased_pair):
         for a in (1, 2, 3):
             v_lower = capacity(biased_pair, 3, PathEvent("FINAL_ABS_GE", a), "LOWER")

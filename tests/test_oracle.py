@@ -5,6 +5,7 @@ import pytest
 
 from sublinexp import (
     BudgetError,
+    InputError,
     KernelPolicy,
     PathEvent,
     brute_force_capacity,
@@ -53,6 +54,13 @@ class TestBruteForceCapacity:
                 biased_pair, 3, PathEvent("FINAL_ABS_GE", a), "UPPER"
             )
             assert peak >= final
+
+    def test_tail_from_beyond_the_horizon_is_refused(self, coin):
+        ev = PathEvent("TAIL_SUM_ABS_GE", 1, 5)
+        for fn in (capacity, brute_force_capacity):
+            with pytest.raises(InputError) as e:
+                fn(coin, 2, ev)
+            assert str(e.value) == "UNSUPPORTED_EVENT: from_index 5 beyond horizon 2"
 
     def test_events_are_tested_on_exact_sums(self):
         # in floats 0.1 + 0.2 > 0.3, but only 0.2 + 0.2 exceeds 0.3
