@@ -24,9 +24,8 @@ import numpy as np
 
 from .ambiguity import DiscreteDistribution
 from .errors import BudgetError, InputError, check_budget, check_horizon
-from .functions import TestFunction, _real, abs_excess, column, piecewise_linear, psi_fn
+from .functions import TestFunction, _real, abs_excess, blocks, column, piecewise_linear, psi_fn
 from .lattice_dp import DEFAULT_STATE_BUDGET, _sweep
-from .montecarlo import _BLOCK_DRAWS
 
 FAMILY_NAMES = ("EXM3", "HEAVY")
 
@@ -101,11 +100,6 @@ class ParametricFamily:
         out[..., :1] = f1
         out[..., 1:] = (1.0 - 1.0 / js**2) * f1 + sums / js**3
         return out
-
-    def blocks(self, rows: Sequence) -> Iterator[Sequence]:
-        """``rows`` in consecutive slices of at most ``_BLOCK_DRAWS`` table cells, one row at least."""
-        step = max(1, _BLOCK_DRAWS // self.truncation)
-        return (rows[i : i + step] for i in range(0, len(rows), step))
 
     def _tail_counts(self, thresholds: Sequence) -> Tuple[np.ndarray, np.ndarray]:
         """``(c, p)`` with P_j(|X| >= thresholds[r]) = c[r, j - 1] / j**p[r] for j = 1..truncation;
@@ -217,7 +211,7 @@ def _sup_blocks(family: ParametricFamily, make, params) -> Iterator[Tuple[list, 
             fs.append(make(p))
         except InputError:
             break
-    for block in family.blocks(fs):
+    for block in blocks(fs, family.truncation):
         yield block, family_expect(family, column(block[0].kind, [g.params[0] for g in block])).value
     for p in params[len(fs) :]:  # the refused one, again
         make(p)

@@ -7,8 +7,8 @@ one of a small set of named builtins, each kind one row of ``_KINDS``.
 operations that require bounded functions at horizon-normalized scale; they
 remain available for moment computations.
 
-All functions evaluate vectorized on numpy arrays as well as on scalars, and
-a :func:`column` of one-parameter builtins maps x to one row per parameter.
+All functions evaluate vectorized on numpy arrays as well as on scalars, and a
+:func:`column` of one-parameter builtins maps x to one row per parameter, in :func:`blocks`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -145,7 +145,19 @@ def constant(c: float) -> TestFunction:
 
 def column(kind: str, params: Sequence[float]) -> TestFunction:
     """The one-parameter builtin ``kind`` at each of ``params``, as one function of a column."""
-    return TestFunction(kind, (np.asarray(params, dtype=float)[:, None],))
+    try:
+        return TestFunction(kind, (np.asarray(params, dtype=float)[:, None],))
+    except OverflowError:  # an int past the floats: BAD_FUNCTION, as from its scalar function
+        return column(kind, [_real(p, f"{kind} level") for p in params])
+
+
+_BLOCK_CELLS = 1 << 16  # table cells, or draws, per block of rows
+
+
+def blocks(rows: Sequence, width: int) -> Iterator[Sequence]:
+    """``rows`` in slices of at most ``_BLOCK_CELLS`` cells of a table ``width`` wide, one row at least."""
+    step = max(1, _BLOCK_CELLS // width)
+    return (rows[i : i + step] for i in range(0, len(rows), step))
 
 
 # -- the kinds -------------------------------------------------------------

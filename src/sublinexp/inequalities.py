@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .ambiguity import AmbiguitySet
 from .errors import InputError, check_horizon
+from .functions import _real
 from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, final_abs_capacities
 
 _TOL = 1e-12
@@ -49,9 +50,9 @@ def ottaviani_check(
     stay <= c; when it fails the instance is reported VACUOUS rather than
     silently skipped.
     """
-    if not 0 < c < 1:
+    if not 0 < (c := _real(c, "c", "BAD_C")) < 1:
         raise InputError("BAD_C", "c must lie strictly between 0 and 1")
-    if not alpha > 0:  # NaN too
+    if not (alpha := _real(alpha, "alpha", "BAD_ALPHA")) > 0:  # NaN too
         raise InputError("BAD_ALPHA", "alpha must be positive")
     check_horizon(n)
     # increments are i.i.d., so V(|S_n - S_k| >= alpha) is the horizon-(n - k) capacity

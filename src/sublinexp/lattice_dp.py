@@ -21,7 +21,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -89,11 +88,26 @@ class _Frame(NamedTuple):
         """Level k's states as integers, k a + d j."""
         return k * self.a + self.d * np.arange(k * self.s + 1)
 
+    def start(self, k):
+        """Where level k starts with levels 0, 1, ... laid end to end: the states below it."""
+        return self.s * k * (k - 1) // 2 + k
+
 
 def _frame(set_: AmbiguitySet, hold_zero: bool = False) -> _Frame:
     """``set_``'s frame; ``hold_zero`` takes the move -origin into a and d, so that the
     state -k origin, where S_k = 0, lies on every level's progression."""
     return _frame_of(set_.coords, frozenset({-set_.lattice.origin} if hold_zero else ()))
+
+
+def _int64_frame(set_: AmbiguitySet, n: int, hold_zero: bool = False) -> _Frame:
+    """``_frame(set_, hold_zero)``; BAD_LATTICE unless d and level n's int64 states n a + d j (d j
+    may wrap), plus n origin or not, fit: n max(|a|, |b|, |a + origin|, |b + origin|) < 2^63."""
+    frame = _frame(set_, hold_zero)
+    ends = (frame.a, frame.a + frame.s * frame.d)
+    widest = n * max(abs(c + shift) for c in ends for shift in (0, set_.lattice.origin))
+    if max(widest, frame.d) > 2**63 - 1:
+        raise InputError("BAD_LATTICE", f"sums of {n} steps on lattice step {set_.lattice.step} overflow int64")
+    return frame
 
 
 @functools.lru_cache(maxsize=4)  # a job's frames: one set, with and without hold_zero
@@ -190,12 +204,6 @@ class RobustResult:
 # -- shared helpers ----------------------------------------------------
 
 
-def _level_states(set_: AmbiguitySet, n: int, hold_zero: bool = False) -> int:
-    """The states of ``_frame(set_, hold_zero).bounds(n)`` in closed form,
-    (n + 1) + s n (n + 1) / 2: every sweep charges it before it builds a level."""
-    return (n + 1) + _frame(set_, hold_zero).s * n * (n + 1) // 2
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -238,7 +246,7 @@ def _reachability(ts: Tuple[int, ...], n: int):
     into their progressions laid end to end, increasing.  The arrays are read-only,
     and the last result is kept: the policy builders and ``simulate`` of a job share it.
     """
-    s = ts[-1]
+    s, start = ts[-1], _Frame(0, 1, (ts,), ts[-1], ts).start  # the frame of the steps alone
     E = (s - 1) ** 2 + 1
     full = (1 << E) - 1
     low = high = 1  # bit j: the state j steps from the low (high) end is reachable
@@ -256,11 +264,10 @@ def _reachability(ts: Tuple[int, ...], n: int):
             steady = k
             holes += holes[-1:] * (n - k)
             break
-    pieces = [h % (s * k + 1) + (s * k * (k - 1) // 2 + k)  # + where level k starts
-              for k, h in enumerate(holes[: min(steady, n)]) if len(h)]
+    pieces = [h % (s * k + 1) + start(k) for k, h in enumerate(holes[: min(steady, n)]) if len(h)]
     if steady < n and len(holes[-1]):
         ks = np.arange(steady, n)[:, None]
-        pieces.append((holes[-1] % (s * ks + 1) + (s * ks * (ks - 1) // 2 + ks)).ravel())
+        pieces.append((holes[-1] % (s * ks + 1) + start(ks)).ravel())
     flat = _read_only(np.concatenate(pieces)) if pieces else _NO_HOLES
     return tuple(holes), flat
 
@@ -290,9 +297,8 @@ def _frame_levels(set_: AmbiguitySet, n: int, fill: int):
     ``seal()`` writes -1 at every unreachable state and returns the policy."""
     frame = _frame(set_)
     flat = _reachability(frame.steps, n)[1]
-    starts = list(accumulate((k * frame.s + 1 for k in range(n)), initial=0))
-    array = np.full(starts[n], fill, dtype=_choice_dtype(len(set_.generators)))
-    levels = tuple((k * frame.a, array[starts[k] : starts[k + 1]]) for k in range(n))
+    array = np.full(frame.start(n), fill, dtype=_choice_dtype(len(set_.generators)))
+    levels = tuple((k * frame.a, array[frame.start(k) : frame.start(k + 1)]) for k in range(n))
 
     def seal():
         array[flat] = -1
@@ -437,8 +443,8 @@ def _upper_terminal(set_, n, f, normalize, state_budget):
     check_horizon(n)
     if normalize and not f.bounded:
         raise InputError("UNBOUNDED_F", f"{f.describe()} is unbounded; use moment mode")
-    state_count = check_budget(_level_states(set_, n), state_budget)
-    frame = _frame(set_)
+    frame = _int64_frame(set_, n)
+    state_count = check_budget(frame.start(n + 1), state_budget)
     return frame, state_count, _terminal_values(set_, n, f, normalize, frame.states(n))
 
 
@@ -494,14 +500,12 @@ def policy_value(
         raise InputError("POLICY_GAP", f"policy is for horizon {policy.n}, not {n}")
     choices, chosen = _reachable_choices(set_, policy, n)
     gaps = _invalid(chosen, len(set_.generators))
-    bounds = frame.bounds(n)
     if gaps.any():  # the first in chosen's order: level by level, increasing states
         i = int(np.argmax(gaps))
-        starts = list(accumulate((length for _, length in bounds[: n - 1]), initial=0))
-        k = bisect.bisect_right(starts, i)
-        state = (k - 1) * frame.a + frame.d * (i - starts[k - 1])
+        k = bisect.bisect_right(range(n), i, key=frame.start)
+        state = (k - 1) * frame.a + frame.d * (i - frame.start(k - 1))
         raise InputError("POLICY_GAP", f"reachable state {state} at level {k} has no generator")
-    return _sweep(frame.moves, _weights(set_), bounds, u, choices)
+    return _sweep(frame.moves, _weights(set_), frame.bounds(n), u, choices)
 
 
 # -- capacities --------------------------------------------------------
@@ -568,8 +572,8 @@ def _final_capacity(set_, n, hit, sign, state_budget, from_index, hold_zero=Fals
     or with ``hold_zero`` the value at the state where S_k = 0 per level, level n first.
     The levels up to ``from_index`` move nothing: a sweep of one-state levels of their own."""
     h = n - from_index
-    check_budget(from_index + _level_states(set_, h, hold_zero), state_budget)
-    frame, origin = _frame(set_, hold_zero), set_.lattice.origin
+    frame, origin = _int64_frame(set_, h, hold_zero), set_.lattice.origin
+    check_budget(from_index + frame.start(h + 1), state_budget)
     u = sign * hit(frame.states(h) + h * origin)
     weights, at_zero = _weights(set_), []
     zero = (-origin - frame.a) // frame.d  # S_k = 0 at j = k zero, a state under hold_zero
@@ -595,8 +599,8 @@ def _flagged_capacity(set_, n, event, sign, state_budget):
     """
     origin, step = set_.lattice.origin, set_.lattice.step
     if event.kind == "MAX_PARTIAL_ABS_GE":
-        check_budget(2 * _level_states(set_, n), state_budget)
         frame = _frame(set_)
+        check_budget(2 * frame.start(n + 1), state_budget)
         a, d, moves = frame.a + origin, frame.d, frame.moves
         ceil_t = math.ceil(event.threshold / step)  # as in _event_hit
         bounds = [(0, 1)]  # level k keeps the j with |k a + d j| < ceil_t

@@ -2,7 +2,8 @@
 
 Truncated upper/lower means, the three-condition convergence report,
 the maximal-distribution limit value, horizon sweeps of the robust DP
-against that limit, and the explicit Chebyshev-style tail bound.
+against that limit, and the explicit Chebyshev-style tail bound.  Sets and
+truncated families share one scan of the one-step expectations, :func:`_scan`.
 
 Verdicts about limits are always labeled as trends observed over the
 computed range; limits are not computable from finitely many terms and
@@ -20,12 +21,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ambiguity import AmbiguitySet, linear_expect, sublinear_expect
-from .counterexamples import ParametricFamily, check_truncation, family_expect
+from .ambiguity import AmbiguitySet, linear_expect
+from .counterexamples import ParametricFamily, check_truncation
 from .errors import InputError, check_horizon
-from .functions import TestFunction, clamp, column
+from .functions import TestFunction, _real, blocks, column
 from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, upper_value
-from .montecarlo import _BLOCK_DRAWS
 
 Source = Union[AmbiguitySet, ParametricFamily]
 
@@ -45,16 +45,31 @@ class TruncatedMeans:
 
 
 def truncated_means(source: Source, n: int) -> TruncatedMeans:
+    """Lower and upper means of X clamped to [-n, n]: row n of :func:`peng_condition_report`."""
     check_horizon(n, "BAD_LEVEL", "truncation level")
-    f = clamp(n)
-    if isinstance(source, ParametricFamily):
-        values = source.per_index_expectations(f)
-        upper = family_expect(source, f, values).value
-        lower = float(np.min(values))
-    else:
-        sv = sublinear_expect(source, f)
-        upper, lower = sv.upper, sv.lower
+    [([upper], [lower])] = _scan(source, [n], ("clamp",))
     return TruncatedMeans(n, lower, upper)
+
+
+def _scan(source: Source, ns: Sequence[int], kinds: Sequence[str]) -> List[Tuple[list, list]]:
+    """Per kind, each row's entries at its first argmax and argmin over the generators of
+    ``column(kind, ns)``, as :func:`~sublinexp.ambiguity.sublinear_expect` picks them.  A block
+    of rows builds one (rows x generators) table per kind: a family's per-index expectations,
+    its truncation checked once (at one row the earlier kind's first), or a set's ``linear_expect``."""
+    family = isinstance(source, ParametricFamily)
+    out: List[Tuple[list, list]] = [([], []) for _ in kinds]
+    for block in blocks(ns, source.truncation if family else max(map(len, source.coords))):
+        fs = [column(kind, block) for kind in kinds]
+        if family:
+            tables = [source.per_index_expectations(f) for f in fs]
+            check_truncation(source, *zip(fs, tables))
+        else:
+            tables = [np.array([linear_expect(g, f) for g in source.generators]).T for f in fs]
+        rows = np.arange(len(block))
+        for (sups, infs), table in zip(out, tables):
+            sups += table[rows, table.argmax(1)].tolist()
+            infs += table[rows, table.argmin(1)].tolist()
+    return out
 
 
 def _tail_capacities(set_: AmbiguitySet, ns: Sequence[int]) -> List[Fraction]:
@@ -68,13 +83,6 @@ def _tail_capacities(set_: AmbiguitySet, ns: Sequence[int]) -> List[Fraction]:
         mags = [x for x, _ in atoms]
         best = [max(b, suffix[bisect.bisect_left(mags, n)]) for b, n in zip(best, ns)]
     return best
-
-
-def _extremes(tables: np.ndarray):
-    """Per column of the ``(generators, rows)`` ``tables``, its entries at the first
-    argmax and the first argmin, as :func:`sublinear_expect` picks them."""
-    cols = np.arange(tables.shape[1])
-    return tables[tables.argmax(0), cols].tolist(), tables[tables.argmin(0), cols].tolist()
 
 
 # -- the three-condition report ----------------------------------------
@@ -102,47 +110,29 @@ class ConditionReport:
 def peng_condition_report(source: Source, n_max: int) -> ConditionReport:
     """Tabulate the three convergence conditions for n = 1..n_max.
 
+    The truncated means and E[psi_n] are one :func:`_scan` of the rows, so row n's
+    means are :func:`truncated_means` at n bitwise; the tail suprema are exact.
     The condition-(i) verdict is a trend over the computed range only.
     Truncated-mean limits are reported when the last three values agree
     within 1e-9 ("detected stable"); heavy-tailed families never get a
     false stable flag at that tolerance.
     """
     check_horizon(n_max, "BAD_LEVEL", "n_max", least=2)
-    warnings: List[str] = []
-    rows: List[ConditionRow] = []
-    if isinstance(source, ParametricFamily):
-        for ns in source.blocks(range(1, n_max + 1)):
-            tables = [(f, source.per_index_expectations(f)) for f in (column("clamp", ns), column("psi", ns))]
-            check_truncation(source, *tables)  # at one n the clamp first
-            uppers, psi_sups = (family_expect(source, *table).value for table in tables)
-            cells = zip(psi_sups, tables[0][1].min(axis=1).tolist(), uppers)
-            for n, (tail, arg), row in zip(ns, source.tail_capacity_fraction(ns), cells):
-                if source.truncation_binding_for_tail(n, arg):
-                    warnings.append(f"FAMILY_TRUNCATION_WARNING: tail sup at n={n} limited by truncation")
-                rows.append(ConditionRow(n, float(n * tail), *row))
-    else:  # one clamp and one psi table per generator and block of rows, each scanned once
-        tails = _tail_capacities(source, range(1, n_max + 1))
-        step = max(1, _BLOCK_DRAWS // max(map(len, source.coords)))
-        for lo in range(1, n_max + 1, step):
-            ns = range(lo, min(lo + step, n_max + 1))
-            clamps, psis = (np.stack([linear_expect(g, column(kind, ns)) for g in source.generators])
-                            for kind in ("clamp", "psi"))
-            (uppers, lowers), (psi_sups, _) = _extremes(clamps), _extremes(psis)
-            for n, *row in zip(ns, psi_sups, lowers, uppers):
-                rows.append(ConditionRow(n, float(n * tails[n - 1]), *row))
-    nv = np.array([r.nV_tail for r in rows])
-    peak = float(np.max(nv))
-    if peak == 0.0 or nv[-1] <= 0.5 * peak:
-        verdict = "satisfied"
+    ns = range(1, n_max + 1)
+    (uppers, lowers), (psi_sups, _) = _scan(source, ns, ("clamp", "psi"))
+    if isinstance(source, ParametricFamily):  # each tail sup with its first attaining index
+        pairs = [p for block in blocks(ns, source.truncation) for p in source.tail_capacity_fraction(block)]
+        tails = [tail for tail, _ in pairs]
+        warnings = [f"FAMILY_TRUNCATION_WARNING: tail sup at n={n} limited by truncation"
+                    for n, (_, arg) in zip(ns, pairs) if source.truncation_binding_for_tail(n, arg)]
     else:
-        verdict = "violated"
+        tails, warnings = _tail_capacities(source, ns), []
+    nv = [float(n * tail) for n, tail in zip(ns, tails)]
+    rows = [ConditionRow(*row) for row in zip(ns, nv, psi_sups, lowers, uppers)]
+    verdict = "satisfied" if max(nv) == 0.0 or nv[-1] <= 0.5 * max(nv) else "violated"
     trend = f"condition (i) {verdict} (observed over n <= {n_max})"
-    uppers = [r.mu_upper_n for r in rows[-3:]]
-    lowers = [r.mu_lower_n for r in rows[-3:]]
-    mu_upper = uppers[-1] if max(uppers) - min(uppers) <= STABLE_TOL else None
-    mu_lower = lowers[-1] if max(lowers) - min(lowers) <= STABLE_TOL else None
-    desc = source.describe()
-    return ConditionReport(rows, trend, mu_upper, mu_lower, desc, tuple(warnings))
+    mu_upper, mu_lower = (v[-1] if max(v[-3:]) - min(v[-3:]) <= STABLE_TOL else None for v in (uppers, lowers))
+    return ConditionReport(rows, trend, mu_upper, mu_lower, source.describe(), tuple(warnings))
 
 
 # -- maximal distribution and sweeps -----------------------------------
@@ -150,12 +140,12 @@ def peng_condition_report(source: Source, n_max: int) -> ConditionReport:
 
 def maximal_dist_value(f: TestFunction, mu_lower: float, mu_upper: float) -> float:
     """Exact max of f over [mu_lower, mu_upper] (endpoints plus interior knots)."""
-    if mu_lower > mu_upper:
+    lo, hi = (_real(mu, "interval bound", "BAD_INTERVAL") for mu in (mu_lower, mu_upper))
+    if not lo <= hi:  # NaN too
         raise InputError("BAD_INTERVAL", f"[{mu_lower}, {mu_upper}] is empty")
     if not f.bounded:
         raise InputError("UNBOUNDED_F", f"{f.describe()} is not a bounded kind")
-    candidates = [mu_lower, mu_upper]
-    candidates += [x for x in f.knots() if mu_lower < x < mu_upper]
+    candidates = [lo, hi] + [x for x in f.knots() if lo < x < hi]
     return float(max(float(f(x)) for x in candidates))
 
 
@@ -212,7 +202,7 @@ def chebyshev_bound_check(
     expectation of its square over the generators.
     """
     check_horizon(n)
-    if not eps > 0:  # NaN too
+    if not (eps := _real(eps, "eps", "BAD_EPS")) > 0:  # NaN too
         raise InputError("BAD_EPS", "eps must be positive")
     mu_upper = truncated_means(set_, n).mu_upper
     event = PathEvent("FINAL_GT", n * (mu_upper + eps))

@@ -19,21 +19,20 @@ import numpy as np
 
 from .ambiguity import AmbiguitySet
 from .errors import InputError, check_budget, check_horizon
-from .functions import TestFunction
+from .functions import TestFunction, blocks
 from .lattice_dp import (
     DEFAULT_STATE_BUDGET,
     KernelPolicy,
     _frame,
     _frame_levels,
+    _int64_frame,
     _invalid,
-    _level_states,
     _reachable_choices,
     _terminal_values,
 )
 
 __all__ = ["SimConfig", "SimResult", "simulate", "constant_policy"]
 
-_BLOCK_DRAWS = 1 << 16  # draws per row block
 _SEARCH_CUTS = 256  # from here on a binary search per draw beats a compare pass per cut
 
 
@@ -78,7 +77,7 @@ def constant_policy(
     check_horizon(generator_index, "POLICY_GAP", "generator index", least=0)
     if generator_index >= len(set_.generators):
         raise InputError("POLICY_GAP", f"generator index {generator_index} out of range")
-    check_budget(_level_states(set_, n), state_budget)
+    check_budget(_frame(set_).start(n + 1), state_budget)
     _, seal = _frame_levels(set_, n, generator_index)  # generator g, then -1 at every hole
     return seal()
 
@@ -97,20 +96,19 @@ def simulate(
     walk.  Aggregation order is fixed by path index.  The ``paths * n``
     draws are charged against ``state_budget``.
     """
-    set_, frame = config.set, _frame(config.set)
-    n, m = config.n, config.paths
+    set_, n, m = config.set, config.n, config.paths
+    frame = _int64_frame(set_, n)
     check_budget(m * n, state_budget, "draws")
     choices, chosen = _reachable_choices(set_, config.policy, n)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    rows = max(1, _BLOCK_DRAWS // n)
     # row blocks drawn in turn are the rows of one (m, n) draw
-    blocks = ((r, rng.random((min(rows, m - r), n))) for r in range(0, m, rows))
+    draws = ((rows.start, rng.random((len(rows), n))) for rows in blocks(range(m), n))
     low, high = int(chosen.min()), int(chosen.max())
     gap = low < 0 or high >= len(set_.generators)
     if low == high and not gap:
-        j = _iid_sums(set_, frame, low, n, m, blocks)
+        j = _iid_sums(set_, frame, low, n, m, draws)
     else:
-        j = _walk(set_, frame, choices, n, m, blocks, gap)
+        j = _walk(set_, frame, choices, n, m, draws, gap)
     vals = _terminal_values(set_, n, f, normalize, n * frame.a + frame.d * j)
     estimate = float(np.add.reduce(vals) / m)
     if m > 1:
@@ -125,20 +123,20 @@ def simulate(
 # the w-sum rounding edge.  Both helpers return S_n as the frame's j at level n.
 
 
-def _iid_sums(set_, frame, g, n, m, blocks):
+def _iid_sums(set_, frame, g, n, m, draws):
     """Terminal j under generator ``g`` at every step: with t its frame moves,
     ``n t_0 + sum_i (t_i - t_{i-1}) #{k : u_k >= cumsum(w)_i}``."""
     gt = frame.moves[g]
     inner = np.cumsum(set_.generators[g].weight_array)[:-1]
     j = np.full(m, n * gt[0], dtype=np.intp)
-    for r, u in blocks:
+    for r, u in draws:
         out = j[r : r + len(u)]
         for w, step in zip(inner, np.diff(gt)):
             out += step * np.count_nonzero(u >= w, axis=1)
     return j
 
 
-def _walk(set_, frame, choices, n, m, blocks, gap):
+def _walk(set_, frame, choices, n, m, draws, gap):
     """Terminal j of a per-level walk through the policy's choices.
 
     Each draw is kept, level-major and in the smallest unsigned dtype, as its
@@ -159,7 +157,7 @@ def _walk(set_, frame, choices, n, m, blocks, gap):
         for w, gt in zip(inner, frame.moves)
     ])
     ranks = np.empty((n, m), dtype=np.min_scalar_type(R - 1))
-    for r, u in blocks:
+    for r, u in draws:
         if len(cuts) >= _SEARCH_CUTS:
             rank = np.searchsorted(cuts, u, "right")
         else:

@@ -10,7 +10,7 @@ policies and estimates bit for bit.
 
 import numpy as np
 
-from sublinexp import KernelPolicy, lattice_dp, montecarlo
+from sublinexp import KernelPolicy, functions, lattice_dp, montecarlo
 from sublinexp.lattice_dp import _choice_dtype, _terminal_values
 
 from hull_reference import _move_bounds, robust_records
@@ -64,7 +64,7 @@ def simulate(config, f, normalize=True):
     chosen = np.concatenate(hull)[np.concatenate(masks[:n])]
     choices = [choice[:: frame.d] for choice in hull]  # the progression, as the walk reads it
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    rows = max(1, montecarlo._BLOCK_DRAWS // n)
+    rows = max(1, functions._BLOCK_CELLS // n)
     blocks = ((r, rng.random((min(rows, m - r), n))) for r in range(0, m, rows))
     g = int(chosen[0])
     if chosen.min() == chosen.max() and 0 <= g < len(set_.generators):

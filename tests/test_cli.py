@@ -229,6 +229,14 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_a_sum_past_int64_is_bad_lattice(self, tmp_path):
+        payload = {"lattice": {"step": "1e-15"}, "generators": [[[-1, 0.01], [3, 0.99]]], "n": 4000,
+                   "event": {"kind": "FINAL_GT", "threshold": 11600}}
+        proc = run_process(tmp_path, "capacity", payload)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: BAD_LATTICE: sums of 4000 steps on lattice step 1/1000000000000000")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
     def test_unknown_config_key_named(self, tmp_path, capsys):
         payload = dict(PAIR_SET, function={"kind": "abs"}, wrong_key=1)
         assert run(tmp_path, "eval", payload) == 1

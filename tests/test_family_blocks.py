@@ -24,7 +24,7 @@ from sublinexp import BudgetError, EngineError, InputError, ParametricFamily
 from sublinexp import clamp, exm3_report, family_expect, peng_condition_report, psi_fn
 from sublinexp.counterexamples import Exm3Report
 from sublinexp.functions import TestFunction as Function
-from sublinexp.functions import _real, column
+from sublinexp.functions import _real, blocks, column
 from sublinexp.lln import STABLE_TOL, ConditionReport, ConditionRow
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -262,8 +262,8 @@ class TestBlockScan:
 
     def test_one_row_blocks_past_two_to_the_sixteen(self):
         fam = ParametricFamily("EXM3", 70_000)
-        assert [list(b) for b in fam.blocks([10, 100, 1000])] == [[10], [100], [1000]]
-        assert [list(b) for b in ParametricFamily("EXM3", 2**15).blocks(range(5))] == [
+        assert [list(b) for b in blocks([10, 100, 1000], fam.truncation)] == [[10], [100], [1000]]
+        assert [list(b) for b in blocks(range(5), 2**15)] == [
             [0, 1], [2, 3], [4],
         ]
         for kind, params in (("clamp", [1.0, 5e3, 4.9e9]), ("psi", [1, 4_900_000_000, 77]),

@@ -585,7 +585,7 @@ class TestReachableMasks:
             for n in (1, 2, 7, 40):
                 bounds, masks = reachable_masks(s, n)
                 assert bounds == tuple(hull.level_bounds(s, n))
-                assert lattice_dp._level_states(s, n) == sum(len(mask[::d]) for mask in masks)
+                assert lattice_dp._frame(s).start(n + 1) == sum(len(mask[::d]) for mask in masks)
 
     def test_hold_zero_frame_holds_zero_and_spans_the_widened_levels(self):
         rng = np.random.default_rng(32)
@@ -604,7 +604,7 @@ class TestReachableMasks:
                         states = frame.states(k)  # both ends of the widened hull, and S_k = 0
                         assert (states[0], states[-1]) == (lo, lo + length - 1)
                         assert -k * origin in set(states.tolist())
-                    count = lattice_dp._level_states(s, n, hold_zero=True)
+                    count = frame.start(n + 1)
                     assert count == sum(len(frame.states(k)) for k in range(n + 1))
         assert zero_in_hull == {True, False}
 
@@ -743,3 +743,62 @@ class TestUpperValue:
             argv = ["oracle", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]
             assert main(argv) == status
         assert "STATE_BUDGET_EXCEEDED" in capsys.readouterr().err
+
+
+class TestInt64Coordinates:
+    """States are int64 lattice coordinates: a sum of n steps must fit, or BAD_LATTICE."""
+
+    f = piecewise_linear([(0, 0), (3, 1)])
+
+    @staticmethod
+    def pair(step):  # the coordinates -1 and 3 on step 1, -10^15 and 3 10^15 on step 1e-15
+        return make_set([(-1, 0.01), (3, 0.99)], step=step)
+
+    def values(self, s, n):
+        f = self.f
+        return [
+            upper_value(s, n, f),
+            robust_value(s, n, f).value,
+            policy_value(s, robust_value(s, n, f).policy, n, f),
+            capacity(s, n, PathEvent("FINAL_GT", 9000)),
+            capacity(s, n, PathEvent("TAIL_SUM_ABS_GE", 9000, 1)),
+            *final_abs_capacities(s, n, 9000)[-3:],
+            simulate(SimConfig(constant_policy(s, n, 0), s, n, 20, seed=1), f).estimate,
+        ]
+
+    def test_the_last_horizon_that_fits_is_bitwise_step_one(self):
+        # 3074 * 3e15 < 2^63 - 1 < 3075 * 3e15
+        want, got = self.values(self.pair(1), 3074), self.values(self.pair("1e-15"), 3074)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("step, n", [("1e-15", 3075), ("1e-15", 4000), ("1e-16", 4000), ("1e-300", 3)])
+    def test_a_sum_past_int64_is_refused(self, step, n):
+        s, f = self.pair(step), self.f
+        calls = [
+            lambda: upper_value(s, n, f),
+            lambda: robust_value(s, n, f),
+            lambda: policy_value(s, constant_policy(s, n, 0), n, f),
+            lambda: capacity(s, n, PathEvent("FINAL_GT", 11600)),
+            lambda: capacity(s, n, PathEvent("FINAL_ABS_LT", 1), "LOWER"),
+            lambda: final_abs_capacities(s, n, 1),
+            lambda: simulate(SimConfig(constant_policy(s, n, 0), s, n, 5, seed=1), f),
+        ]
+        for call in calls:
+            with pytest.raises(InputError) as e:
+                call()
+            assert e.value.code == "BAD_LATTICE"
+            assert f" {n} steps " in e.value.message and str(Fraction(step)) in e.value.message
+
+    def test_a_spacing_past_int64_is_refused(self):
+        # level 1 holds -2^62 and 2^62, which fit, 2^63 apart on the frame, which does not
+        assert upper_value(make_set([(-(2**61), 0.5), (2**61, 0.5)]), 1, self.f) == 0.5
+        with pytest.raises(InputError) as e:
+            upper_value(make_set([(-(2**62), 0.5), (2**62, 0.5)]), 1, self.f)
+        assert e.value.code == "BAD_LATTICE"
+
+    def test_running_max_capacities_form_no_states(self):
+        event = PathEvent("MAX_PARTIAL_ABS_GE", 11600)
+        got = [capacity(self.pair(step), 4000, event) for step in (1, "1e-15")]
+        assert [v.hex() for v in got] == [(0.9999999999999944).hex()] * 2
+        jump = PathEvent("MAX_INCREMENT_ABS_GE", 2)
+        assert capacity(self.pair("1e-300"), 3, jump) == capacity(self.pair(1), 3, jump) == 1 - 0.01**3

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sublinexp import (
     IDENTITY,
+    BudgetError,
     InputError,
     ParametricFamily,
     RAMP_DOWN,
@@ -17,12 +18,13 @@ from sublinexp import (
     linear_expect,
     lln_sweep,
     maximal_dist_value,
+    ottaviani_check,
     peng_condition_report,
     psi_fn,
     tent,
     truncated_means,
 )
-from sublinexp import lln
+from sublinexp import functions
 from sublinexp.ambiguity import sublinear_expect
 
 from conftest import make_set
@@ -145,7 +147,7 @@ class TestConditionReport:
     def test_set_rows_are_the_per_n_expectations(self, monkeypatch, block):
         # each block of rows scans one table per generator; a row is the scalar path's,
         # ties (a repeated generator, one at 0) going to the first generator as there
-        monkeypatch.setattr(lln, "_BLOCK_DRAWS", block)
+        monkeypatch.setattr(functions, "_BLOCK_CELLS", block)
         rng = np.random.default_rng(block)
         for _ in range(4):
             gens = []
@@ -207,6 +209,83 @@ class TestConditionReport:
     def test_bad_n_max(self, coin):
         with pytest.raises(InputError):
             peng_condition_report(coin, 1)
+
+
+class TestOneScan:
+    """``truncated_means(source, n)`` is row n of ``peng_condition_report``, bit for bit."""
+
+    @staticmethod
+    def assert_rows_agree(source, n_max):
+        rep = peng_condition_report(source, n_max)
+        for r in rep.rows:
+            tm = truncated_means(source, r.n)
+            assert (tm.mu_lower.hex(), tm.mu_upper.hex()) == (r.mu_lower_n.hex(), r.mu_upper_n.hex())
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    def test_sets_with_repeated_generators_and_signed_zero_ties(self, monkeypatch, block):
+        monkeypatch.setattr(functions, "_BLOCK_CELLS", block)
+        # zero means tie at +0.0: the sums start from 0.0, so the point -0.0 gives +0.0 too
+        pair = [(-1, 0.5), (1, 0.5)]
+        for gens in ([(-0.0, 1.0)], [(0, 1.0)], pair, pair), ([(0, 1.0)], pair, [(-0.0, 1.0)], pair):
+            s = make_set(*gens)
+            self.assert_rows_agree(s, 6)
+            tm = truncated_means(s, 2)
+            assert (tm.mu_lower.hex(), tm.mu_upper.hex()) == ("0x0.0p+0", "0x0.0p+0")
+        rng = np.random.default_rng(27)
+        for _ in range(5):
+            gens = [list(zip(rng.choice(np.arange(-30, 31), 4, replace=False).tolist(),
+                             [0.125, 0.25, 0.25, 0.375])) for _ in range(2)]
+            self.assert_rows_agree(make_set(gens[0], gens[1], gens[0], [(0, 1.0)]), 25)
+
+    @pytest.mark.parametrize("name, T", [("EXM3", 1), ("EXM3", 40), ("HEAVY", 9), ("HEAVY", 70)])
+    def test_families(self, name, T):
+        self.assert_rows_agree(ParametricFamily(name, T), 60)
+
+    def test_a_level_past_the_floats_is_bad_function(self, coin):
+        for source in (coin, ParametricFamily("HEAVY", 5)):
+            with pytest.raises(InputError) as e:
+                truncated_means(source, 10**400)
+            assert e.value.message.startswith("clamp level must be a decimal number, got 1000")
+            assert e.value.code == "BAD_FUNCTION"
+
+    @pytest.mark.parametrize("name", ["EXM3", "HEAVY"])
+    def test_a_truncation_too_small_names_the_clamp(self, monkeypatch, name):
+        scan = ParametricFamily.per_index_expectations
+
+        def escaping(self, f):  # the clamp at level 4 climbs strictly to the truncation
+            values = np.atleast_2d(scan(self, f)).copy()
+            if f.kind == "clamp":
+                values[np.ravel(f.params[0]) == 4.0] = np.arange(self.truncation)
+            return values.reshape(np.shape(scan(self, f)))
+
+        monkeypatch.setattr(ParametricFamily, "per_index_expectations", escaping)
+        fam = ParametricFamily(name, 30)
+        for call in (lambda: truncated_means(fam, 4), lambda: peng_condition_report(fam, 7)):
+            with pytest.raises(BudgetError) as e:
+                call()
+            assert str(e.value) == ("TRUNCATION_TOO_SMALL: running max still strictly increasing "
+                                    "over the last 10 of 30 indices for clamp(4)")
+        assert truncated_means(fam, 3).mu_upper == peng_condition_report(fam, 3).rows[2].mu_upper_n
+
+
+@pytest.mark.parametrize(
+    "call, code",
+    [
+        (lambda s: chebyshev_bound_check(s, 3, "x"), "BAD_EPS"),
+        (lambda s: chebyshev_bound_check(s, 3, None), "BAD_EPS"),
+        (lambda s: ottaviani_check(s, 3, "x", 0.5), "BAD_ALPHA"),
+        (lambda s: ottaviani_check(s, 3, 1.0, "x"), "BAD_C"),
+        (lambda s: ottaviani_check(s, 3, 1.0, None), "BAD_C"),
+        (lambda s: maximal_dist_value(RAMP_DOWN, "a", 1.0), "BAD_INTERVAL"),
+        (lambda s: maximal_dist_value(RAMP_DOWN, 0.0, None), "BAD_INTERVAL"),
+        (lambda s: maximal_dist_value(RAMP_DOWN, float("nan"), 1.0), "BAD_INTERVAL"),
+        (lambda s: maximal_dist_value(RAMP_DOWN, 0.0, float("nan")), "BAD_INTERVAL"),
+    ],
+)
+def test_non_numbers_are_coded(coin, call, code):
+    with pytest.raises(InputError) as e:
+        call(coin)
+    assert e.value.code == code
 
 
 class TestMaximalDistValue:

@@ -16,7 +16,7 @@ from sublinexp import (
     simulate,
     tent,
 )
-from sublinexp import montecarlo
+from sublinexp import functions, montecarlo
 from sublinexp.lattice_dp import DEFAULT_STATE_BUDGET, _terminal_values
 
 from conftest import make_set, random_pwl, random_set
@@ -361,7 +361,7 @@ class TestIidSums:
             n = int(rng.integers(1, 50))
             m = int(rng.integers(1, 3000))
             for g in range(len(s.generators)):
-                monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", block_draws)
+                monkeypatch.setattr(functions, "_BLOCK_CELLS", block_draws)
                 pol = constant_policy(s, n, g)
                 assert_takes(monkeypatch, "iid", SimConfig(pol, s, n, m, seed=trial), f)
 
@@ -427,7 +427,7 @@ class TestWalk:
             entries = {key: int(rng.integers(0, len(s.generators))) for key in pol.entries}
             entries[1, 0] = 0
             entries[2, min(s.coords[0])] = 1
-            monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", block_draws)
+            monkeypatch.setattr(functions, "_BLOCK_CELLS", block_draws)
             mixed = KernelPolicy.from_entries(n, entries)
             assert_takes(monkeypatch, "walk", SimConfig(mixed, s, n, 777, seed=trial), random_pwl(rng))
 
