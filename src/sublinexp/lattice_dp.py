@@ -275,8 +275,11 @@ def _reachability(ts: Tuple[int, ...], n: int):
 def reachable_masks(set_: AmbiguitySet, n: int):
     """``(bounds, masks)``: per level k = 0..n the hull ``(lo, length)`` of the sums of k
     moves and its boolean reachability, cached and read-only.  No sweep reads them:
-    this is the one place that lays the frame back onto the hull."""
-    return _dense_masks(_frame(set_), n)
+    this is the one place that lays the frame back onto the hull.  Its d s n (n + 1) / 2 + n + 1
+    cells are charged against the default state budget."""
+    frame = _int64_frame(set_, n)
+    check_budget(frame.d * frame.s * n * (n + 1) // 2 + n + 1, DEFAULT_STATE_BUDGET)
+    return _dense_masks(frame, n)
 
 
 @functools.lru_cache(maxsize=1)
@@ -349,7 +352,7 @@ def _terminal_values(set_: AmbiguitySet, n: int, f: TestFunction, normalize: boo
     return values
 
 
-def _sweep(moves, weights, bounds, u, choices=None, absorb=None, record=None, visit=None) -> float:
+def _sweep(moves, weights, bounds, u, choices=None, absorb=None, record=None, visit=None):
     """Backward induction ``u_{k-1}(s) = max_g sum_j w_j u_k(s + x_j)``; u_0 at state 0.
 
     The kernel is stationary: ``moves[g]`` holds generator g's integer atom moves
@@ -363,21 +366,30 @@ def _sweep(moves, weights, bounds, u, choices=None, absorb=None, record=None, vi
     argmax of step k, and ``visit(k, u)`` every level, as an array or a list.  The
     order is fixed (states, generators, then atoms in increasing-point order), so
     results are bitwise reproducible.  A LOWER capacity is the negated max of the
-    negated indicator (see :func:`capacity`).
+    negated indicator (see :func:`capacity`).  For a plain max ``u`` may list terminal
+    rows ``(h, values)``, n the largest h (see :func:`_upper_values`): each joins as a column
+    at level h and sees its own horizon-h sweep's products and tests, and the rows' values
+    come back in order.
 
     A level whose lower level stores one state (every level of an increment
     trigger or of a tail sum's prefix, the last step of every sweep) runs on Python
-    floats and leaves a one-float list: the same products summed in the same
-    order and the same strict tests as a one-element slice, at a fraction of
+    floats, unless ``u`` lists rows, and leaves a one-float list: the same products summed
+    in the same order and the same strict tests as a one-element slice, at a fraction of
     numpy's per-call cost.  The absorbing value is always stepped that way.
     """
     n = len(bounds) - 1
+    many = isinstance(u, list)
+    if many:  # rows join by decreasing h, ties in their order
+        order = sorted(range(len(u)), key=lambda i: -u[i][0])
+        joins = {h: [u[i][1] for i in order if u[i][0] == h] for h, _ in u}
+        u = np.column_stack(joins.pop(n))
+    terms = [[(np.array(w), c) for w, c in zip(gw, gm)] for gw, gm in zip(weights, moves)]
     if visit is not None:
         visit(n, u)
     for k in range(n, 0, -1):
         lo_prev, len_prev = bounds[k - 1]
         lo_k, len_k = bounds[k]
-        if len_prev == 1:
+        if len_prev == 1 and not many:
             values = u if isinstance(u, list) else u.tolist()
             best, arg = None, 0
             for g in range(len(weights)):
@@ -398,9 +410,9 @@ def _sweep(moves, weights, bounds, u, choices=None, absorb=None, record=None, vi
                 pad = np.full(len_prev, absorb)
                 u = np.concatenate((pad, u, pad))
             best = None
-            for g in range(len(weights)):
+            for g, gterms in enumerate(terms):
                 cand = None
-                for w, c in zip(weights[g], moves[g]):
+                for w, c in gterms:  # w a 0-d array: cheaper than a Python float times a slice
                     a = lo_prev + c - lo_k
                     if absorb is not None:  # a slice wholly off the stored states reads padding
                         a = min(max(a, -len_prev), len_k) + len_prev
@@ -426,9 +438,12 @@ def _sweep(moves, weights, bounds, u, choices=None, absorb=None, record=None, vi
                 if best_absorb is None or acc > best_absorb:
                     best_absorb = acc
             absorb = best_absorb
+        if many and k - 1 in joins:
+            u = np.column_stack((u, *joins.pop(k - 1)))
         if visit is not None:
             visit(k - 1, u)
-    return float(u[0 - bounds[0][0]])
+    top = u[0 - bounds[0][0]]
+    return top[np.argsort(order)].tolist() if many else float(top)
 
 
 def _weights(set_: AmbiguitySet):
@@ -456,8 +471,17 @@ def upper_value(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> float:
     """``robust_value(...).value`` bitwise, without the policy or reachability."""
-    frame, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
-    return _sweep(frame.moves, _weights(set_), frame.bounds(n), u)
+    return _upper_values(set_, [n], f, normalize, state_budget)[0]
+
+
+def _upper_values(set_, horizons, f, normalize, state_budget) -> List[float]:
+    """:func:`upper_value` at every horizon, all checked first, in list order, from one sweep
+    of a row per horizon, or from one sweep each if their terminals outgrow ``state_budget``."""
+    rows = [(n, _upper_terminal(set_, n, f, normalize, state_budget)[2]) for n in horizons]
+    frame, weights = _frame(set_), _weights(set_)
+    if sum(len(u) for _, u in rows) > state_budget:  # the states one sweep holds at once
+        return [_sweep(frame.moves, weights, frame.bounds(n), [(n, u)])[0] for n, u in rows]
+    return _sweep(frame.moves, weights, frame.bounds(max(horizons)), rows) if rows else []
 
 
 def robust_value(

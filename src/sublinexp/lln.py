@@ -25,7 +25,7 @@ from .ambiguity import AmbiguitySet, linear_expect
 from .counterexamples import ParametricFamily, check_truncation
 from .errors import InputError, check_horizon
 from .functions import TestFunction, _real, blocks, column
-from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, upper_value
+from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, _upper_values, capacity
 
 Source = Union[AmbiguitySet, ParametricFamily]
 
@@ -170,12 +170,13 @@ def lln_sweep(
     horizons: Sequence[int],
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> SweepReport:
-    """Robust DP value vs. maximal-distribution prediction per horizon."""
+    """Robust DP value vs. maximal-distribution prediction per horizon: every horizon checked as by
+    :func:`~sublinexp.lattice_dp.upper_value`, in list order, then one sweep of a row per horizon."""
+    dps = _upper_values(set_, horizons, f, True, state_budget)
+    [(uppers, lowers)] = _scan(set_, horizons, ("clamp",))
     rows = []
-    for n in horizons:
-        dp = upper_value(set_, n, f, state_budget=state_budget)
-        tm = truncated_means(set_, n)
-        limit = maximal_dist_value(f, tm.mu_lower, tm.mu_upper)
+    for n, dp, lower, upper in zip(horizons, dps, lowers, uppers):
+        limit = maximal_dist_value(f, lower, upper)
         rows.append(SweepRow(int(n), dp, limit, abs(dp - limit)))
     return SweepReport(rows, set_.describe(), f.describe())
 

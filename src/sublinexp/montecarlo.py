@@ -101,8 +101,8 @@ def simulate(
     check_budget(m * n, state_budget, "draws")
     choices, chosen = _reachable_choices(set_, config.policy, n)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    # row blocks drawn in turn are the rows of one (m, n) draw
-    draws = ((rows.start, rng.random((len(rows), n))) for rows in blocks(range(m), n))
+    # row blocks drawn in turn are the rows of one (m, n) matrix of Philox words
+    draws = ((rows.start, rng.bit_generator.random_raw((len(rows), n))) for rows in blocks(range(m), n))
     low, high = int(chosen.min()), int(chosen.max())
     gap = low < 0 or high >= len(set_.generators)
     if low == high and not gap:
@@ -118,21 +118,37 @@ def simulate(
     return SimResult(estimate, stderr, m)
 
 
-# Generator g's atom for a draw x is the number of its inner cumulative weights
-# <= x: searchsorted(cumsum(w), x, "right") capped at the last atom, which guards
-# the w-sum rounding edge.  Both helpers return S_n as the frame's j at level n.
+# A path's draws are Philox words r, which ``Generator.random`` reads as u = (r >> 11) 2^-53.
+# Generator g's atom for u is the number of its inner cumulative weights <= u: searchsorted(cumsum(w),
+# u, "right") capped at the last atom (the w-sum rounding edge).  Both return S_n as level n's j.
+
+
+def _word_thresholds(cuts) -> np.ndarray:
+    """T(c) = ceil(c 2^53) 2^11 per increasing cut c: r >= T(c) iff u >= c.  No u reaches
+    the last cuts, those with ceil(c 2^53) >= 2^53; they are left out."""
+    q = np.ceil(np.ldexp(np.asarray(cuts, dtype=float), 53))
+    return q[q < 2.0**53].astype(np.uint64) << np.uint64(11)
+
+
+def _as_ordered_doubles(words) -> np.ndarray:
+    """``words``, in place, as the doubles of bits (r >> 2) + 2^52, positive and normal: r >= T iff
+    they are for a threshold T, a multiple of 4.  numpy compares doubles about twice as fast as uint64."""
+    words >>= np.uint64(2)
+    words += np.uint64(1 << 52)
+    return words.view(np.float64)
 
 
 def _iid_sums(set_, frame, g, n, m, draws):
     """Terminal j under generator ``g`` at every step: with t its frame moves,
-    ``n t_0 + sum_i (t_i - t_{i-1}) #{k : u_k >= cumsum(w)_i}``."""
+    ``n t_0 + sum_i (t_i - t_{i-1}) #{k : u_k >= cumsum(w)_i}``, each count a row of bytes summed."""
     gt = frame.moves[g]
-    inner = np.cumsum(set_.generators[g].weight_array)[:-1]
+    limits = _word_thresholds(np.cumsum(set_.generators[g].weight_array)[:-1])
     j = np.full(m, n * gt[0], dtype=np.intp)
-    for r, u in draws:
-        out = j[r : r + len(u)]
-        for w, step in zip(inner, np.diff(gt)):
-            out += step * np.count_nonzero(u >= w, axis=1)
+    for r, words in draws:
+        out = j[r : r + len(words)]
+        for limit, step in zip(limits, np.diff(gt)):
+            hits = (words >= limit).view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(n))
+            out += np.multiply(hits, step, dtype=np.intp)
     return j
 
 
@@ -156,15 +172,17 @@ def _walk(set_, frame, choices, n, m, draws, gap):
         np.asarray(gt, dtype=np.intp)[np.searchsorted(w, at, "right")]
         for w, gt in zip(inner, frame.moves)
     ])
+    limits = _word_thresholds(cuts)
+    doubles = _as_ordered_doubles(limits.copy())
     ranks = np.empty((n, m), dtype=np.min_scalar_type(R - 1))
-    for r, u in draws:
+    for r, words in draws:
         if len(cuts) >= _SEARCH_CUTS:
-            rank = np.searchsorted(cuts, u, "right")
-        else:
-            rank = np.zeros(u.shape, dtype=ranks.dtype)
-            for c in cuts:
-                rank += u >= c
-        ranks[:, r : r + len(u)] = rank.T
+            rank = np.searchsorted(limits, words, "right")
+        else:  # uint8 ranks, one compare pass per cut on the doubles
+            x, rank = _as_ordered_doubles(words), np.zeros(words.shape, dtype=ranks.dtype)
+            for limit in doubles:
+                rank += (x >= limit).view(np.uint8)
+        ranks[:, r : r + len(words)] = rank.T
     j = np.zeros(m, dtype=np.intp)  # S_k as the frame's j at level k
     for k in range(1, n + 1):
         # scale in intp: an int8 choice times R overflows; every path stays

@@ -24,8 +24,11 @@ def _sweep(moves, weights, bounds, u, rule=np.greater, absorb=None, record=None,
     stored states reads one float, which follows the same recursion.
     ``record[k - 1]``, a zeroed array over level k - 1's stored states, gets the
     argmax of step k, and ``visit(k, u)`` every level.  The order is fixed (states, generators, then atoms in
-    increasing-point order), so results are bitwise reproducible.
+    increasing-point order), so results are bitwise reproducible.  ``u`` may list terminal rows
+    ``(h, values)``: each is swept alone over ``bounds[: h + 1]``, and their values come back in order.
     """
+    if isinstance(u, list):
+        return [_sweep(moves, weights, bounds[: h + 1], v, rule, absorb, record, visit) for h, v in u]
     n = len(bounds) - 1
     fixed = not callable(rule)
     if visit is not None:

@@ -65,7 +65,7 @@ def simulate(config, f, normalize=True):
     choices = [choice[:: frame.d] for choice in hull]  # the progression, as the walk reads it
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     rows = max(1, functions._BLOCK_CELLS // n)
-    blocks = ((r, rng.random((min(rows, m - r), n))) for r in range(0, m, rows))
+    blocks = ((r, rng.bit_generator.random_raw((min(rows, m - r), n))) for r in range(0, m, rows))
     g = int(chosen[0])
     if chosen.min() == chosen.max() and 0 <= g < len(set_.generators):
         j = montecarlo._iid_sums(set_, frame, g, n, m, blocks)

@@ -26,6 +26,7 @@ from sublinexp import (
     PathEvent,
     capacity,
     constant_policy,
+    lln_sweep,
     policy_value,
     robust_value,
     upper_value,
@@ -202,6 +203,32 @@ class TestAgainstTheReference:
             got = lattice_dp._sweep(moves, weights, b, last.copy(), choices)
             want = reference_sweep(moves, weights, b, last.copy(), choices)
             assert got.hex() == want.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ambiguity_sets(), st.lists(st.integers(1, 7), min_size=1, max_size=5), st.data())
+    def test_terminal_rows_entering_at_their_own_levels(self, set_, horizons, data):
+        # each row (h, values) is the reference's own horizon-h sweep on the first
+        # h + 1 levels of the hull, non-finite values and ties included
+        weights = [gen.weights for gen in set_.generators]
+        bounds = hull.level_bounds(set_, max(horizons))
+        rows = [
+            (h, np.array(data.draw(st.lists(
+                st.sampled_from(SPECIAL), min_size=bounds[h][1], max_size=bounds[h][1]
+            ))))
+            for h in horizons
+        ]
+        with np.errstate(all="ignore"):
+            got = lattice_dp._sweep(set_.coords, weights, bounds, [(h, u.copy()) for h, u in rows])
+            want = [reference_sweep(set_.coords, weights, bounds[: h + 1], u.copy()) for h, u in rows]
+        assert hexes(got) == hexes(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ambiguity_sets(), st.lists(st.integers(1, 10), min_size=1, max_size=5), tie_prone_functions())
+    def test_lln_sweep_against_per_horizon_reference_sweeps(self, set_, horizons, f):
+        got = [row.dp_value for row in lln_sweep(set_, f, horizons).rows]
+        with mock.patch.object(lattice_dp, "_sweep", reference_sweep):
+            want = [upper_value(set_, h, f) for h in horizons]
+        assert hexes(got) == hexes(want)
 
 
 @pytest.mark.parametrize("side", ["UPPER", "LOWER"])

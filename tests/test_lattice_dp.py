@@ -521,6 +521,19 @@ class TestSharedReachability:
         with pytest.raises(ValueError):
             masks[2][0] = True
 
+    def test_masks_charge_their_cells(self):
+        # the moves -1 and 3 on step 1e-15 are d = 4e15 apart: the dense hull of
+        # n = 3 holds d s n (n + 1) / 2 + n + 1 = 2.4e16 + 4 cells
+        wide = make_set([(-1, 0.5), (3, 0.5)], step="1e-15")
+        with pytest.raises(BudgetError) as e:
+            reachable_masks(wide, 3)
+        assert str(e.value) == (
+            "STATE_BUDGET_EXCEEDED: 24000000000000004 level-states exceed budget 50000000"
+        )
+        with pytest.raises(InputError) as e:
+            reachable_masks(wide, 10**4)
+        assert e.value.code == "BAD_LATTICE"
+
     def test_holes_are_read_only(self):
         s = make_set([(-1, 0.5), (2, 0.5)], [(0, 1.0)])  # a hole at every level from 1
         holes, flat = lattice_dp._reachability(lattice_dp._frame(s).steps, 40)

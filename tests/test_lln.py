@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from sublinexp import (
     IDENTITY,
     BudgetError,
+    EngineError,
     InputError,
     ParametricFamily,
     RAMP_DOWN,
@@ -21,13 +23,16 @@ from sublinexp import (
     ottaviani_check,
     peng_condition_report,
     psi_fn,
+    robust_value,
     tent,
     truncated_means,
+    upper_value,
 )
-from sublinexp import functions
+from sublinexp import functions, lattice_dp
+from sublinexp.lattice_dp import DEFAULT_STATE_BUDGET
 from sublinexp.ambiguity import sublinear_expect
 
-from conftest import make_set
+from conftest import make_set, tie_prone_functions
 from oracle_helpers import family_lower_expect, psi, psi_grid_sup
 
 
@@ -324,6 +329,93 @@ class TestSweep:
     def test_single_generator_plain_lln(self, coin):
         rep = lln_sweep(coin, tent(0.0, 0.5), [16, 64])
         assert rep.rows[-1].abs_error < rep.rows[0].abs_error
+
+
+@st.composite
+def sweep_sets(draw):
+    """1-3 generators of 1-3 atoms on the moves origin + d x, x in -3..3, d 1 to 3 (so the
+    moves' gcd may exceed 1), step 1 or 1/2; or every generator the one move (s = 0)."""
+    origin = draw(st.sampled_from([-1, 0, 1]))
+    step = draw(st.sampled_from([1, Fraction(1, 2)]))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()) and draw(st.booleans()):
+        x = draw(st.integers(-3, 3))
+        gens = [[(float((origin + d * x) * step), 1.0)]] * draw(st.integers(1, 3))
+    else:
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            xs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+            raw = draw(st.lists(st.integers(1, 9), min_size=len(xs), max_size=len(xs)))
+            gens.append([(float((origin + d * x) * step), r / sum(raw)) for x, r in zip(xs, raw)])
+    return make_set(*gens, step=step, origin=origin)
+
+
+class TestOnePass:
+    """``lln_sweep`` checks every horizon first, then sweeps once with each horizon's
+    terminal entering at its own level; every row is its own horizon's, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_sets(), st.lists(st.integers(1, 12), min_size=1, max_size=5),
+           tie_prone_functions())
+    def test_rows_equal_their_horizons(self, set_, horizons, f):
+        rep = lln_sweep(set_, f, horizons)
+        assert [r.n for r in rep.rows] == horizons
+        for h, row in zip(horizons, rep.rows):
+            tm = truncated_means(set_, h)
+            limit = maximal_dist_value(f, tm.mu_lower, tm.mu_upper)
+            assert row.dp_value.hex() == robust_value(set_, h, f).value.hex()
+            assert row.limit_value.hex() == limit.hex()
+            assert row.abs_error.hex() == abs(row.dp_value - limit).hex()
+
+    @pytest.mark.parametrize("horizons", [[1], [5, 1, 5, 3], [2, 9, 9, 1, 4], [7, 7]])
+    def test_one_kernel_call(self, biased_pair, horizons):
+        with mock.patch.object(lattice_dp, "_sweep", wraps=lattice_dp._sweep) as sweep:
+            rep = lln_sweep(biased_pair, tent(0.25, 0.25), horizons)
+        assert sweep.call_count == 1 and [r.n for r in rep.rows] == horizons
+        assert [r.dp_value for r in rep.rows] == [robust_value(biased_pair, h, tent(0.25, 0.25)).value
+                                                  for h in horizons]
+
+    @pytest.mark.parametrize("copies, calls", [(6, 1), (7, 7)])
+    def test_terminals_past_the_budget_sweep_alone(self, biased_pair, copies, calls):
+        # horizon 10 on biased_pair: 66 level-states and a terminal of 11, so a
+        # budget of 66 holds six terminals in one sweep but not seven
+        with mock.patch.object(lattice_dp, "_sweep", wraps=lattice_dp._sweep) as sweep:
+            rep = lln_sweep(biased_pair, RAMP_DOWN, [10] * copies, state_budget=66)
+        assert sweep.call_count == calls
+        assert max(sum(len(u) for _, u in call.args[3]) for call in sweep.call_args_list) <= 66
+        assert {r.dp_value.hex() for r in rep.rows} == {robust_value(biased_pair, 10, RAMP_DOWN).value.hex()}
+        with pytest.raises(BudgetError):
+            lln_sweep(biased_pair, RAMP_DOWN, [10] * copies, state_budget=65)
+
+    def test_an_empty_list_sweeps_nothing(self, biased_pair):
+        with mock.patch.object(lattice_dp, "_sweep", wraps=lattice_dp._sweep) as sweep:
+            assert lln_sweep(biased_pair, RAMP_DOWN, []).rows == []
+        assert sweep.call_count == 0
+
+    @pytest.mark.parametrize("horizons, budget", [
+        ([3, 0, 5], DEFAULT_STATE_BUDGET),
+        ([4, 2.5, -1], DEFAULT_STATE_BUDGET),
+        ([2, 40, 0], 100),  # the budget refuses 40 before 0 is read
+        ([2, 10**10], DEFAULT_STATE_BUDGET),
+    ])
+    def test_mixed_lists_refuse_at_the_first_refused_horizon(self, biased_pair, horizons, budget):
+        with pytest.raises(EngineError) as want:
+            for h in horizons:
+                upper_value(biased_pair, h, RAMP_DOWN, state_budget=budget)
+        with mock.patch.object(lattice_dp, "_sweep", wraps=lattice_dp._sweep) as sweep:
+            with pytest.raises(EngineError) as got:
+                lln_sweep(biased_pair, RAMP_DOWN, horizons, state_budget=budget)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        assert sweep.call_count == 0
+
+    def test_unbounded_and_overflowing_inputs_keep_their_codes(self, coin):
+        with pytest.raises(InputError) as e:
+            lln_sweep(coin, SQUARE, [2, 3])
+        assert e.value.code == "UNBOUNDED_F"
+        fine = make_set([(-1, 0.5), (1, 0.5)], step="1e-15")
+        with pytest.raises(InputError) as e:
+            lln_sweep(fine, RAMP_DOWN, [3, 10**4])
+        assert e.value.code == "BAD_LATTICE"
 
 
 class TestChebyshev:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from sublinexp import (
     simulate,
     tent,
 )
-from sublinexp import functions, montecarlo
+from sublinexp import functions, lattice_dp, montecarlo
 from sublinexp.lattice_dp import DEFAULT_STATE_BUDGET, _terminal_values
 
 from conftest import make_set, random_pwl, random_set
@@ -210,23 +211,26 @@ def reference_simulate(config, f, normalize=True):
 
 
 def draw_on_cumulative_weights(monkeypatch, set_):
-    """Replace the Philox stream by draws on and next to every cumulative weight of
-    ``set_``, repeated from the start of each block; returns the draws."""
-    edges = [np.cumsum(g.weight_array) for g in set_.generators]
-    draws = np.concatenate([[0.0, np.nextafter(1.0, 0.0)]] + [
-        np.concatenate([e, np.nextafter(e, 0.0), np.nextafter(e, 2.0)]) for e in edges
-    ])
-    draws = draws[(draws >= 0) & (draws < 1)]
+    """Replace the Philox stream by the words on either side of the threshold
+    T(c) = ceil(c 2^53) 2^11 of every cumulative weight c of ``set_`` that a draw
+    can reach, the first word at or above which (r >> 11) 2^-53 >= c, and the
+    words 0 and 2^64 - 1, repeated from the start of each block; returns the words."""
+    limits = {math.ceil(c * 2**53) << 11 for g in set_.generators for c in np.cumsum(g.weight_array)}
+    words = {0, 2**64 - 1} | {w for t in limits if t < 2**64 for w in (t - 1, t) if w >= 0}
+    words = np.array(sorted(words), dtype=np.uint64)
 
     class Drawn:
         def __init__(self, bit_generator):
-            pass
+            self.bit_generator = self
+
+        def random_raw(self, shape):
+            return np.resize(words, shape[0] * shape[1]).reshape(shape)
 
         def random(self, shape):
-            return np.resize(draws, shape[0] * shape[1]).reshape(shape)
+            return (self.random_raw(shape) >> np.uint64(11)) * 2.0**-53
 
     monkeypatch.setattr(np.random, "Generator", Drawn)
-    return draws
+    return words
 
 
 def assert_matches_reference(config, f, normalize=True):
@@ -596,3 +600,65 @@ class TestRankWalk:
             tracemalloc.stop()
         assert (res.estimate, res.stderr) == want
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestWords:
+    """``simulate`` reads Philox words r, the draws u = (r >> 11) 2^-53 of ``Generator.random``,
+    and tests u >= c as r >= T(c) = ceil(c 2^53) 2^11."""
+
+    @pytest.mark.parametrize("key", [0, 1, 7, 2**64 + 3, 2**128 - 1])
+    @pytest.mark.parametrize("splits", [[1000], [1, 999], [(3, 7), 17, (50, 19)]])
+    def test_generator_random_is_the_raw_words_scaled(self, key, splits):
+        floats = np.random.Generator(np.random.Philox(key=key))
+        words = np.random.Philox(key=key)
+        for size in splits:
+            want = floats.random(size)
+            got = (words.random_raw(size) >> np.uint64(11)) * 2.0**-53
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("c", [
+        0.0, 2.0**-53, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1 - 2.0**-53, 1.0,
+    ])
+    def test_thresholds_agree_with_the_float_test(self, c):
+        limits = montecarlo._word_thresholds([c])
+
+        def drawn(r):
+            return (r >> 11) * 2.0**-53 >= c
+
+        if c == 1.0:  # no draw reaches 1: the cut has no threshold
+            assert len(limits) == 0 and not drawn(2**64 - 1)
+            return
+        (limit,) = limits
+        T = int(limit)
+        assert limit.dtype == np.uint64 and T == math.ceil(c * 2**53) << 11
+        for r in {0, max(T - 1, 0), T, 2**64 - 1}:
+            assert bool(np.uint64(r) >= limit) == drawn(r), r
+        assert drawn(T) and (T == 0 or not drawn(T - 1))
+
+    def test_ordered_doubles_agree_with_the_word_test(self):
+        # the walk's compare passes read words and thresholds as doubles of bits
+        # (r >> 2) + 2^52; thresholds are multiples of 2^11
+        limits = [0, 2**11, 2**63, (2**53 - 1) << 11] + [
+            int(t) for t in montecarlo._word_thresholds(np.random.default_rng(3).random(20))
+        ]
+        words = {0, 1, 3, 4, 2**62, 2**63 - 1, 2**63, 2**64 - 1}
+        words |= {w for t in limits for w in (t - 4, t - 1, t, t + 1, t + 4) if 0 <= w < 2**64}
+        words = np.array(sorted(words), dtype=np.uint64)
+        x = montecarlo._as_ordered_doubles(words.copy())
+        assert np.isfinite(x).all() and (x > 0).all()
+        for t in limits:
+            (image,) = montecarlo._as_ordered_doubles(np.array([t], dtype=np.uint64))
+            assert np.array_equal(x >= image, words >= np.uint64(t)), t
+
+    def test_counts_hold_the_horizon(self):
+        # one path of n = 70,000 draws: a row's count of words past a threshold
+        # needs more than 16 bits
+        s = make_set([(-1, 0.5), (0, 0.25), (2, 0.25)])
+        frame, n = lattice_dp._frame(s), 70_000
+        for word, t in ((2**64 - 1, 3), (0, 0)):  # every draw past both cuts, or none
+            draws = [(0, np.full((1, n), word, dtype=np.uint64))]
+            assert montecarlo._iid_sums(s, frame, 0, n, 1, draws).tolist() == [n * t]
+
+    def test_counts_past_one_byte(self, monkeypatch, biased_pair):
+        pol = constant_policy(biased_pair, 300, 1)
+        assert_takes(monkeypatch, "iid", SimConfig(pol, biased_pair, 300, 700, seed=4), tent(0.25, 0.25))
