@@ -246,14 +246,14 @@ def exm3_report(
 def heavy_lln_value(truncation: int, n: int, state_budget: int = DEFAULT_STATE_BUDGET) -> float:
     """Exact E_K[ramp(S_n / n)] for the K-truncated HEAVY family.
 
-    A certified lower bound for the untruncated supremum, itself at least
-    ``(1 - 1/K)^n``.  Sums never fall and the ramp is 0 from n on, so level k
-    stores [0, min(k*K, n - 1)] and every state >= n absorbs at 0.0.  A jump
-    k >= n lands there from every stored state, so its candidate
-    ``fl(1 - 1/k) * u(s)`` is largest at k = K: only k < n and k = K are swept.
-    The budget counts the stored level-states times the swept generators.
-    The weights are not :meth:`ParametricFamily.generator`'s: its
-    ``float(Fraction(k - 1, k))`` differs from ``1.0 - 1.0/k`` at k = 3, 7, 19, ...
+    A certified lower bound for the untruncated supremum, itself at least ``(1 - 1/K)^n``.
+    Sums never fall and the ramp is 0 from n on, so level k stores [0, min(k*K, n - 1)]
+    and every state >= n absorbs at 0.0, which the kernel steps once.  A jump k >= n lands
+    there from every stored state, so its candidate ``fl(1 - 1/k) * u(s)`` is largest at
+    k = K: only k < n and k = K are swept, for K >= n as many as the n states a level, so
+    the kernel takes them in generator blocks.  The budget counts the stored level-states
+    times the swept generators.  The weights are not :meth:`ParametricFamily.generator`'s:
+    its ``float(Fraction(k - 1, k))`` differs from ``1.0 - 1.0/k`` at k = 3, 7, 19, ...
     """
     K = check_horizon(truncation, "BAD_FAMILY", "truncation")
     check_horizon(n, "BAD_FAMILY")

@@ -21,6 +21,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .ambiguity import AmbiguitySet, to_fraction
 from .errors import InputError, check_budget, check_horizon
-from .functions import TestFunction
+from .functions import TestFunction, blocks
 
 DEFAULT_STATE_BUDGET = 50_000_000
 
@@ -141,7 +142,8 @@ class KernelPolicy:
             raise InputError("BAD_POLICY", f"{len(self.levels)} levels for horizon {self.n}")
         check_horizon(self.step, "BAD_POLICY", "policy step")
         for _, choice in self.levels:
-            choice.setflags(write=False)  # half the cost of assigning flags.writeable
+            if choice.flags.writeable:  # a sealed policy's views are read-only already
+                choice.setflags(write=False)
 
     @classmethod
     def from_entries(cls, n: int, entries: Mapping[Tuple[int, int], int]) -> "KernelPolicy":
@@ -295,17 +297,21 @@ def _dense_masks(frame: _Frame, n: int):
 
 
 def _frame_levels(set_: AmbiguitySet, n: int, fill: int):
-    """``(levels, seal)``: ``levels[k - 1] = (lo, choice)`` over level k - 1's progression,
-    k = 1..n, views of one array filled with ``fill`` and laid out as ``flat`` counts;
-    ``seal()`` writes -1 at every unreachable state and returns the policy."""
+    """``(levels, seal)``: ``levels()[k - 1] = (lo, choice)`` over level k - 1's progression,
+    k = 1..n, views of one array filled with ``fill`` and laid out as ``flat`` counts; ``seal()``
+    writes -1 at every unreachable state and returns the policy on read-only views."""
     frame = _frame(set_)
     flat = _reachability(frame.steps, n)[1]
     array = np.full(frame.start(n), fill, dtype=_choice_dtype(len(set_.generators)))
-    levels = tuple((k * frame.a, array[frame.start(k) : frame.start(k + 1)]) for k in range(n))
+    cuts = frame.start(np.arange(n + 1)).tolist()  # level k's states are array[cuts[k] : cuts[k + 1]]
+
+    def levels():
+        return tuple((k * frame.a, array[i:j]) for k, (i, j) in enumerate(zip(cuts, cuts[1:])))
 
     def seal():
         array[flat] = -1
-        return KernelPolicy(n, levels, frame.d, (frame, _read_only(array)))
+        _read_only(array)  # first, so that the views of levels() come out read-only
+        return KernelPolicy(n, levels(), frame.d, (frame, array))
 
     return levels, seal
 
@@ -375,7 +381,8 @@ def _sweep(moves, weights, bounds, u, choices=None, absorb=None, record=None, vi
     trigger or of a tail sum's prefix, the last step of every sweep) runs on Python
     floats, unless ``u`` lists rows, and leaves a one-float list: the same products summed
     in the same order and the same strict tests as a one-element slice, at a fraction of
-    numpy's per-call cost.  The absorbing value is always stepped that way.
+    numpy's per-call cost, as is the absorbing value until a step returns it bitwise
+    unchanged.  Levels of L > 1 states and G >= L generators run in :func:`_wide_level`.
     """
     n = len(bounds) - 1
     many = isinstance(u, list)
@@ -383,7 +390,7 @@ def _sweep(moves, weights, bounds, u, choices=None, absorb=None, record=None, vi
         order = sorted(range(len(u)), key=lambda i: -u[i][0])
         joins = {h: [u[i][1] for i in order if u[i][0] == h] for h, _ in u}
         u = np.column_stack(joins.pop(n))
-    terms = [[(np.array(w), c) for w, c in zip(gw, gm)] for gw, gm in zip(weights, moves)]
+    terms, memo, settled = None, [], False
     if visit is not None:
         visit(n, u)
     for k in range(n, 0, -1):
@@ -403,13 +410,15 @@ def _sweep(moves, weights, bounds, u, choices=None, absorb=None, record=None, vi
                 elif cand > best if choices is None else choices[k - 1][0] == g:
                     best, arg = cand, g
             u = [best]
-            if record is not None:
-                record[k - 1][0] = arg
+        elif 1 < len_prev <= len(weights):
+            choice = None if choices is None else choices[k - 1]
+            u, arg = _wide_level(moves, weights, memo, u, lo_prev - lo_k, len_prev, absorb, choice)
         else:
             if absorb is not None:
                 pad = np.full(len_prev, absorb)
                 u = np.concatenate((pad, u, pad))
             best = None
+            terms = terms or [[(np.array(w), c) for w, c in zip(gw, gm)] for gw, gm in zip(weights, moves)]
             for g, gterms in enumerate(terms):
                 cand = None
                 for w, c in gterms:  # w a 0-d array: cheaper than a Python float times a slice
@@ -429,21 +438,52 @@ def _sweep(moves, weights, bounds, u, choices=None, absorb=None, record=None, vi
                     if record is not None:
                         np.putmask(record[k - 1], mask, g)
             u = best
-        if absorb is not None:
-            best_absorb = None
-            for gw in weights:
-                acc = None
-                for w in gw:
-                    acc = w * absorb if acc is None else acc + w * absorb
-                if best_absorb is None or acc > best_absorb:
-                    best_absorb = acc
-            absorb = best_absorb
+        if record is not None and len_prev <= len(weights):  # the slices write their own
+            record[k - 1][...] = arg
+        if absorb is not None and not settled:  # stepped until a step returns it bitwise
+            sums = [functools.reduce(operator.add, [w * absorb for w in gw]) for gw in weights]
+            step = functools.reduce(lambda best, x: x if x > best else best, sums)  # the strict >
+            settled, absorb = step == absorb and math.copysign(1, step) == math.copysign(1, absorb), step
         if many and k - 1 in joins:
             u = np.column_stack((u, *joins.pop(k - 1)))
         if visit is not None:
             visit(k - 1, u)
     top = u[0 - bounds[0][0]]
     return top[np.argsort(order)].tolist() if many else float(top)
+
+
+def _wide_level(moves, weights, memo, u, shift, length, absorb, choice):
+    """One ``_sweep`` level in generator blocks, ``(values, argmax)``: the README's "One
+    Bellman kernel" gives the rule.  ``memo`` keeps the layout of the sweep's last such level."""
+    edge, key = length * (absorb is not None), (shift, length, np.shape(u), absorb is None)
+    if memo[:1] != [key]:  # ext: the padding, u, the padding, then the zero window at span
+        span = len(u) + 2 * edge
+        ext = np.zeros((span + length,) + np.shape(u)[1:])
+        windows = np.ndarray((span + 1, length) + ext.shape[1:], float, ext, 0, ext.strides[:1] + ext.strides)
+        c = np.array(list(zip_longest(*moves, fillvalue=0)))  # int64, or object beyond it
+        start = np.minimum(np.maximum(c + shift, -edge), len(u)).astype(np.intp) + edge
+        w = np.array(list(zip_longest(*weights, fillvalue=math.nan)))[..., None]  # nan: a missing atom
+        start[np.isnan(w[..., 0])], w[np.isnan(w)] = span, -0.0  # -0.0 times 0.0 adds nothing
+        flat, ids = np.arange(ext[:length].size), np.arange(len(moves))[:, None]
+        gens = [slice(g.start, g.stop) for g in blocks(range(len(moves)), len(c) * len(flat))]
+        memo[:] = key, ext, windows, flat, [(g.start, start[:, g], w[:, g], ids[g]) for g in gens]
+    _, ext, windows, flat, gens = memo
+    ext[edge : edge + len(u)] = u
+    ext[:edge] = ext[-length - edge : -length] = absorb if edge else 0.0  # no padding without absorb
+    for g0, at, wg, ids in gens:
+        terms = windows[at].reshape(*at.shape, -1)  # terms[a, g, i] = ext[at[a, g] + i]
+        terms *= wg
+        cand = functools.reduce(operator.iadd, terms)  # atom by atom, into terms[0]
+        rank = cand if choice is None else ids == choice  # the chosen generator, or generator 0
+        if choice is None and math.isnan(np.maximum.reduce(rank, None)):  # argmax takes NaN, > not
+            rank = np.where(np.isnan(rank), np.where(ids == 0, np.inf, -np.inf), rank)
+        pick = rank.argmax(0)
+        value = cand[pick, flat]
+        if g0:  # a later block wins by the strict >, or by holding the choice
+            mask = value > best if choice is None else rank[pick, flat]
+            value, pick = np.where(mask, value, best), np.where(mask, pick + g0, arg)
+        best, arg = value, pick
+    return best.reshape(ext[:length].shape), arg
 
 
 def _weights(set_: AmbiguitySet):
@@ -499,7 +539,7 @@ def robust_value(
     """
     frame, state_count, u = _upper_terminal(set_, n, f, normalize, state_budget)
     levels, seal = _frame_levels(set_, n, 0)
-    record = [choice for _, choice in levels]
+    record = [choice for _, choice in levels()]
     value = _sweep(frame.moves, _weights(set_), frame.bounds(n), u, record=record)
     return RobustResult(value, seal(), state_count)
 

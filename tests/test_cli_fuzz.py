@@ -46,6 +46,7 @@ SUBCOMMANDS = {
     "simulate_a.json": ["simulate"],
     "simulate_b.json": ["simulate"],
     "simulate_c.json": ["simulate"],
+    "simulate_wide.json": ["simulate"],
     "sweep.json": ["lln-sweep"],
 }
 

@@ -543,6 +543,23 @@ class TestSharedReachability:
             with pytest.raises(ValueError):
                 array[0] = 0
 
+    def test_policy_levels_are_read_only(self, biased_pair):
+        # a sealed policy's levels are views of its read-only array; a policy
+        # given writeable levels marks them read-only itself
+        robust = robust_value(biased_pair, 6, tent(0.25, 0.25)).policy
+        policies = [
+            robust,
+            constant_policy(biased_pair, 6, 1),
+            KernelPolicy.from_entries(2, {(1, 0): 1, (2, -1): 0, (2, 1): 1}),
+            KernelPolicy(6, robust.levels, robust.step),
+            KernelPolicy(1, ((0, np.array([0, 1])),)),
+        ]
+        for policy in policies:
+            for _, choice in policy.levels:
+                assert not choice.flags.writeable
+                with pytest.raises(ValueError):
+                    choice[0] = 0
+
 
 class TestOracleEquivalence:
     def test_values_match_brute_force(self):
