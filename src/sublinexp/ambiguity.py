@@ -12,11 +12,13 @@ integers with no floating-state heuristics.
 
 from __future__ import annotations
 
+import math
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 import numpy as np
 
@@ -40,9 +42,13 @@ def to_fraction(x: RationalLike) -> Fraction:
 
 def _ratio(x: RationalLike) -> Tuple[int, int]:
     """:func:`to_fraction` of ``x`` as a numerator and a denominator in lowest terms."""
+    if not isinstance(x, (int, float, str, Fraction)):  # np.int64, Decimal: as their float
+        with suppress(TypeError, ValueError, OverflowError):
+            x = float(x)
     if isinstance(x, (int, float, str, Fraction)) and not isinstance(x, bool):
-        try:  # a float through the C decimal parser
-            return (Decimal(repr(x)) if isinstance(x, float) else Fraction(x)).as_integer_ratio()
+        try:  # a float (np.float64 too) through the C decimal parser, a string through Fraction's
+            exact = Decimal(repr(float(x))) if isinstance(x, float) else Fraction(x) if isinstance(x, str) else x
+            return exact.as_integer_ratio()
         except (ArithmeticError, ValueError):  # inf, nan, "abc", "1/0"
             pass
     raise InputError("BAD_RATIONAL", f"cannot interpret {x!r} as a rational")
@@ -61,25 +67,27 @@ class LatticeSpec:
         if step <= 0:
             raise InputError("BAD_LATTICE", "lattice step must be positive")
 
-    def coordinate(self, point: RationalLike) -> int:
-        """Integer lattice coordinate of ``point``; OFF_LATTICE if not exact.  For
-        point num/den on step a/b it is (num*b - origin*a*den) / (den*a)."""
-        num, den = _ratio(point)
+    def coordinate(self, point: Union[RationalLike, Tuple[int, int]]) -> int:
+        """Integer coordinate of ``point``, a rational or its (numerator, denominator) in lowest
+        terms; OFF_LATTICE if not exact.  For num/den on step a/b it is (num*b - origin*a*den) / (den*a)."""
+        num, den = point if isinstance(point, tuple) else _ratio(point)
         a, b = self.step.as_integer_ratio()
         k, r = divmod(num * b - self.origin * a * den, den * a)
         if r:
             raise InputError(
-                "OFF_LATTICE", f"point {point!r} is not an integer multiple of step {self.step}"
+                "OFF_LATTICE", f"point {Fraction(num, den)} is not an integer multiple of step {self.step}"
             )
         return k
 
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finite-support probability measure given by sorted (point, weight) atoms."""
+    """Finite-support probability measure given by sorted (point, weight) atoms; ``exact``
+    holds each point's numerator and denominator, and the point is their nearest double."""
 
     points: Tuple[float, ...]
     weights: Tuple[float, ...]
+    exact: Tuple[Tuple[int, int], ...] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) != len(self.weights) or not self.points:
@@ -94,16 +102,27 @@ class DiscreteDistribution:
             raise InputError(
                 "WEIGHT_SUM", f"weights sum to {total!r}, outside 1 +/- {WEIGHT_TOL}"
             )
+        if self.exact is None:  # points given as numbers: each read as a rational
+            object.__setattr__(self, "exact", tuple(map(_ratio, self.points)))
 
     @classmethod
     def from_pairs(cls, atoms: Iterable[Tuple[RationalLike, float]]) -> "DiscreteDistribution":
-        """Build from (point, weight) pairs, coalescing duplicate points."""
+        """Build from (point, weight) pairs, each point read once by :func:`to_fraction`'s grammar and
+        points of one exact value coalesced; one unread or past the doubles is BAD_CONFIG, NaN or inf BAD_RATIONAL."""
         merged: dict = {}
         for point, weight in atoms:
-            key = _real(point, "point", "BAD_CONFIG")
+            try:
+                num, den = _ratio(point)
+                key = (num / den, num, den)  # the nearest double first, for the sort
+            except (InputError, OverflowError):
+                with suppress(TypeError, ValueError, OverflowError):
+                    if not math.isfinite(float(point)):
+                        raise InputError("BAD_RATIONAL", f"cannot interpret {float(point)!r} as a rational") from None
+                raise InputError("BAD_CONFIG", f"point must be a rational number, got {point!r}") from None
             merged[key] = merged.get(key, 0.0) + _real(weight, "weight", "BAD_CONFIG")
-        pts = sorted(merged)
-        return cls(tuple(pts), tuple(merged[p] for p in pts))
+        keys = sorted(merged)
+        points, nums, dens = zip(*keys) if keys else ((), (), ())  # no atoms: EMPTY_SET
+        return cls(points, tuple(map(merged.__getitem__, keys)), tuple(zip(nums, dens)))
 
     @property
     def point_array(self) -> np.ndarray:
@@ -126,10 +145,7 @@ class AmbiguitySet:
     def __post_init__(self):
         if not self.generators:
             raise InputError("EMPTY_SET", "an ambiguity set needs at least one generator")
-        coords = tuple(
-            tuple(self.lattice.coordinate(p) for p in g.points) for g in self.generators
-        )
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(tuple(map(self.lattice.coordinate, g.exact)) for g in self.generators))
 
     def describe(self) -> str:
         gens = "; ".join(
@@ -149,15 +165,13 @@ class SublinearValue:
     argmin_lower: int
 
 
-def validate_ambiguity_set(
-    raw: Union[AmbiguitySet, dict, Sequence]
-) -> AmbiguitySet:
+def validate_ambiguity_set(raw: Union[AmbiguitySet, dict]) -> AmbiguitySet:
     """Check and normalize a candidate ambiguity-set description.
 
     Accepts an existing :class:`AmbiguitySet` (returned as-is), or a dict
     ``{"step": ..., "origin"?: ..., "generators": [[(point, weight), ...], ...]}``.
-    Atom order is normalized and duplicate points are coalesced by summing
-    weights.
+    Atom order is normalized and points of one exact value are coalesced by
+    summing weights.
     """
     if isinstance(raw, AmbiguitySet):
         return raw
@@ -187,10 +201,7 @@ def validate_ambiguity_set(
             gens.append(DiscreteDistribution.from_pairs(atoms))
         except InputError as e:
             raise InputError(e.code, f"generator {i}: {e.message}") from None
-    try:
-        return AmbiguitySet(lattice, tuple(gens))
-    except InputError as e:
-        raise InputError(e.code, e.message) from None
+    return AmbiguitySet(lattice, tuple(gens))
 
 
 def linear_expect(dist: DiscreteDistribution, f: TestFunction) -> Union[float, np.ndarray]:
@@ -217,11 +228,6 @@ def sublinear_expect(set_: AmbiguitySet, f: TestFunction) -> SublinearValue:
     generator index so policy extraction is deterministic.
     """
     values = [linear_expect(g, f) for g in set_.generators]
-    argmax = 0
-    argmin = 0
-    for i, v in enumerate(values):
-        if v > values[argmax]:
-            argmax = i
-        if v < values[argmin]:
-            argmin = i
+    argmax = max(range(len(values)), key=values.__getitem__)
+    argmin = min(range(len(values)), key=values.__getitem__)
     return SublinearValue(values[argmax], values[argmin], argmax, argmin)

@@ -61,9 +61,7 @@ class ParametricFamily:
         total = sum(w for _, w in atoms)
         if total != 1:  # exact rational identity, not a tolerance check
             raise AssertionError(f"family weights sum to {total} at index {index}")
-        return DiscreteDistribution.from_pairs(
-            [(float(p), float(w)) for p, w in atoms]
-        )
+        return DiscreteDistribution.from_pairs(atoms)
 
     def describe(self) -> str:
         return f"{self.name} family, truncation {self.truncation}"

@@ -73,12 +73,12 @@ def _scan(source: Source, ns: Sequence[int], kinds: Sequence[str]) -> List[Tuple
 
 
 def _tail_capacities(set_: AmbiguitySet, ns: Sequence[int]) -> List[Fraction]:
-    """V(|X_1| >= n) for each of ``ns``, exact rationals of the float weights: per
-    generator one pass over its atoms by increasing |x| for the suffix sums of their
-    weights, then one bisect per n."""
+    """V(|X_1| >= n) for each of ``ns``, exact rationals of the float weights: per generator
+    one pass over its atoms by increasing floor(|x|) of the exact point, >= n iff |x| is,
+    for the suffix sums of their weights, then one bisect per n."""
     best = [Fraction(0)] * len(ns)
     for g in set_.generators:
-        atoms = sorted(zip(map(abs, g.points), g.weights))
+        atoms = sorted(zip((abs(num) // den for num, den in g.exact), g.weights))
         suffix = list(accumulate((Fraction(w) for _, w in reversed(atoms)), initial=Fraction(0)))[::-1]
         mags = [x for x, _ in atoms]
         best = [max(b, suffix[bisect.bisect_left(mags, n)]) for b, n in zip(best, ns)]

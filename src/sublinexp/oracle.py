@@ -16,9 +16,10 @@ support values, never merges states, and never consults
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate, product
 
-from .ambiguity import AmbiguitySet, to_fraction
+from .ambiguity import AmbiguitySet
 from .errors import InputError, check_budget, check_horizon
 from .functions import TestFunction
 from .lattice_dp import PathEvent
@@ -40,7 +41,7 @@ def _tree_size(fanout: int, depth: int, cap: int) -> int:
 
 
 def _history_extreme(set_: AmbiguitySet, n: int, leaf, maximize: bool, budget: int) -> float:
-    """Node-wise extreme over the history tree of E[leaf(draws, their sum)]."""
+    """Node-wise extreme over the history tree of E[leaf(exact draws, their float sum)]."""
     check_horizon(n)
     fanout = max(len(g.points) for g in set_.generators)
     count = _tree_size(fanout, n, max(budget, 10**30))
@@ -53,8 +54,8 @@ def _history_extreme(set_: AmbiguitySet, n: int, leaf, maximize: bool, budget: i
         values = []
         for g in set_.generators:
             acc = 0.0
-            for p, w in zip(g.points, g.weights):
-                acc += w * walk(path + (p,), partial + p)
+            for p, e, w in zip(g.points, g.exact, g.weights):
+                acc += w * walk(path + (e,), partial + p)
             values.append(acc)
         return choose(values)
 
@@ -87,7 +88,7 @@ def brute_force_capacity(
     The event is evaluated directly on the explicit path of partial sums,
     so running-max events need no trigger-flag machinery here.  The sums are
     exact rationals of the points, as config files read them (see
-    :func:`~sublinexp.ambiguity.to_fraction`), compared with the exact threshold.
+    :class:`~sublinexp.ambiguity.DiscreteDistribution`), compared with the exact threshold.
     """
     if side not in ("UPPER", "LOWER"):
         raise InputError("BAD_SIDE", f"side must be UPPER or LOWER, got {side!r}")
@@ -95,7 +96,7 @@ def brute_force_capacity(
     t = event.threshold
     kind = event.kind
     fi = event.from_index or 0
-    exact = {p: to_fraction(p) for g in set_.generators for p in g.points}
+    exact = {e: Fraction(*e) for g in set_.generators for e in g.exact}
 
     def indicator(path, _) -> float:
         increments = [exact[x] for x in path]

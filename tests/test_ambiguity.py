@@ -98,7 +98,7 @@ def _fraction_coordinate(lattice, point):
     q = (to_fraction(point) - lattice.origin * lattice.step) / lattice.step
     if q.denominator != 1:
         raise InputError(
-            "OFF_LATTICE", f"point {point!r} is not an integer multiple of step {lattice.step}"
+            "OFF_LATTICE", f"point {to_fraction(point)} is not an integer multiple of step {lattice.step}"
         )
     return int(q)
 

@@ -436,7 +436,7 @@ class TestExitCodes:
             ("eval", dict(PAIR_SET, generators=[[[0, "x"]]], function={"kind": "abs"}),
              "BAD_CONFIG", "weight must be a decimal number, got 'x'"),
             ("eval", dict(PAIR_SET, generators=[[[[0], 1.0]]], function={"kind": "abs"}),
-             "BAD_CONFIG", "point must be a decimal number, got [0]"),
+             "BAD_CONFIG", "point must be a rational number, got [0]"),
             ("eval", dict(PAIR_SET, lattice={"step": 1, "origin": "x"}, function={"kind": "abs"}),
              "BAD_LATTICE", "origin"),
             ("eval", dict(PAIR_SET, function={"kind": "pwl", "params": {"breakpoints": [1, 2]}}),

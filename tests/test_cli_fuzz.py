@@ -4,7 +4,8 @@ Every shipped ``configs/*.json`` runs with its subcommand.  Replacing any one
 key, section, list entry or generator atom by a JSON value of another type
 must end in a coded ``EngineError`` (exit 1 or 2), never in an uncaught
 exception.  The replacements cannot spell a valid value: strings use letters
-that form no number, kind or keyword, and objects only such letter keys.
+that form no number, kind or keyword, and objects only such letter keys; a
+rational spelled as a string is replaced by no number.
 Apart from them, each generator atom's weight in turn is spelled ``"nan"``,
 ``"inf"`` or ``"-inf"``, which must end in a coded exit 1.
 
@@ -33,6 +34,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SUBCOMMANDS = {
     "capacity.json": ["capacity"],
     "capacity_lower.json": ["capacity"],
+    "capacity_thirds.json": ["capacity"],
     "chebyshev.json": ["chebyshev"],
     "chebyshev_wide.json": ["chebyshev"],
     "conditions_heavy.json": ["conditions"],
@@ -86,7 +88,8 @@ _SCALARS = {
 def _type_of(value) -> str:
     if isinstance(value, bool):
         return "bool"
-    if isinstance(value, (int, float)):
+    # a rational spelled as a string ("-1/3") is read like a number, so neither replaces it
+    if isinstance(value, (int, float)) or isinstance(value, str) and re.fullmatch(r"-?\d+(/\d+)?", value):
         return "number"
     return {str: "str", list: "list", dict: "object"}.get(type(value), "null")
 
