@@ -27,8 +27,10 @@ res = robust_value(freeze_or_spread, 2, f)
 print(f"robust E[f(S_2/2)] = {res.value}   (brute force agrees: "
       f"{brute_force_value(freeze_or_spread, 2, f)})")
 print("worst-case kernel choices (level, state) -> generator:")
-for key, g in sorted(res.policy.entries.items()):
-    print(f"  {key} -> {g}")
+for k, (lo, choice) in enumerate(res.policy.levels, start=1):
+    for i, g in enumerate(choice.tolist()):  # -1: no generator designated
+        if g >= 0:
+            print(f"  ({k}, {lo + res.policy.step * i}) -> {g}")
 print(f"re-running the fixed policy reproduces the value bitwise: "
       f"{policy_value(freeze_or_spread, res.policy, 2, f) == res.value}")
 

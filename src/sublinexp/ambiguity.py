@@ -108,7 +108,8 @@ class DiscreteDistribution:
     @classmethod
     def from_pairs(cls, atoms: Iterable[Tuple[RationalLike, float]]) -> "DiscreteDistribution":
         """Build from (point, weight) pairs, each point read once by :func:`to_fraction`'s grammar and
-        points of one exact value coalesced; one unread or past the doubles is BAD_CONFIG, NaN or inf BAD_RATIONAL."""
+        points of one exact value coalesced; one unread or past the doubles is BAD_CONFIG, NaN or inf BAD_RATIONAL.
+        A weight is a decimal number, or a fraction string rounded once to the nearest double."""
         merged: dict = {}
         for point, weight in atoms:
             try:
@@ -119,6 +120,8 @@ class DiscreteDistribution:
                     if not math.isfinite(float(point)):
                         raise InputError("BAD_RATIONAL", f"cannot interpret {float(point)!r} as a rational") from None
                 raise InputError("BAD_CONFIG", f"point must be a rational number, got {point!r}") from None
+            with suppress(InputError, OverflowError):  # "1/0" or a ratio past the doubles: refused below
+                weight = float(to_fraction(weight)) if isinstance(weight, str) and "/" in weight else weight
             merged[key] = merged.get(key, 0.0) + _real(weight, "weight", "BAD_CONFIG")
         keys = sorted(merged)
         points, nums, dens = zip(*keys) if keys else ((), (), ())  # no atoms: EMPTY_SET

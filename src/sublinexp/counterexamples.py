@@ -138,20 +138,15 @@ class ParametricFamily:
                 best[r] = (exact, i + 1)
         return best[0] if scalar else best
 
-    def tail_capacity(self, threshold) -> Tuple[float, int]:
-        """sup over indices of the tail mass, with the attaining index."""
-        value, arg = self.tail_capacity_fraction(threshold)
-        return float(value), arg
-
     def truncation_binding_for_tail(self, threshold, arg: Optional[int] = None) -> bool:
         """Whether the truncation visibly limits the tail supremum.
 
-        ``arg`` is the attaining index from :meth:`tail_capacity`, when known.
+        ``arg`` is the attaining index from :meth:`tail_capacity_fraction`, when known.
         """
         if self.name == "HEAVY":
             # untruncated supremum sits at index ceil(threshold)
             return math.ceil(max(float(threshold), 1.0)) > self.truncation
-        return (arg or self.tail_capacity(threshold)[1]) >= self.truncation - 5
+        return (arg or self.tail_capacity_fraction(threshold)[1]) >= self.truncation - 5
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
-from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -63,11 +62,6 @@ class PathEvent:
     def describe(self) -> str:
         extra = f", from {self.from_index}" if self.from_index is not None else ""
         return f"{self.kind}({self.threshold}{extra})"
-
-
-def _choice_dtype(generator_count: int) -> np.dtype:
-    """Smallest signed integer dtype holding indices below ``generator_count`` and -1."""
-    return np.min_scalar_type(-generator_count)
 
 
 class _Frame(NamedTuple):
@@ -124,11 +118,11 @@ def _frame_of(coords: Tuple[Tuple[int, ...], ...], held: frozenset) -> _Frame:
 class KernelPolicy:
     """Deterministic Markov kernel policy: one generator index per (level, pre-step state).
 
-    ``levels[k - 1] = (lo, choice)`` covers level ``k`` of the horizon ``n``:
-    ``choice[i]`` is the generator designated at state ``lo + step * i``, and ``-1``
-    designates none.  The arrays are read-only.  ``step`` is 1 by default, and a set's
-    d for a policy built on its frame (:func:`robust_value`, ``constant_policy``), so
-    ``KernelPolicy(n, p.levels, p.step)`` rebuilds a policy ``p``.
+    ``levels[k - 1] = (lo, choice)``, an integer and a 1-D signed integer array (else
+    BAD_POLICY), covers level ``k`` of the horizon ``n``: ``choice[i]`` is the generator
+    designated at state ``lo + step * i``, and ``-1`` none; the arrays are made read-only.
+    ``step`` is 1 by default, and a set's d for a policy built on its frame (:func:`robust_value`,
+    ``constant_policy``), so ``KernelPolicy(n, p.levels, p.step)`` rebuilds a policy ``p``.
     """
 
     n: int
@@ -138,51 +132,18 @@ class KernelPolicy:
     _framed: Optional[Tuple[_Frame, np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if len(self.levels) != check_horizon(self.n):
-            raise InputError("BAD_POLICY", f"{len(self.levels)} levels for horizon {self.n}")
+        if not isinstance(self.levels, (tuple, list)) or len(self.levels) != check_horizon(self.n):
+            raise InputError("BAD_POLICY", f"a policy for horizon {self.n} takes a sequence of {self.n} levels")
         check_horizon(self.step, "BAD_POLICY", "policy step")
-        for _, choice in self.levels:
-            if choice.flags.writeable:  # a sealed policy's views are read-only already
-                choice.setflags(write=False)
-
-    @classmethod
-    def from_entries(cls, n: int, entries: Mapping[Tuple[int, int], int]) -> "KernelPolicy":
-        """Policy from a ``{(level, state): generator index}`` mapping."""
-        per_level: List[Dict[int, int]] = [{} for _ in range(check_horizon(n))]
-        for (level, state), g in entries.items():
-            check_horizon(level, "BAD_POLICY", "policy level")
-            check_horizon(state, "BAD_POLICY", "policy state", least=None)
-            check_horizon(g, "BAD_POLICY", "generator index", least=0)
-            if level > n:
-                raise InputError("BAD_POLICY", f"entry ({level}, {state}) -> {g}: level beyond {n}")
-            per_level[level - 1][state] = g
-        dtype = _choice_dtype(max(entries.values(), default=0) + 1)
-        levels = []
-        for level_entries in per_level:
-            lo, hi = min(level_entries, default=0), max(level_entries, default=-1)
-            choice = np.full(hi - lo + 1, -1, dtype=dtype)
-            for state, g in level_entries.items():
-                choice[state - lo] = g
-            levels.append((lo, choice))
-        return cls(n, tuple(levels))
-
-    @property
-    def entries(self) -> Mapping[Tuple[int, int], int]:
-        """Read-only ``{(level, state): generator index}`` view of the designated states."""
-        return MappingProxyType(
-            {
-                (k, lo + self.step * int(i)): int(choice[i])
-                for k, (lo, choice) in enumerate(self.levels, start=1)
-                for i in np.flatnonzero(choice >= 0)
-            }
-        )
-
-    def get(self, level: int, state: int) -> int:
-        if 1 <= level <= len(self.levels) and (g := int(self.level_choices(level, state, 1)[0])) >= 0:
-            return g
-        raise InputError(
-            "POLICY_GAP", f"no generator designated at level {level}, state {state}"
-        )
+        for k, level in enumerate(self.levels, start=1):
+            if self._framed is None:  # a built policy's levels are its frame's
+                if not (isinstance(level, tuple) and len(level) == 2):
+                    raise InputError("BAD_POLICY", f"level {k} must be a pair (lo, choice)")
+                check_horizon(level[0], "BAD_POLICY", f"level {k}'s lo", least=None)
+                if not (isinstance(level[1], np.ndarray) and level[1].ndim == 1 and level[1].dtype.kind == "i"):
+                    raise InputError("BAD_POLICY", f"level {k}'s choice must be a 1-D signed integer array")
+            if level[1].flags.writeable:  # a sealed policy's views are read-only already
+                level[1].setflags(write=False)
 
     def level_choices(self, level: int, lo: int, length: int, step: int = 1) -> np.ndarray:
         """Choices at ``level`` at the states ``lo + step * i``, i < ``length``, -1 where none."""
@@ -302,7 +263,7 @@ def _frame_levels(set_: AmbiguitySet, n: int, fill: int):
     writes -1 at every unreachable state and returns the policy on read-only views."""
     frame = _frame(set_)
     flat = _reachability(frame.steps, n)[1]
-    array = np.full(frame.start(n), fill, dtype=_choice_dtype(len(set_.generators)))
+    array = np.full(frame.start(n), fill, dtype=np.min_scalar_type(-len(set_.generators)))
     cuts = frame.start(np.arange(n + 1)).tolist()  # level k's states are array[cuts[k] : cuts[k + 1]]
 
     def levels():

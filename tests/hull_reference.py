@@ -16,7 +16,7 @@ import numpy as np
 
 from sublinexp import AmbiguitySet, DiscreteDistribution, LatticeSpec
 from sublinexp.counterexamples import RAMP_DOWN
-from sublinexp.lattice_dp import _choice_dtype, _event_hit, _terminal_values, _weights
+from sublinexp.lattice_dp import _event_hit, _terminal_values, _weights
 
 from kernel_reference import _sweep
 
@@ -49,7 +49,7 @@ def upper_value(set_, n, f, normalize=True):
 def robust_records(set_, n, f, normalize=True):
     """``(value, bounds, records)``: the argmax at every hull state of levels 0..n - 1."""
     bounds, u = _terminal(set_, n, f, normalize)
-    records = [np.zeros(length, _choice_dtype(len(set_.generators))) for _, length in bounds[:n]]
+    records = [np.zeros(length, np.min_scalar_type(-len(set_.generators))) for _, length in bounds[:n]]
     value = _sweep(set_.coords, _weights(set_), bounds, u, record=records)
     return value, bounds, records
 

@@ -6,7 +6,7 @@ use them, as independent references and property-test tools.
 
 import math
 import os
-from typing import Sequence
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from sublinexp.ambiguity import AmbiguitySet
 from sublinexp.counterexamples import ParametricFamily
 from sublinexp.errors import InputError
 from sublinexp.functions import TestFunction, psi_fn
-from sublinexp.lattice_dp import PathEvent, capacity
+from sublinexp.lattice_dp import KernelPolicy, PathEvent, capacity
 from sublinexp.reports import _atomic_write
 
 # -- the tail surrogate ------------------------------------------------
@@ -52,6 +52,34 @@ def psi_grid_sup(n: int, x, y_step: float = 1e-3, y_pad: float = 1.5):
     val_tail = n - n * np.abs(y_tail - x)
     out = np.maximum(val_near, val_tail)
     return out if out.ndim else float(out)
+
+
+# -- hand-written policies ----------------------------------------------
+
+
+def hand_policy(n: int, entries: Mapping[Tuple[int, int], int]) -> KernelPolicy:
+    """``KernelPolicy(n, levels)`` designating ``entries[(level, state)]`` at each key, -1 elsewhere,
+    in the smallest signed dtype that holds the indices, as the engine's own policies are."""
+    dtype = np.min_scalar_type(-max(entries.values(), default=0) - 1)
+    per_level = [{} for _ in range(n)]
+    for (k, state), g in entries.items():
+        per_level[k - 1][state] = g
+    levels = []
+    for states in per_level:
+        lo = min(states, default=0)
+        choice = np.full(max(states, default=lo - 1) - lo + 1, -1, dtype=dtype)
+        choice[[state - lo for state in states]] = list(states.values())
+        levels.append((lo, choice))
+    return KernelPolicy(n, tuple(levels))
+
+
+def designated(policy: KernelPolicy) -> Dict[Tuple[int, int], int]:
+    """``{(level, state): generator}`` at every state ``policy`` designates a generator."""
+    return {
+        (k, lo + policy.step * int(i)): int(choice[i])
+        for k, (lo, choice) in enumerate(policy.levels, start=1)
+        for i in np.flatnonzero(choice >= 0)
+    }
 
 
 # -- piecewise-linear algebra (used heavily by the property suites) ----

@@ -11,7 +11,7 @@ policies and estimates bit for bit.
 import numpy as np
 
 from sublinexp import KernelPolicy, functions, lattice_dp, montecarlo
-from sublinexp.lattice_dp import _choice_dtype, _terminal_values
+from sublinexp.lattice_dp import _terminal_values
 
 from hull_reference import _move_bounds, robust_records
 
@@ -47,7 +47,7 @@ def robust_policy(set_, n, f, normalize=True):
 def constant_policy(set_, n, g):
     """One ``np.where`` over the concatenated masks, each level a view of it."""
     bounds, masks = set_masks(set_, n)
-    flat = np.where(np.concatenate(masks[:n]), g, -1).astype(_choice_dtype(len(set_.generators)))
+    flat = np.where(np.concatenate(masks[:n]), g, -1).astype(np.min_scalar_type(-len(set_.generators)))
     ends = np.cumsum([length for _, length in bounds[:n]])
     return KernelPolicy(
         n, tuple((lo, flat[end - length : end]) for (lo, length), end in zip(bounds, ends))

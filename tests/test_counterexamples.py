@@ -274,18 +274,17 @@ class TestClosedFormScan:
 class TestTailCapacity:
     def test_heavy_exact_values(self):
         fam = ParametricFamily("HEAVY", 50)
-        value, arg = fam.tail_capacity(10)
-        assert value == 0.1 and arg == 10
+        assert fam.tail_capacity_fraction(10) == (Fraction(1, 10), 10)
 
     def test_exm3_matches_direct_counting(self):
         fam = ParametricFamily("EXM3", 60)
         for t in (2, 5, 10, 30):
-            value, arg = fam.tail_capacity(t)
+            value, _ = fam.tail_capacity_fraction(t)
             direct = max(
                 sum(w for p, w in zip(g.points, g.weights) if abs(p) >= t)
                 for g in (fam.generator(j) for j in range(1, 61))
             )
-            assert value == pytest.approx(direct, abs=1e-12)
+            assert float(value) == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["EXM3", "HEAVY"])
     @pytest.mark.parametrize("T", [1, 2, 3, 13, 200, 10_000])
@@ -321,7 +320,7 @@ class TestTailCapacity:
     def test_binding_from_a_known_argmax(self):
         fam = ParametricFamily("EXM3", 40)
         for t in (2, 30, 900, 1500, 1601):
-            _, arg = fam.tail_capacity(t)
+            _, arg = fam.tail_capacity_fraction(t)
             assert fam.truncation_binding_for_tail(t, arg) == fam.truncation_binding_for_tail(t)
             assert fam.truncation_binding_for_tail(t, arg) == (arg >= 35)
 
@@ -340,8 +339,8 @@ class TestExm3Report:
         (m, psi_val, m_tail), = rep.m_rows
         assert m == 10
         assert psi_val == family_expect(fam, psi_fn(10)).value
-        tail, _ = fam.tail_capacity(10)
-        assert m_tail == 10 * tail
+        tail, _ = fam.tail_capacity_fraction(10)
+        assert m_tail == 10 * float(tail)
 
     def test_psi_equals_scaled_tail_on_integer_atoms(self):
         # every atom is an integer, so psi_m is m * [|x| >= m] on the support

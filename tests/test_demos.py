@@ -1,4 +1,4 @@
-"""Smoke test of every demo script."""
+"""Smoke test of every demo script, with every warning an error."""
 
 import os
 import subprocess
@@ -15,7 +15,7 @@ def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error"),
         capture_output=True,
         text=True,
         timeout=120,

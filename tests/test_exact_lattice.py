@@ -109,6 +109,26 @@ def test_negative_zero_is_zero():
     assert [p.hex() for p in s.generators[0].points] == [(0.0).hex()] and s.generators[0].weights == (1.0,)
 
 
+def test_fraction_weights_are_their_nearest_doubles(tmp_path):
+    reports = []
+    for weights in (["1/3", "2/3"], [0.3333333333333333, 0.6666666666666666]):
+        out = tmp_path / str(len(reports))
+        out.mkdir()
+        gens = [[["-1/3", weights[0]], ["2/3", weights[1]]], *THIRDS]
+        cfg = {"lattice": {"step": "1/3"}, "generators": gens, "n": 6,
+               "event": {"kind": "MAX_PARTIAL_ABS_GE", "threshold": "2/3"}, "side": "UPPER"}
+        assert _run(out, ["capacity"], cfg) == 0
+        reports.append([(out / name).read_bytes() for name in ("capacity.json", "capacity.csv")])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("weight", ["1/0", "1/3x", "1" + "0" * 400 + "/3"])
+def test_unread_weight_keeps_its_message(weight):
+    with pytest.raises(InputError) as e:
+        validate_ambiguity_set({"step": "1/3", "generators": [[["-1/3", weight], ["2/3", 0.5]]]})
+    assert str(e.value) == f"BAD_CONFIG: generator 0: weight must be a decimal number, got {weight!r}"
+
+
 def _run(tmp_path, argv, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

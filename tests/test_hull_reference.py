@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sublinexp import (
-    KernelPolicy,
     PathEvent,
     capacity,
     constant_policy,
@@ -29,6 +28,7 @@ from sublinexp.lattice_dp import EVENT_KINDS, final_abs_capacities
 import hull_reference as hull
 import reachability_reference as reachable
 from conftest import make_set, tie_prone_functions
+from oracle_helpers import designated, hand_policy
 
 
 @st.composite
@@ -68,8 +68,8 @@ def test_upper_robust_and_policy_values(set_, n, f, normalize):
         for k, ((lo, _), record, mask) in enumerate(zip(bounds, records, masks), start=1)
         for i in np.flatnonzero(mask)
     }
-    assert dict(got.policy.entries) == argmax
-    policies = [got.policy, KernelPolicy.from_entries(n, argmax)]
+    assert designated(got.policy) == argmax
+    policies = [got.policy, hand_policy(n, argmax)]
     policies += [constant_policy(set_, n, g) for g in range(len(set_.generators))]
     for policy in policies:
         value = policy_value(set_, policy, n, f, normalize)

@@ -33,7 +33,7 @@ from sublinexp import (
 )
 from sublinexp import cli, counterexamples, functions, lattice_dp, piecewise_linear, tent
 from sublinexp.counterexamples import heavy_lln_value
-from sublinexp.lattice_dp import EVENT_KINDS, _choice_dtype, final_abs_capacities
+from sublinexp.lattice_dp import EVENT_KINDS, final_abs_capacities
 
 import hull_reference as hull
 from conftest import make_set, tie_prone_functions
@@ -162,7 +162,7 @@ class TestAgainstTheReference:
             (trigger, [(0, 1)] * (n + 1), u[:1], absorbing),
         ]
         for moves, b, last, absorb in cases:
-            got_record = [np.zeros(length, _choice_dtype(len(weights))) for _, length in b[:n]]
+            got_record = [np.zeros(length, np.min_scalar_type(-len(weights))) for _, length in b[:n]]
             want_record = [record.copy() for record in got_record]
             with np.errstate(all="ignore"):
                 if upper:
@@ -394,7 +394,7 @@ class TestWideLevels:
         absorbing = data.draw(st.sampled_from(values))
         cases = [(set_.coords, bounds, u, None), (trigger, [(0, 1)] * (n + 1), u[:1], absorbing)]
         for moves, b, last, absorb in cases:
-            got_record = [np.zeros(length, _choice_dtype(len(weights))) for _, length in b[:n]]
+            got_record = [np.zeros(length, np.min_scalar_type(-len(weights))) for _, length in b[:n]]
             want_record = [record.copy() for record in got_record]
             with np.errstate(all="ignore"):
                 if upper:

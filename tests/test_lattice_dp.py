@@ -46,6 +46,7 @@ from sublinexp.oracle import enumerate_selections_value
 import hull_reference as hull
 import reachability_reference as reachable
 from conftest import make_set, random_pwl, random_set
+from oracle_helpers import designated, hand_policy
 
 ABS_CLIPPED = piecewise_linear([(-1, 1), (0, 0), (1, 1)])
 KINDS = sorted(EVENT_KINDS)
@@ -276,16 +277,16 @@ def test_capacity_matches_brute_force_on_decimal_steps(kind, side, step):
 
 class TestPolicyValue:
     def test_constant_uniform_policy(self, coin_or_rest):
-        pol = KernelPolicy.from_entries(2, {(1, 0): 1, (2, -1): 1, (2, 0): 1, (2, 1): 1})
+        pol = hand_policy(2, {(1, 0): 1, (2, -1): 1, (2, 0): 1, (2, 1): 1})
         f = piecewise_linear([(-1, 1), (0, 0), (1, 1)])
         assert policy_value(coin_or_rest, pol, 2, f) == 0.5
 
     def test_constant_freeze_policy(self, coin_or_rest):
-        pol = KernelPolicy.from_entries(2, {(1, 0): 0, (2, -1): 0, (2, 0): 0, (2, 1): 0})
+        pol = hand_policy(2, {(1, 0): 0, (2, -1): 0, (2, 0): 0, (2, 1): 0})
         assert policy_value(coin_or_rest, pol, 2, ABS_CLIPPED) == 0.0
 
     def test_policy_gap(self, coin_or_rest):
-        pol = KernelPolicy.from_entries(2, {(1, 0): 1})
+        pol = hand_policy(2, {(1, 0): 1})
         with pytest.raises(InputError) as e:
             policy_value(coin_or_rest, pol, 2, ABS_CLIPPED)
         assert e.value.code == "POLICY_GAP"
@@ -364,7 +365,7 @@ class TestFixedPolicyRule:
             count = len(s.generators)
             bounds, masks = reachable_masks(s, n)
             entries = random_entries(rng, bounds, masks, count)
-            pol = KernelPolicy.from_entries(n, entries)
+            pol = hand_policy(n, entries)
             f = random_pwl(rng)
             assert policy_value(s, pol, n, f) == all_generator_policy_value(s, pol, n, f)
             # the moves times d = 1, 2 or 3, some reachable states knocked out: the
@@ -379,7 +380,7 @@ class TestFixedPolicyRule:
                     del entries[reached[i]]
                 else:
                     entries[reached[i]] = count + int(knock.integers(0, 2))
-            pol = KernelPolicy.from_entries(n, entries)
+            pol = hand_policy(n, entries)
             for k in range(1, n + 1):
                 choice = pol.level_choices(k, *bounds[k - 1])
                 gap = masks[k - 1] & ((choice < 0) | (choice >= count))
@@ -402,11 +403,23 @@ class TestFixedPolicyRule:
 
     def test_level_count_is_the_horizon(self, biased_pair):
         levels = constant_policy(biased_pair, 3, 0).levels
-        for n, wrong in ((3, ()), (3, levels[:2]), (2, levels), (4, levels)):
+        for n, wrong in ((3, ()), (3, levels[:2]), (2, levels), (4, levels), (3, None), (3, iter(levels))):
             with pytest.raises(InputError) as e:
                 KernelPolicy(n, wrong)
             assert e.value.code == "BAD_POLICY"
         assert KernelPolicy(3, levels).n == 3
+
+    @pytest.mark.parametrize(
+        "level",
+        [(0, np.array([1.5])), (0, [1]), (0, np.array([[1]])), ("0", np.array([1])), (np.array([1]),),
+         (0, np.array([1], dtype=np.uint8)), (0, np.array([True]))],
+        ids=["float choice", "list choice", "2-D choice", "string lo", "1-tuple", "unsigned choice", "bool choice"],
+    )
+    def test_level_is_an_integer_and_a_signed_integer_array(self, level):
+        # a float choice once read as generator 0 by policy_value and as 1 by simulate
+        with pytest.raises(InputError) as e:
+            KernelPolicy(1, (level,))
+        assert e.value.code == "BAD_POLICY" and e.value.message.startswith("level 1")
 
     @pytest.mark.parametrize(
         "gens, d",
@@ -421,7 +434,7 @@ class TestFixedPolicyRule:
         for built in (robust_value(s, n, f).policy, constant_policy(s, n, 0), constant_policy(s, n, 1)):
             assert built.step == d
             rebuilt = KernelPolicy(n, built.levels, built.step)
-            assert dict(rebuilt.entries) == dict(built.entries)
+            assert designated(rebuilt) == designated(built)
             assert policy_value(s, rebuilt, n, f).hex() == policy_value(s, built, n, f).hex()
             want, got = (simulate(SimConfig(p, s, n, 500, 3), f) for p in (built, rebuilt))
             assert (got.estimate.hex(), got.stderr.hex()) == (want.estimate.hex(), want.stderr.hex())
@@ -443,7 +456,7 @@ class TestFixedPolicyRule:
         )
 
     def test_first_reachable_gap_is_named(self, coin_or_rest):
-        pol = KernelPolicy.from_entries(3, {(1, 0): 1, (2, -1): 1, (2, 1): 0, (3, 0): 5})
+        pol = hand_policy(3, {(1, 0): 1, (2, -1): 1, (2, 1): 0, (3, 0): 5})
         with pytest.raises(InputError) as e:
             policy_value(coin_or_rest, pol, 3, ABS_CLIPPED)
         assert e.value.message == "reachable state 0 at level 2 has no generator"
@@ -456,7 +469,6 @@ HORIZON_ENTRY_POINTS = {
     "capacity": lambda s, n: capacity(s, n, PathEvent("FINAL_ABS_GE", 1)),
     "final_abs_capacities": lambda s, n: final_abs_capacities(s, n, 1),
     "KernelPolicy": lambda s, n: KernelPolicy(n, ()),
-    "from_entries": lambda s, n: KernelPolicy.from_entries(n, {}),
     "constant_policy": lambda s, n: constant_policy(s, n, 0),
     "SimConfig": lambda s, n: SimConfig(constant_policy(s, 2, 0), s, n, 10, 0),
     "ottaviani_check": lambda s, n: ottaviani_check(s, n, 1.0, 0.5),
@@ -550,7 +562,7 @@ class TestSharedReachability:
         policies = [
             robust,
             constant_policy(biased_pair, 6, 1),
-            KernelPolicy.from_entries(2, {(1, 0): 1, (2, -1): 0, (2, 1): 1}),
+            hand_policy(2, {(1, 0): 1, (2, -1): 0, (2, 1): 1}),
             KernelPolicy(6, robust.levels, robust.step),
             KernelPolicy(1, ((0, np.array([0, 1])),)),
         ]

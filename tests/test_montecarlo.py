@@ -8,7 +8,6 @@ from sublinexp import (
     SQUARE,
     BudgetError,
     InputError,
-    KernelPolicy,
     SimConfig,
     constant_policy,
     piecewise_linear,
@@ -21,6 +20,7 @@ from sublinexp import functions, lattice_dp, montecarlo
 from sublinexp.lattice_dp import DEFAULT_STATE_BUDGET, _terminal_values
 
 from conftest import make_set, random_pwl, random_set
+from oracle_helpers import designated, hand_policy
 from hull_reference import level_bounds
 
 ABS_CLIPPED = piecewise_linear([(-1, 1), (0, 0), (1, 1)])
@@ -78,7 +78,7 @@ class TestEstimates:
             f = random_pwl(rng)
             pol = robust_value(s, n, f).policy
             a = simulate(SimConfig(pol, s, n, 2000, seed=n), f)
-            rebuilt = KernelPolicy.from_entries(n, pol.entries)
+            rebuilt = hand_policy(n, designated(pol))
             b = simulate(SimConfig(rebuilt, s, n, 2000, seed=n), f)
             assert (a.estimate, a.stderr) == (b.estimate, b.stderr)
 
@@ -87,7 +87,7 @@ class TestEstimates:
         points = make_set(*[[(j, 1.0)] for j in range(200)])
         f = piecewise_linear([(0, 0), (199, 1)])
         res = robust_value(points, 3, f)
-        assert res.policy.get(1, 0) == 199
+        assert res.policy.level_choices(1, 0, 1)[0] == 199
         assert policy_value(points, res.policy, 3, f) == res.value
         pol = constant_policy(points, 3, 199)
         sim = simulate(SimConfig(pol, points, 3, 10, seed=0), f)
@@ -102,7 +102,7 @@ class TestEstimates:
 
 class TestValidation:
     def test_policy_gap_detected(self, coin_or_rest):
-        pol = KernelPolicy.from_entries(2, {(1, 0): 1})  # level 2 missing entirely
+        pol = hand_policy(2, {(1, 0): 1})  # level 2 missing entirely
         with pytest.raises(InputError) as e:
             simulate(SimConfig(pol, coin_or_rest, 2, 10, seed=0), ABS_CLIPPED)
         assert e.value.code == "POLICY_GAP"
@@ -116,9 +116,8 @@ class TestValidation:
     )
     def test_policy_gap_inside_and_outside_level_array(self, coin_or_rest, entries):
         # generator 0 freezes the walk, so every path visits state 0 at level 2
-        pol = KernelPolicy.from_entries(2, entries)
+        pol = hand_policy(2, entries)
         calls = [
-            lambda: pol.get(2, 0),
             lambda: policy_value(coin_or_rest, pol, 2, ABS_CLIPPED),
             lambda: simulate(SimConfig(pol, coin_or_rest, 2, 10, seed=0), ABS_CLIPPED),
         ]
@@ -128,8 +127,8 @@ class TestValidation:
             assert e.value.code == "POLICY_GAP"
 
     def test_designated_generator_out_of_range(self, coin_or_rest):
-        pol = KernelPolicy.from_entries(2, {(1, 0): 2, (2, -1): 1, (2, 0): 1, (2, 1): 1})
-        assert pol.get(1, 0) == 2
+        pol = hand_policy(2, {(1, 0): 2, (2, -1): 1, (2, 0): 1, (2, 1): 1})
+        assert pol.level_choices(1, 0, 1)[0] == 2
         for call in (
             lambda: policy_value(coin_or_rest, pol, 2, ABS_CLIPPED),
             lambda: simulate(SimConfig(pol, coin_or_rest, 2, 10, seed=0), ABS_CLIPPED),
@@ -137,12 +136,6 @@ class TestValidation:
             with pytest.raises(InputError) as e:
                 call()
             assert e.value.code == "POLICY_GAP"
-
-    @pytest.mark.parametrize("entries", [{(0, 0): 1}, {(3, 0): 1}, {(1, 0): -1}])
-    def test_unrepresentable_entries_rejected(self, entries):
-        with pytest.raises(InputError) as e:
-            KernelPolicy.from_entries(2, entries)
-        assert e.value.code == "BAD_POLICY"
 
     def test_horizon_mismatch(self, coin):
         pol = constant_policy(coin, 3, 0)
@@ -164,15 +157,6 @@ class TestValidation:
             constant_policy(coin_or_rest, 2, index)
         assert e.value.code == "POLICY_GAP"
         assert e.value.message == f"generator index must be an integer >= 0, got {index!r}"
-
-    @pytest.mark.parametrize(
-        "entry", [((1, 0), 1.5), ((1, 0), 1.0), ((1, 0), True), ((1.0, 0), 1), ((1, 0.5), 1)]
-    )
-    def test_entries_are_integers(self, entry):
-        with pytest.raises(InputError) as e:
-            KernelPolicy.from_entries(1, dict([entry]))
-        assert e.value.code == "BAD_POLICY"
-        assert KernelPolicy.from_entries(1, {(1, -3): 1}).get(1, -3) == 1  # any integer state
 
     @pytest.mark.parametrize("field, value", [
         ("paths", 2.5), ("paths", True), ("paths", 0), ("seed", 1.5), ("seed", True),
@@ -275,8 +259,8 @@ class TestSimulationStep:
         f = random_pwl(rng)
         pol = robust_value(s, 12, f).policy
         assert_matches_reference(SimConfig(pol, s, 12, 5000, seed=4), f)
-        entries = {key: (key[0] + key[1]) % 3 for key in pol.entries}
-        mixed = KernelPolicy.from_entries(12, entries)
+        entries = {key: (key[0] + key[1]) % 3 for key in designated(pol)}
+        mixed = hand_policy(12, entries)
         assert_matches_reference(SimConfig(mixed, s, 12, 5000, seed=5), f)
 
     @pytest.mark.parametrize("paths", [1, 20_000])
@@ -400,7 +384,7 @@ class TestIidSums:
         # an increasing f makes the upward-biased generator the argmax everywhere
         f = piecewise_linear([(-1, 0), (1, 1)])
         pol = robust_value(biased_pair, 40, f).policy
-        assert set(pol.entries.values()) == {1}
+        assert set(designated(pol).values()) == {1}
         assert pol.step == 2 and all((choice == 1).all() for _, choice in pol.levels)
         assert_takes(monkeypatch, "iid", SimConfig(pol, biased_pair, 40, 3000, seed=1), f)
 
@@ -409,14 +393,14 @@ class TestWalk:
     def test_unvisited_gap_and_mixed_generators_take_the_walk(self, monkeypatch, coin_or_rest):
         f = tent(0.5, 1.0)
         # generator 0 freezes the walk at 0: the other reachable states are never visited
-        frozen = KernelPolicy.from_entries(6, {(k, 0): 0 for k in range(1, 7)})
+        frozen = hand_policy(6, {(k, 0): 0 for k in range(1, 7)})
         res = assert_takes(monkeypatch, "walk", SimConfig(frozen, coin_or_rest, 6, 500, seed=2), f)
         assert res.estimate == f(np.zeros(1))[0]
         with pytest.raises(InputError) as e:
             policy_value(coin_or_rest, frozen, 6, f)
         assert e.value.code == "POLICY_GAP"
         mixed = robust_value(coin_or_rest, 9, f).policy
-        assert set(mixed.entries.values()) == {0, 1}
+        assert set(designated(mixed).values()) == {0, 1}
         assert_takes(monkeypatch, "walk", SimConfig(mixed, coin_or_rest, 9, 2000, seed=3), f)
 
     @pytest.mark.parametrize("block_draws", [1 << 16, 5])
@@ -428,15 +412,15 @@ class TestWalk:
                 continue
             n = int(rng.integers(2, 30))
             pol = constant_policy(s, n, 0)
-            entries = {key: int(rng.integers(0, len(s.generators))) for key in pol.entries}
+            entries = {key: int(rng.integers(0, len(s.generators))) for key in designated(pol)}
             entries[1, 0] = 0
             entries[2, min(s.coords[0])] = 1
             monkeypatch.setattr(functions, "_BLOCK_CELLS", block_draws)
-            mixed = KernelPolicy.from_entries(n, entries)
+            mixed = hand_policy(n, entries)
             assert_takes(monkeypatch, "walk", SimConfig(mixed, s, n, 777, seed=trial), random_pwl(rng))
 
     def test_visited_gap_keeps_its_message(self, coin_or_rest):
-        pol = KernelPolicy.from_entries(3, {(1, 0): 1, (2, -1): 1, (2, 0): 1, (3, 0): 1})
+        pol = hand_policy(3, {(1, 0): 1, (2, -1): 1, (2, 0): 1, (3, 0): 1})
         config = SimConfig(pol, coin_or_rest, 3, 50, seed=0)
         with pytest.raises(InputError) as want:
             walk_simulate(config, ABS_CLIPPED)
@@ -490,8 +474,8 @@ class TestRankWalk:
         assert distinct_cuts(s) == 260
         rng = np.random.default_rng(130)
         n = 6
-        entries = {key: int(rng.integers(0, 130)) for key in constant_policy(s, n, 0).entries}
-        pol = KernelPolicy.from_entries(n, entries)
+        entries = {key: int(rng.integers(0, 130)) for key in designated(constant_policy(s, n, 0))}
+        pol = hand_policy(n, entries)
         assert_takes(monkeypatch, "walk", SimConfig(pol, s, n, 3000, seed=1), random_pwl(rng))
 
     @pytest.mark.parametrize(
@@ -506,8 +490,8 @@ class TestRankWalk:
         s = make_set(*gens)
         f = random_pwl(np.random.default_rng(len(gens[1])), lo=-2, hi=3)
         n = 8
-        entries = {(k, x): (k + x) % 3 for k, x in constant_policy(s, n, 0).entries}
-        mixed = KernelPolicy.from_entries(n, entries)
+        entries = {(k, x): (k + x) % 3 for k, x in designated(constant_policy(s, n, 0))}
+        mixed = hand_policy(n, entries)
         assert_takes(monkeypatch, "walk", SimConfig(mixed, s, n, 4000, seed=n), f)
         assert_takes(monkeypatch, "walk", SimConfig(mixed, s, n, 4000, seed=n), SQUARE, False)
 
@@ -517,8 +501,8 @@ class TestRankWalk:
                      [(-2, 0.1), (1, 0.2 + excess), (3, 0.7)])
         draws = draw_on_cumulative_weights(monkeypatch, s)
         n = 5
-        entries = {(k, x): (k * 7 + x) % 3 for k, x in constant_policy(s, n, 0).entries}
-        mixed = KernelPolicy.from_entries(n, entries)
+        entries = {(k, x): (k * 7 + x) % 3 for k, x in designated(constant_policy(s, n, 0))}
+        mixed = hand_policy(n, entries)
         config = SimConfig(mixed, s, n, 5 * len(draws) + 2, seed=0)  # one draw block
         f = piecewise_linear([(-2, 0), (3, 1)])
         res = simulate(config, f)
@@ -534,7 +518,7 @@ class TestRankWalk:
         entries = {(1, 0): 5, (2, -1): 7, (2, 3): 9}
         if hole >= 0:
             entries[2, 1] = hole
-        pol = KernelPolicy.from_entries(2, entries)
+        pol = hand_policy(2, entries)
         assert pol.levels[1][1].dtype == np.int8
         with pytest.raises(InputError) as e:
             policy_value(s, pol, 2, ABS_CLIPPED)
@@ -558,8 +542,8 @@ class TestRankWalk:
         assert distinct_cuts(s) == 2 * count >= montecarlo._SEARCH_CUTS
         rng = np.random.default_rng(count)
         n = 12
-        entries = {key: int(rng.integers(0, count)) for key in constant_policy(s, n, 0).entries}
-        config = SimConfig(KernelPolicy.from_entries(n, entries), s, n, 2000, seed=5)
+        entries = {key: int(rng.integers(0, count)) for key in designated(constant_policy(s, n, 0))}
+        config = SimConfig(hand_policy(n, entries), s, n, 2000, seed=5)
         f = random_pwl(rng)
         for search_cuts in (montecarlo._SEARCH_CUTS, 2 * count + 1):  # search, then compares
             monkeypatch.setattr(montecarlo, "_SEARCH_CUTS", search_cuts)
@@ -579,8 +563,8 @@ class TestRankWalk:
         draws = draw_on_cumulative_weights(monkeypatch, s)
         monkeypatch.setattr(montecarlo, "_SEARCH_CUTS", search_cuts)
         n = 4
-        entries = {(k, x): (k + x) % 2 for k, x in constant_policy(s, n, 0).entries}
-        config = SimConfig(KernelPolicy.from_entries(n, entries), s, n, len(draws), seed=0)
+        entries = {(k, x): (k + x) % 2 for k, x in designated(constant_policy(s, n, 0))}
+        config = SimConfig(hand_policy(n, entries), s, n, len(draws), seed=0)
         assert_takes(monkeypatch, "walk", config, random_pwl(rng))  # one draw block
 
     def test_long_mixed_walk_keeps_one_byte_per_draw(self):

@@ -6,7 +6,6 @@ import pytest
 from sublinexp import (
     BudgetError,
     InputError,
-    KernelPolicy,
     PathEvent,
     brute_force_capacity,
     capacity,
@@ -18,6 +17,7 @@ from sublinexp import (
 )
 
 from conftest import make_set, random_pwl, random_set
+from oracle_helpers import designated, hand_policy
 
 ABS_CLIPPED = piecewise_linear([(-1, 1), (0, 0), (1, 1)])
 
@@ -138,7 +138,7 @@ class TestPolicyDominance:
             # constant policies at each generator index
             for gi in range(len(s.generators)):
                 entries = {
-                    key: gi for key in res.policy.entries
+                    key: gi for key in designated(res.policy)
                 }
-                val = policy_value(s, KernelPolicy.from_entries(n, entries), n, f)
+                val = policy_value(s, hand_policy(n, entries), n, f)
                 assert val <= res.value + 1e-9
