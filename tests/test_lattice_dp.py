@@ -412,14 +412,22 @@ class TestFixedPolicyRule:
     @pytest.mark.parametrize(
         "level",
         [(0, np.array([1.5])), (0, [1]), (0, np.array([[1]])), ("0", np.array([1])), (np.array([1]),),
-         (0, np.array([1], dtype=np.uint8)), (0, np.array([True]))],
-        ids=["float choice", "list choice", "2-D choice", "string lo", "1-tuple", "unsigned choice", "bool choice"],
+         (0, np.array([1], dtype=np.uint8)), (0, np.array([True])), (0.5, np.array([1])), (1.0, np.array([1])),
+         (True, np.array([1]))],
+        ids=["float choice", "list choice", "2-D choice", "string lo", "1-tuple", "unsigned choice", "bool choice",
+             "fractional lo", "integral float lo", "bool lo"],
     )
     def test_level_is_an_integer_and_a_signed_integer_array(self, level):
         # a float choice once read as generator 0 by policy_value and as 1 by simulate
         with pytest.raises(InputError) as e:
             KernelPolicy(1, (level,))
         assert e.value.code == "BAD_POLICY" and e.value.message.startswith("level 1")
+
+    def test_lo_is_any_integer_state(self):
+        for lo in (-3, np.int64(-3), 2**70):
+            pol = KernelPolicy(1, ((lo, np.array([-1, 1], dtype=np.int8)),))
+            assert list(pol.level_choices(1, lo, 2)) == [-1, 1]
+        assert designated(hand_policy(1, {(1, -3): 1})) == {(1, -3): 1}
 
     @pytest.mark.parametrize(
         "gens, d",
