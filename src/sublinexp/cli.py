@@ -222,9 +222,9 @@ def _cmd_lln_sweep(cfg) -> Outcome:
 
 def _cmd_conditions(cfg) -> Outcome:
     source = build_source(cfg)
-    if "family" not in cfg:  # each row scans every atom of the set
-        atoms = sum(len(gc) for gc in source.coords)
-        check_budget(cfg["n_max"] * atoms, cfg["budgets"]["states"], "row atoms")
+    # each row scans every index of a family, or every atom of a set
+    width, unit = (source.truncation, "indices") if "family" in cfg else (sum(map(len, source.coords)), "atoms")
+    check_budget(cfg["n_max"] * width, cfg["budgets"]["states"], f"row {unit}")
     report = peng_condition_report(source, cfg["n_max"])
     meta = {
         "source": report.source_description,

@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .ambiguity import DiscreteDistribution
 from .errors import BudgetError, InputError, check_budget, check_horizon
-from .functions import TestFunction, _real, abs_excess, blocks, column, piecewise_linear, psi_fn
+from .functions import TestFunction, abs_excess, blocks, column, piecewise_linear, psi_fn
 from .lattice_dp import DEFAULT_STATE_BUDGET, _sweep
 
 FAMILY_NAMES = ("EXM3", "HEAVY")
@@ -68,13 +68,14 @@ class ParametricFamily:
 
     # -- vectorized per-index scans ------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def per_index_expectations(self, f: TestFunction) -> np.ndarray:
         """E_j[f] for j = 1..truncation, as one array, with one row per row of a column ``f``.
 
         EXM3 index j >= 2 weighs the atoms k*j, k = 1..j, by 1/j^3.  Every kind
         but ``square`` is linear between consecutive knots, so the atoms of one
         segment form an arithmetic series, summed from its first and last term;
-        ``square`` sums (k j)^2 by Faulhaber's formula.
+        ``square`` sums (k j)^2 by Faulhaber's formula.  A sum past the doubles is +-inf or NaN.
         """
         n = self.truncation
         if self.name == "HEAVY":
@@ -138,15 +139,13 @@ class ParametricFamily:
                 best[r] = (exact, i + 1)
         return best[0] if scalar else best
 
-    def truncation_binding_for_tail(self, threshold, arg: Optional[int] = None) -> bool:
-        """Whether the truncation visibly limits the tail supremum.
-
-        ``arg`` is the attaining index from :meth:`tail_capacity_fraction`, when known.
-        """
+    def truncation_binding_for_tail(self, threshold, arg: int) -> bool:
+        """Whether the truncation visibly limits the tail supremum, whose first attaining
+        index :meth:`tail_capacity_fraction` gives as ``arg``."""
         if self.name == "HEAVY":
             # untruncated supremum sits at index ceil(threshold)
             return math.ceil(max(float(threshold), 1.0)) > self.truncation
-        return (arg or self.tail_capacity_fraction(threshold)[1]) >= self.truncation - 5
+        return arg >= self.truncation - 5
 
 
 @dataclass(frozen=True)
@@ -166,21 +165,25 @@ def check_truncation(family: ParametricFamily, *tables: Tuple[TestFunction, np.n
     for first in np.flatnonzero(np.stack(escaping, -1))[:1]:  # row-major: rows, then tables
         row, table = divmod(first, len(tables))
         f, values = tables[table]
-        f = f if values.ndim == 1 else TestFunction(f.kind, (f.params[0][row, 0].item(),))
-        raise BudgetError("TRUNCATION_TOO_SMALL", f"running max still strictly increasing over "
-                          f"the last 10 of {family.truncation} indices for {f.describe()}")
+        raise BudgetError("TRUNCATION_TOO_SMALL", f"running max still strictly increasing over the "
+                          f"last 10 of {family.truncation} indices for {_row(f, values, row).describe()}")
 
 
-def family_expect(
-    family: ParametricFamily, f: TestFunction, values: Optional[np.ndarray] = None
-) -> FamilyExpectation:
-    """Upper expectation sup over indices <= truncation of E_j[f] (lists for a column ``f``),
-    from its per-index ``values`` when given; TRUNCATION_TOO_SMALL as :func:`check_truncation`."""
-    if values is None:
-        values = family.per_index_expectations(f)
-    check_truncation(family, (f, values))
-    arg = values.argmax(-1)
+def _row(f: TestFunction, values: np.ndarray, row: int) -> TestFunction:
+    """The function of row ``row`` of the table ``values`` of ``f``, a column when ``values`` is 2-D."""
+    return f if values.ndim == 1 else TestFunction(f.kind, (f.params[0][row, 0].item(),))
+
+
+def family_expect(family: ParametricFamily, f: TestFunction) -> FamilyExpectation:
+    """Upper expectation sup over indices <= truncation of E_j[f] (lists for a column ``f``):
+    UNBOUNDED_EVAL for the first row whose sup is not finite, then TRUNCATION_TOO_SMALL as
+    :func:`check_truncation`."""
+    values = family.per_index_expectations(f)
+    arg = values.argmax(-1)  # the first NaN, where there is one
     value = values[arg] if values.ndim == 1 else values[np.arange(len(values)), arg]
+    for row in np.flatnonzero(~np.isfinite(value))[:1]:
+        raise InputError("UNBOUNDED_EVAL", f"{_row(f, values, row).describe()} overflows on the {family.describe()}")
+    check_truncation(family, (f, values))
     return FamilyExpectation(value.tolist(), (arg + 1).tolist())
 
 
@@ -196,37 +199,20 @@ class Exm3Report:
     warnings: Tuple[str, ...] = field(default=())
 
 
-def _sup_blocks(family: ParametricFamily, make, params) -> Iterator[Tuple[list, list]]:
-    """Blocks of the rows ``make(p)`` and their suprema; a refused ``p`` raises after the rows before it."""
-    fs: List[TestFunction] = []
-    for p in params:
-        try:
-            fs.append(make(p))
-        except InputError:
-            break
-    for block in blocks(fs, family.truncation):
-        yield block, family_expect(family, column(block[0].kind, [g.params[0] for g in block])).value
-    for p in params[len(fs) :]:  # the refused one, again
-        make(p)
-
-
-def exm3_report(
-    truncation: int, lambdas: Sequence[float], ms: Sequence[int]
-) -> Exm3Report:
-    """Tabulate the two sides of the separation exhibited by EXM3, in row blocks."""
+def exm3_report(truncation: int, lambdas: Sequence[float], ms: Sequence[int]) -> Exm3Report:
+    """Tabulate the two sides of the separation exhibited by EXM3, in row blocks, once every λ and m is read."""
     fam = ParametricFamily("EXM3", truncation)
-    lambdas = [_real(lam, "abs_excess lambda") for lam in lambdas]
+    lambdas = [abs_excess(lam).params[0] for lam in lambdas]
+    ms = [psi_fn(m).params[0] for m in ms]  # BAD_FUNCTION unless m is an integer >= 1
     if lambdas and truncation < 4 * max(lambdas):
-        raise BudgetError(
-            "TRUNCATION_TOO_SMALL",
-            f"truncation {truncation} below 4 * max(lambda) = {4 * max(lambdas):g}",
-        )
+        raise BudgetError("TRUNCATION_TOO_SMALL",
+                          f"truncation {truncation} below 4 * max(lambda) = {4 * max(lambdas):g}")
     lambda_rows, m_rows, warnings = [], [], []
-    for block, values in _sup_blocks(fam, abs_excess, lambdas):
-        lambda_rows += [(f.params[0], value) for f, value in zip(block, values)]
-    for block, psi_values in _sup_blocks(fam, psi_fn, ms):  # BAD_FUNCTION unless m is an integer >= 1
-        levels = [f.params[0] for f in block]
-        for m, psi_val, (tail, arg) in zip(levels, psi_values, fam.tail_capacity_fraction(levels)):
+    for block in blocks(lambdas, truncation):
+        lambda_rows += zip(block, family_expect(fam, column("abs_excess", block)).value)
+    for block in blocks(ms, truncation):
+        psi_values = family_expect(fam, column("psi", block)).value
+        for m, psi_val, (tail, arg) in zip(block, psi_values, fam.tail_capacity_fraction(block)):
             if fam.truncation_binding_for_tail(m, arg):
                 warnings.append(f"FAMILY_TRUNCATION_WARNING: tail sup at m={m} hits truncation")
             m_rows.append((m, psi_val, m * float(tail)))

@@ -56,6 +56,9 @@ class TestFunction:
         floats = np.array(values, dtype=float)
         if kind == "tent" and (floats[1] <= 0).any():
             raise InputError("BAD_FUNCTION", "tent halfwidth must be positive")
+        least = {"clamp": 0, "psi": 1}.get(kind)  # a clamp level below 0 clips to an empty interval
+        if least is not None and (floats < least).any():
+            raise InputError("BAD_FUNCTION", f"{kind} level must be at least {least}")
         if not np.isfinite(floats).all():
             raise InputError("BAD_FUNCTION", f"{kind} parameters must not be NaN or infinite")
 
@@ -175,14 +178,18 @@ class _Kind(NamedTuple):
     bounded: bool = True
 
 
+#: the kinds that can overflow run under ``_unwarned()``: past the doubles a value is +-inf, which the
+#: callers refuse (UNBOUNDED_EVAL), or a tent's 0, with no numpy warning; the others skip its cost per call
+_unwarned = partial(np.errstate, over="ignore")
+
 _KINDS = {
     "pwl": _Kind(piecewise_linear, ("breakpoints",), np.interp, lambda xs, ys: tuple(xs)),
     "abs": _Kind(partial(TestFunction, "abs"), (), np.abs, lambda: (0.0,)),
-    "square": _Kind(partial(TestFunction, "square"), (), lambda x: x * x, lambda: (0.0,), False),
+    "square": _Kind(partial(TestFunction, "square"), (), _unwarned()(lambda x: x * x), lambda: (0.0,), False),
     "identity": _Kind(partial(TestFunction, "identity"), (), lambda x: x + 0.0, lambda: (0.0,), False),
     "clamp": _Kind(clamp, ("n",), lambda x, n: np.minimum(np.maximum(x, -n), n), lambda n: (-1.0 * n, 1.0 * n)),
     "tent": _Kind(
-        tent, ("center", "halfwidth"), lambda x, c, h: np.maximum(0.0, 1.0 - np.abs(x - c) / h),
+        tent, ("center", "halfwidth"), _unwarned()(lambda x, c, h: np.maximum(0.0, 1.0 - np.abs(x - c) / h)),
         lambda c, h: (c - h, c, c + h),
     ),
     "psi": _Kind(
@@ -190,7 +197,7 @@ _KINDS = {
         lambda n: (-1.0 * n, -(n - 1.0), n - 1.0, 1.0 * n),
     ),
     "abs_excess": _Kind(  # each knot shaped like lam
-        abs_excess, ("lambda",), lambda x, lam: np.maximum(np.abs(x) - lam, 0.0),
+        abs_excess, ("lambda",), _unwarned()(lambda x, lam: np.maximum(np.abs(x) - lam, 0.0)),
         lambda lam: (-lam, 0.0 * lam, lam), False,
     ),
 }

@@ -458,7 +458,7 @@ def _upper_terminal(set_, n, f, normalize, state_budget):
     """The frame, its checked state count and the terminal values of an upper sweep."""
     check_horizon(n)
     if normalize and not f.bounded:
-        raise InputError("UNBOUNDED_F", f"{f.describe()} is unbounded; use moment mode")
+        raise InputError("UNBOUNDED_F", f"{f.describe()} is unbounded; for f(S_n) use normalize=False (Python API)")
     frame = _int64_frame(set_, n)
     state_count = check_budget(frame.start(n + 1), state_budget)
     return frame, state_count, _terminal_values(set_, n, f, normalize, frame.states(n))

@@ -110,11 +110,11 @@ def simulate(
     else:
         j = _walk(set_, frame, choices, n, m, draws, gap)
     vals = _terminal_values(set_, n, f, normalize, n * frame.a + frame.d * j)
-    estimate = float(np.add.reduce(vals) / m)
-    if m > 1:
-        stderr = float(np.std(vals, ddof=1) / np.sqrt(m))
-    else:
-        stderr = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the doubles is +-inf or NaN
+        estimate = float(np.add.reduce(vals) / m)
+        stderr = float(np.std(vals, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    if not np.isfinite([estimate, stderr]).all():
+        raise InputError("UNBOUNDED_EVAL", f"the mean or spread of {f.describe()} overflows")
     return SimResult(estimate, stderr, m)
 
 

@@ -289,3 +289,20 @@ class TestFunctionParameters:
         assert info.value.code == "BAD_FUNCTION"
         if kind == "tent" and len(params) == 2:
             assert info.value.message == "tent halfwidth must be positive"
+
+    @pytest.mark.parametrize(
+        "kind, level, least",
+        [
+            ("clamp", -1, 0),  # [1, -1]: an empty interval
+            ("clamp", -1e-300, 0),
+            ("clamp", np.array([[1.0], [-1.0]]), 0),  # one row of a column
+            ("psi", 0, 1),
+            ("psi", 0.5, 1),
+            ("psi", np.array([[2.0], [0.0]]), 1),
+        ],
+    )
+    def test_level_below_its_least_is_refused(self, kind, level, least):
+        with pytest.raises(InputError) as info:
+            functions.TestFunction(kind, (level,))
+        assert (info.value.code, info.value.message) == ("BAD_FUNCTION", f"{kind} level must be at least {least}")
+        assert functions.TestFunction(kind, (least,))(0.5) == (0.0 if kind == "clamp" else 0.5)

@@ -561,13 +561,35 @@ class TestExitCodes:
         assert "error: STATE_BUDGET_EXCEEDED: 1000000000000 family indices" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("budget, status", [(32, 0), (31, 2)])
-    def test_family_truncation_budget_boundary(self, tmp_path, budget, status):
+    @pytest.mark.parametrize("budget, rows_budget, status", [(32, 128, 0), (31, 127, 2)])
+    def test_family_truncation_budget_boundary(self, tmp_path, budget, rows_budget, status):
+        # exm3 charges the truncation of 32; conditions also its 4 rows of 32 indices
         family = {"name": "HEAVY", "truncation": 32}
-        payload = {"family": family, "n_max": 4, "budgets": {"states": budget}}
+        payload = {"family": family, "n_max": 4, "budgets": {"states": rows_budget}}
         assert run(tmp_path, "conditions", payload) == status
         payload = {"K": 32, "lambdas": [2], "ms": [4], "budgets": {"states": budget}}
         assert run(tmp_path, "counterexample", payload, "exm3") == status
+
+    @pytest.mark.parametrize("n_max", [2**31, 2**63, 10**30])
+    def test_conditions_on_a_family_charges_its_rows(self, tmp_path, capsys, n_max):
+        # each of the n_max rows scans the 128 indices, refused before the first one
+        payload = {"family": {"name": "HEAVY", "truncation": 128}, "n_max": n_max}
+        assert run(tmp_path, "conditions", payload) == 2
+        shown = n_max * 128 if n_max * 128 < 10**30 else "10**30 or more"
+        assert capsys.readouterr().err == f"error: STATE_BUDGET_EXCEEDED: {shown} row indices exceed budget 50000000\n"
+        assert not list(tmp_path.glob("conditions.*"))
+
+    def test_square_past_the_doubles_is_unbounded_eval(self, tmp_path, capsys):
+        payload = {"lattice": {"step": 1e200}, "generators": [[[-1e200, 0.5], [1e200, 0.5]]],
+                   "function": {"kind": "square"}}
+        assert run(tmp_path, "eval", payload) == 1
+        assert capsys.readouterr().err == "error: UNBOUNDED_EVAL: square overflows on the support\n"
+
+    def test_negative_clamp_level_is_bad_function(self, tmp_path, capsys):
+        # every x would be clipped to the empty interval [1, -1]
+        assert run(tmp_path, "eval", dict(PAIR_SET, function={"kind": "clamp", "params": {"n": -1}})) == 1
+        assert capsys.readouterr().err == "error: BAD_FUNCTION: clamp level must be at least 0\n"
+        assert not list(tmp_path.glob("eval.*"))
 
     @pytest.mark.parametrize("budget, status", [(48, 0), (47, 2)])
     def test_conditions_on_a_set_charges_its_rows(self, tmp_path, capsys, budget, status):

@@ -148,6 +148,46 @@ def test_non_finite_weight_is_coded(tmp_path, name, weight):
     assert not (tmp_path / "out").exists()
 
 
+# -- floats at the ends of the doubles ----------------------------------------
+
+#: (config, leaf, value, exit status) of the shipped-config floats that overflowed in numpy at
+#: 1.7e308, -1.7e308, 1e300 or a subnormal: a tent's |x - c| / h (its value 0 is right), a
+#: simulated mean or spread past the doubles, and EXM3's segment sums at lambda = -1.7e308
+OVERFLOWS = [
+    *((name, ("function", "params", key), value, 0)
+      for name in ("sweep.json", "simulate_a.json", "simulate_wide.json")
+      for key, value in (("center", 1.7e308), ("center", -1.7e308), ("halfwidth", 5e-324), ("halfwidth", 1e-320))),
+    *(("simulate_c.json", ("function", "params", "breakpoints", i, 1), value, 1)
+      for i, value in ((0, 1e300), (0, 1.7e308), (1, 1e300), (1, 1.7e308), (1, -1.7e308), (2, 1e300), (2, 1.7e308))),
+    *(("exm3.json", ("lambdas", i), -1.7e308, 1) for i in range(4)),
+]
+
+
+def _no_constant(name):
+    raise AssertionError(f"report cell {name}")
+
+
+@pytest.mark.parametrize("name, path, value, status", OVERFLOWS)
+def test_overflow_is_finite_or_coded(tmp_path, name, path, value, status):
+    # a RuntimeWarning fails the test (pyproject's filterwarnings)
+    cfg = json.loads((CONFIGS / name).read_text())
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    got, err = _run(SUBCOMMANDS[name], cfg_path, tmp_path / "out")
+    assert got == status, err
+    if status:
+        assert err.startswith("error: UNBOUNDED_EVAL: ") and not (tmp_path / "out").exists()
+    else:
+        reports = list((tmp_path / "out").glob("*.json"))
+        assert reports
+        for report in reports:  # NaN and +-Infinity are JSON constants
+            json.loads(report.read_text(), parse_constant=_no_constant)
+
+
 # -- schema fuzz ---------------------------------------------------------
 
 _SMALL = st.one_of(st.integers(-3, 6), st.floats(-3, 6, allow_nan=False), st.sampled_from([1e-300, "2"]))

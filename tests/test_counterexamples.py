@@ -26,6 +26,8 @@ from sublinexp import (
     tent,
 )
 
+from sublinexp.functions import column
+
 from oracle_helpers import family_lower_expect
 
 # -- oracles: the atom-by-atom scans the closed forms replace ------------
@@ -219,10 +221,17 @@ class TestFamilyExpect:
         with pytest.raises(BudgetError) as e:
             family_expect(ParametricFamily("HEAVY", 50), abs_excess(1.0))
         assert e.value.code == "TRUNCATION_TOO_SMALL"
-        fam, f = ParametricFamily("HEAVY", 50), abs_excess(1.0)
-        with pytest.raises(BudgetError) as e:
-            family_expect(fam, f, fam.per_index_expectations(f))
-        assert e.value.code == "TRUNCATION_TOO_SMALL"
+
+
+    def test_sup_past_the_doubles_is_unbounded_eval(self):
+        # E_j[(|X| + 1.7e308)^+] rounds to a finite value, but EXM3's segment sums overflow
+        fam = ParametricFamily("EXM3", 100)
+        for f in (abs_excess(-1.7e308), column("abs_excess", [1.0, -1.7e308, 2.0])):
+            with pytest.raises(InputError) as e:
+                family_expect(fam, f)
+            assert e.value.code == "UNBOUNDED_EVAL"
+            assert e.value.message == "abs_excess(-1.7e+308) overflows on the EXM3 family, truncation 100"
+        assert family_expect(ParametricFamily("HEAVY", 100), abs_excess(-1.7e308)).value == pytest.approx(1.7e308)
 
 
 class TestClosedFormScan:
@@ -321,12 +330,13 @@ class TestTailCapacity:
         fam = ParametricFamily("EXM3", 40)
         for t in (2, 30, 900, 1500, 1601):
             _, arg = fam.tail_capacity_fraction(t)
-            assert fam.truncation_binding_for_tail(t, arg) == fam.truncation_binding_for_tail(t)
             assert fam.truncation_binding_for_tail(t, arg) == (arg >= 35)
 
     def test_binding_detection(self):
-        assert ParametricFamily("HEAVY", 5).truncation_binding_for_tail(8)
-        assert not ParametricFamily("HEAVY", 50).truncation_binding_for_tail(8)
+        # HEAVY's untruncated tail sup at 8 sits at index 8, whatever the truncated argmax
+        for T, binding in ((5, True), (50, False)):
+            fam = ParametricFamily("HEAVY", T)
+            assert fam.truncation_binding_for_tail(8, fam.tail_capacity_fraction(8)[1]) == binding
 
 
 class TestExm3Report:

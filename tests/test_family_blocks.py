@@ -14,6 +14,7 @@ import sys
 from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,19 +116,21 @@ def row_condition_report(family, n_max):
 
 
 def row_exm3_report(truncation, lambdas, ms):
-    lambdas = [_real(lam, "abs_excess lambda") for lam in lambdas]
+    """Every λ, then every m, read in list order before any row is scanned."""
+    fam = ParametricFamily("EXM3", truncation)
+    excess = [Function("abs_excess", (_real(lam, "abs_excess lambda"),)) for lam in lambdas]
+    psis = [psi_fn(m) for m in ms]
+    lambdas = [f.params[0] for f in excess]
     if lambdas and truncation < 4 * max(lambdas):
         raise BudgetError(
             "TRUNCATION_TOO_SMALL",
             f"truncation {truncation} below 4 * max(lambda) = {4 * max(lambdas):g}",
         )
-    fam = ParametricFamily("EXM3", truncation)
     warnings, lambda_rows, m_rows = [], [], []
-    for lam in lambdas:
-        value, _ = row_family_expect(fam, Function("abs_excess", (float(lam),)))
-        lambda_rows.append((float(lam), value))
-    for m in ms:
-        f = psi_fn(m)
+    for f in excess:
+        value, _ = row_family_expect(fam, f)
+        lambda_rows.append((f.params[0], value))
+    for f in psis:
         m = f.params[0]
         psi_val, _ = row_family_expect(fam, f)
         tail, arg = row_tail_capacity_fraction(fam, m)
@@ -205,12 +208,8 @@ class TestBlockScan:
         # the escape check runs per row (T < 10 has none); the first escaping row is named
         want = [outcome(row_family_expect, fam, g) for g in fs]
         errors = [w for w in want if w[0] == "BudgetError"]
-        got = outcome(lambda: family_expect(fam, f, block))
-        if errors:
-            assert got == errors[0]
-        else:
-            fe = family_expect(fam, f, block)
-            assert hexed(list(zip(fe.value, fe.argmax_index))) == want
+        got = outcome(family_expect, fam, f)
+        assert got == (errors[0] if errors else [list(cells) for cells in zip(*want)])
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -253,12 +252,9 @@ class TestBlockScan:
         levels = list(range(1, len(rows) + 1))
         want = [outcome(row_family_expect, fam, clamp(n), v) for n, v in zip(levels, values)]
         errors = [w for w in want if w[0] == "BudgetError"]
-        got = outcome(lambda: family_expect(fam, column("clamp", levels), values))
-        if errors:
-            assert got == errors[0]
-        else:
-            fe = family_expect(fam, column("clamp", levels), values)
-            assert hexed(list(zip(fe.value, fe.argmax_index))) == want
+        with mock.patch.object(ParametricFamily, "per_index_expectations", lambda self, f: values):
+            got = outcome(family_expect, fam, column("clamp", levels))
+        assert got == (errors[0] if errors else [list(cells) for cells in zip(*want)])
 
     def test_one_row_blocks_past_two_to_the_sixteen(self):
         fam = ParametricFamily("EXM3", 70_000)
@@ -373,9 +369,12 @@ class TestFirstErrorOrder:
     @pytest.mark.parametrize(
         "lambdas, ms, code, where",
         [
-            ([10.0], [0], "TRUNCATION_TOO_SMALL", "abs_excess(10)"),  # λ rows before m rows
-            ([1.0, 10.0, math.nan], [5], "TRUNCATION_TOO_SMALL", "abs_excess(10)"),
+            ([10.0], [5], "TRUNCATION_TOO_SMALL", "abs_excess(10)"),  # λ rows before m rows
+            ([10.0], [0], "BAD_FUNCTION", "got 0"),  # every λ and m read before any row
+            ([1.0, 10.0, math.nan], [5], "BAD_FUNCTION", "NaN"),
             ([math.nan, 10.0], [5], "BAD_FUNCTION", "NaN"),
+            ([math.nan, 20.0], [5], "BAD_FUNCTION", "NaN"),  # before the 4·max λ check, in either order
+            ([20.0, math.nan], [5], "BAD_FUNCTION", "NaN"),
             ([1.0], [3, 0, 2.5], "BAD_FUNCTION", "got 0"),
             ([1.0], [3, 2], None, None),
             (["a"], [5], "BAD_FUNCTION", "'a'"),
@@ -390,11 +389,22 @@ class TestFirstErrorOrder:
         else:
             assert got[1] == code and where in got[2]
 
-    def test_exm3_escaping_psi_row_before_a_refused_m(self, monkeypatch):
-        escaping_rows(monkeypatch, psi=[4])
-        with pytest.raises(BudgetError) as e:
-            exm3_report(100, [1.0], [3, 4, 0])
-        assert e.value.message.endswith("for psi(4)")
+    def test_exm3_overflowing_row_before_an_escaping_one(self, monkeypatch):
+        # UNBOUNDED_EVAL, an input error (exit 1), before TRUNCATION_TOO_SMALL (exit 2) in one block
+        escaping_rows(monkeypatch, abs_excess=[1.0])
         with pytest.raises(InputError) as e:
-            exm3_report(100, [1.0], [3, 0, 4])
-        assert e.value.code == "BAD_FUNCTION"
+            exm3_report(100, [1.0, -1.7e308], [3])
+        assert e.value.code == "UNBOUNDED_EVAL"
+        with pytest.raises(BudgetError):
+            exm3_report(100, [1.0, 2.0], [3])
+
+    def test_exm3_escaping_psi_row_before_a_refused_m(self, monkeypatch):
+        # the refused m wins wherever it stands; without it the escaping row is named
+        escaping_rows(monkeypatch, psi=[4])
+        for ms in ([3, 4, 0], [3, 0, 4]):
+            with pytest.raises(InputError) as e:
+                exm3_report(100, [1.0], ms)
+            assert e.value.code == "BAD_FUNCTION"
+        with pytest.raises(BudgetError) as e:
+            exm3_report(100, [1.0], [3, 4])
+        assert e.value.message.endswith("for psi(4)")

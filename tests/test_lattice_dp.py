@@ -78,6 +78,7 @@ class TestRobustValue:
         with pytest.raises(InputError) as e:
             robust_value(coin, 2, SQUARE)
         assert e.value.code == "UNBOUNDED_F"
+        assert e.value.message == "square is unbounded; for f(S_n) use normalize=False (Python API)"
 
     def test_state_budget(self, coin):
         with pytest.raises(BudgetError) as e:

@@ -200,7 +200,7 @@ class TestConditionReport:
         expected = [
             f"FAMILY_TRUNCATION_WARNING: tail sup at n={n} limited by truncation"
             for n in range(1, 31)
-            if fam.truncation_binding_for_tail(n)
+            if fam.truncation_binding_for_tail(n, fam.tail_capacity_fraction(n)[1])
         ]
         assert list(rep.warnings) == expected
         for r in rep.rows:
