@@ -8,6 +8,8 @@ the maximal distribution is then checkable at desk scale, including the
 families for which it provably fails.
 """
 
+from types import ModuleType as _Module
+
 from .ambiguity import (
     AmbiguitySet,
     DiscreteDistribution,
@@ -69,4 +71,4 @@ from .oracle import brute_force_capacity, brute_force_value, enumerate_selection
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _Module)))

@@ -21,7 +21,7 @@ from .ambiguity import AmbiguitySet, sublinear_expect, validate_ambiguity_set
 from .counterexamples import (
     RAMP_DOWN, ParametricFamily, exm3_report, heavy_lln_lower_bound, heavy_lln_value,
 )
-from .errors import EngineError, InputError, PropertyViolation, check_budget
+from .errors import EngineError, InputError, PropertyViolation
 from .functions import _KINDS, TestFunction, _real, constant
 from .inequalities import VIOLATED, capacity_product_identity, ottaviani_check
 from .lattice_dp import (
@@ -139,9 +139,7 @@ def build_source(cfg: Dict):
     for key in ("generators", "lattice"):
         if key in cfg:
             raise InputError("BAD_CONFIG", f"config keys 'family' and {key!r} are exclusive")
-    family = ParametricFamily(str(cfg["family"]["name"]).upper(), cfg["family"]["truncation"])
-    _charge_truncation(cfg, family.truncation)
-    return family
+    return ParametricFamily(str(cfg["family"]["name"]).upper(), cfg["family"]["truncation"])
 
 
 #: function kind -> (constructor, the ``params`` keys it takes in order); ``constant`` is a ``pwl``
@@ -157,12 +155,6 @@ def build_function(cfg: Dict) -> TestFunction:
     make, keys = _FUNCTION_KINDS[kind]
     params = _checked(spec.get("params", {}), dict.fromkeys(keys, (object, ...)), "function.params")
     return make(*params.values())
-
-
-def _charge_truncation(cfg: Dict, truncation: int) -> int:
-    """Charge a family truncation against ``budgets.states``: every scan holds
-    arrays of one entry per generator index."""
-    return check_budget(truncation, cfg["budgets"]["states"], "family indices")
 
 
 # -- subcommands ---------------------------------------------------------
@@ -221,11 +213,7 @@ def _cmd_lln_sweep(cfg) -> Outcome:
 
 
 def _cmd_conditions(cfg) -> Outcome:
-    source = build_source(cfg)
-    # each row scans every index of a family, or every atom of a set
-    width, unit = (source.truncation, "indices") if "family" in cfg else (sum(map(len, source.coords)), "atoms")
-    check_budget(cfg["n_max"] * width, cfg["budgets"]["states"], f"row {unit}")
-    report = peng_condition_report(source, cfg["n_max"])
+    report = peng_condition_report(build_source(cfg), cfg["n_max"], cfg["budgets"]["states"])
     meta = {
         "source": report.source_description,
         "condition_i_trend": report.condition_i_trend,
@@ -282,9 +270,8 @@ def _cmd_chebyshev(cfg) -> Outcome:
 
 
 def _cmd_exm3(cfg) -> Outcome:
-    truncation = _charge_truncation(cfg, cfg["K"])
-    report = exm3_report(truncation, cfg["lambdas"], cfg["ms"])
-    meta = {"truncation": truncation, "warnings": sorted(set(report.warnings))}
+    report = exm3_report(cfg["K"], cfg["lambdas"], cfg["ms"], cfg["budgets"]["states"])
+    meta = {"truncation": cfg["K"], "warnings": sorted(set(report.warnings))}
     lam, v = report.lambda_rows[-1]
     return Outcome(
         [
@@ -312,6 +299,7 @@ def _cmd_simulate(cfg) -> Outcome:
     set_ = build_set(cfg)
     f = build_function(cfg)
     n, seed, budget = cfg["n"], cfg["seed"], cfg["budgets"]["states"]
+    SimConfig.check_scalars(n, cfg["paths"], seed)  # before the sweep that values the policy
     if cfg["policy"] == "robust":  # the sweep that extracts the policy gives its value
         robust = robust_value(set_, n, f, state_budget=budget)
         policy, exact = robust.policy, robust.value

@@ -199,11 +199,13 @@ class Exm3Report:
     warnings: Tuple[str, ...] = field(default=())
 
 
-def exm3_report(truncation: int, lambdas: Sequence[float], ms: Sequence[int]) -> Exm3Report:
-    """Tabulate the two sides of the separation exhibited by EXM3, in row blocks, once every λ and m is read."""
+def exm3_report(truncation: int, lambdas: Sequence[float], ms: Sequence[int],
+                state_budget: int = DEFAULT_STATE_BUDGET) -> Exm3Report:
+    """EXM3's two sides of the separation, in row blocks, once every λ and m is read and the truncation charged."""
     fam = ParametricFamily("EXM3", truncation)
     lambdas = [abs_excess(lam).params[0] for lam in lambdas]
     ms = [psi_fn(m).params[0] for m in ms]  # BAD_FUNCTION unless m is an integer >= 1
+    check_budget(truncation, state_budget, "family indices")
     if lambdas and truncation < 4 * max(lambdas):
         raise BudgetError("TRUNCATION_TOO_SMALL",
                           f"truncation {truncation} below 4 * max(lambda) = {4 * max(lambdas):g}")

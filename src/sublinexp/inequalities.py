@@ -8,9 +8,10 @@ the path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .ambiguity import AmbiguitySet
+from .ambiguity import AmbiguitySet, to_fraction
 from .errors import InputError, check_horizon
 from .functions import _real
 from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, capacity, final_abs_capacities
@@ -54,11 +55,11 @@ def ottaviani_check(
         raise InputError("BAD_C", "c must lie strictly between 0 and 1")
     if not (alpha := _real(alpha, "alpha", "BAD_ALPHA")) > 0:  # NaN too
         raise InputError("BAD_ALPHA", "alpha must be positive")
-    check_horizon(n)
     # increments are i.i.d., so V(|S_n - S_k| >= alpha) is the horizon-(n - k) capacity
     by_horizon = final_abs_capacities(set_, n, alpha, state_budget)
     premise = max(by_horizon[:n])
-    lhs = capacity(set_, n, PathEvent("MAX_PARTIAL_ABS_GE", 2 * alpha), "UPPER", state_budget)
+    twice = 2 * alpha if math.isfinite(2 * alpha) else 2 * to_fraction(alpha)  # past the doubles: exact
+    lhs = capacity(set_, n, PathEvent("MAX_PARTIAL_ABS_GE", twice), "UPPER", state_budget)
     rhs = by_horizon[n] / (1.0 - c)
     if premise > c + _TOL:
         status = VACUOUS

@@ -520,9 +520,9 @@ def policy_value(
     argmax policy reproduces the robust value bitwise.  Unreachable states
     never feed reachable ones, so only reachable states need a generator.
     """
-    frame, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
-    if policy.n != n:
+    if policy.n != check_horizon(n):
         raise InputError("POLICY_GAP", f"policy is for horizon {policy.n}, not {n}")
+    frame, _, u = _upper_terminal(set_, n, f, normalize, state_budget)
     choices, chosen = _reachable_choices(set_, policy, n)
     gaps = _invalid(chosen, len(set_.generators))
     if gaps.any():  # the first in chosen's order: level by level, increasing states

@@ -21,9 +21,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ambiguity import AmbiguitySet, linear_expect
+from .ambiguity import AmbiguitySet, linear_expect, to_fraction
 from .counterexamples import ParametricFamily, check_truncation
-from .errors import InputError, check_horizon
+from .errors import InputError, check_budget, check_horizon
 from .functions import TestFunction, _real, blocks, column
 from .lattice_dp import DEFAULT_STATE_BUDGET, PathEvent, _upper_values, capacity
 
@@ -107,20 +107,23 @@ class ConditionReport:
     warnings: Tuple[str, ...] = field(default=())
 
 
-def peng_condition_report(source: Source, n_max: int) -> ConditionReport:
+def peng_condition_report(source: Source, n_max: int, state_budget: int = DEFAULT_STATE_BUDGET) -> ConditionReport:
     """Tabulate the three convergence conditions for n = 1..n_max.
 
-    The truncated means and E[psi_n] are one :func:`_scan` of the rows, so row n's
-    means are :func:`truncated_means` at n bitwise; the tail suprema are exact.
-    The condition-(i) verdict is a trend over the computed range only.
-    Truncated-mean limits are reported when the last three values agree
-    within 1e-9 ("detected stable"); heavy-tailed families never get a
-    false stable flag at that tolerance.
+    Once ``n_max`` is read, its rows, each over every index of a family or atom of a set, are charged
+    against ``state_budget``.  The truncated means and E[psi_n] are one :func:`_scan` of the rows, so
+    row n's means are :func:`truncated_means` at n bitwise; the tail suprema are exact.  The condition-(i)
+    verdict is a trend over the computed range only.  Truncated-mean limits are reported when the last
+    three values agree within 1e-9 ("detected stable"); heavy-tailed families never get a false stable
+    flag at that tolerance.
     """
     check_horizon(n_max, "BAD_LEVEL", "n_max", least=2)
+    family = isinstance(source, ParametricFamily)
+    width, unit = (source.truncation, "indices") if family else (sum(map(len, source.coords)), "atoms")
+    check_budget(n_max * width, state_budget, f"row {unit}")
     ns = range(1, n_max + 1)
     (uppers, lowers), (psi_sups, _) = _scan(source, ns, ("clamp", "psi"))
-    if isinstance(source, ParametricFamily):  # each tail sup with its first attaining index
+    if family:  # each tail sup with its first attaining index
         pairs = [p for block in blocks(ns, source.truncation) for p in source.tail_capacity_fraction(block)]
         tails = [tail for tail, _ in pairs]
         warnings = [f"FAMILY_TRUNCATION_WARNING: tail sup at n={n} limited by truncation"
@@ -206,7 +209,8 @@ def chebyshev_bound_check(
     if not (eps := _real(eps, "eps", "BAD_EPS")) > 0:  # NaN too
         raise InputError("BAD_EPS", "eps must be positive")
     mu_upper = truncated_means(set_, n).mu_upper
-    event = PathEvent("FINAL_GT", n * (mu_upper + eps))
+    t = n * (mu_upper + eps)  # past the doubles, the exact threshold
+    event = PathEvent("FINAL_GT", t if math.isfinite(t) else n * (to_fraction(mu_upper) + to_fraction(eps)))
     lhs = capacity(set_, n, event, "UPPER", state_budget=state_budget)
     (tail,) = _tail_capacities(set_, [n])
     clamped_sq = max(

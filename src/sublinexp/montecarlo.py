@@ -45,15 +45,18 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        check_horizon(self.paths, "BAD_PATHS", "paths")
-        check_horizon(self.n)
-        check_horizon(self.seed, "BAD_SEED", "seed", least=0)
-        if self.seed >= 2**128:  # the Philox key range
-            raise InputError("BAD_SEED", f"seed must be in [0, 2**128), got {self.seed}")
+        self.check_scalars(self.n, self.paths, self.seed)
         if self.policy.n != self.n:
-            raise InputError(
-                "POLICY_GAP", f"policy is for horizon {self.policy.n}, not {self.n}"
-            )
+            raise InputError("POLICY_GAP", f"policy is for horizon {self.policy.n}, not {self.n}")
+
+    @staticmethod
+    def check_scalars(n: int, paths: int, seed: int) -> None:
+        """The checks of ``n``, ``paths`` and ``seed``, which a caller may run before it builds the policy."""
+        check_horizon(paths, "BAD_PATHS", "paths")
+        check_horizon(n)
+        check_horizon(seed, "BAD_SEED", "seed", least=0)
+        if seed >= 2**128:  # the Philox key range
+            raise InputError("BAD_SEED", f"seed must be in [0, 2**128), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -111,11 +114,13 @@ def simulate(
         j = _walk(set_, frame, choices, n, m, draws, gap)
     vals = _terminal_values(set_, n, f, normalize, n * frame.a + frame.d * j)
     with np.errstate(over="ignore", invalid="ignore"):  # a sum past the doubles is +-inf or NaN
-        estimate = float(np.add.reduce(vals) / m)
-        stderr = float(np.std(vals, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    if not np.isfinite([estimate, stderr]).all():
-        raise InputError("UNBOUNDED_EVAL", f"the mean or spread of {f.describe()} overflows")
-    return SimResult(estimate, stderr, m)
+        for scaled in (False, True):  # then again on vals 2^-e, e the exponent of max |vals|, scaled back
+            e = np.frexp(np.abs(vals).max())[1] if scaled else 0
+            x = np.ldexp(vals, -e)
+            moments = np.ldexp([np.add.reduce(x) / m, np.std(x, ddof=1) / np.sqrt(m) if m > 1 else 0.0], e)
+            if np.isfinite(moments).all():
+                return SimResult(*moments.tolist(), m)
+    raise InputError("UNBOUNDED_EVAL", f"the mean or spread of {f.describe()} overflows")
 
 
 # A path's draws are Philox words r, which ``Generator.random`` reads as u = (r >> 11) 2^-53.

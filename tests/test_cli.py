@@ -558,8 +558,63 @@ class TestExitCodes:
         command, *which = cmd.split()
         proc = run_process(tmp_path, command, payload, *which, *extra)
         assert proc.returncode == 2, proc.stderr
-        assert "error: STATE_BUDGET_EXCEEDED: 1000000000000 family indices" in proc.stderr
+        # conditions on a family is charged by its rows alone: 3 rows of 10**12 indices
+        charge = "3000000000000 row indices" if command == "conditions" else "1000000000000 family indices"
+        assert f"error: STATE_BUDGET_EXCEEDED: {charge}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    TENT = {"kind": "tent", "params": {"center": 0.25, "halfwidth": 0.25}}
+
+    @pytest.mark.parametrize(
+        "cmd, payload, code",
+        [
+            # each input would also exceed the default state budget, were it read after the charge
+            ("conditions", {"family": {"name": "HEAVY", "truncation": 10**9}, "n_max": 1}, "BAD_LEVEL"),
+            ("counterexample exm3", {"K": 10**9, "ms": [0]}, "BAD_FUNCTION"),
+            ("counterexample exm3", {"K": 10**9, "lambdas": [math.nan]}, "BAD_FUNCTION"),
+            ("simulate", dict(PAIR_SET, function=TENT, n=20_000, paths=0), "BAD_PATHS"),
+            ("simulate", dict(PAIR_SET, function=TENT, n=20_000, paths=9, seed=-1), "BAD_SEED"),
+            ("simulate", dict(PAIR_SET, function=TENT, n=20_000, paths=0, policy={"constant": 0}),
+             "BAD_PATHS"),
+            ("simulate", dict(PAIR_SET, function=TENT, n=20_000, paths=9, seed=-1, policy={"constant": 1}),
+             "BAD_SEED"),
+        ],
+    )
+    def test_input_error_comes_before_the_budget(self, tmp_path, capsys, cmd, payload, code):
+        command, *which = cmd.split()
+        assert run(tmp_path, command, payload, *which) == 1
+        assert capsys.readouterr().err.startswith(f"error: {code}:")
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_simulate_reads_paths_before_its_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the policy sweep ran before paths was read")
+
+        monkeypatch.setattr(cli, "robust_value", no_sweep)
+        payload = dict(PAIR_SET, function=self.TENT, n=2_000, paths=0)
+        assert run(tmp_path, "simulate", payload) == 1
+        assert capsys.readouterr().err.startswith("error: BAD_PATHS:")
+
+    @pytest.mark.parametrize(
+        "cmd, payload",
+        [
+            ("ottaviani", dict(PAIR_SET, n=4, alpha=1e308, c=0.5)),  # 2 alpha is past the doubles
+            ("chebyshev", dict(PAIR_SET, n=4, eps=1e308)),  # and so is n (mu + eps)
+        ],
+    )
+    def test_threshold_past_the_doubles_is_read_exactly(self, tmp_path, cmd, payload):
+        assert run(tmp_path, cmd, payload) == 0
+        (row,) = read_rows(tmp_path, cmd)
+        assert all(math.isfinite(float(row[k])) for k in ("lhs", "rhs"))
+
+    def test_simulate_moments_past_the_doubles_are_scaled(self, tmp_path):
+        config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "simulate_c.json").read_text())
+        config["function"]["params"]["breakpoints"][0] = [-1, 1e300]  # the sum of the values overflows
+        assert run(tmp_path, "simulate", config) == 0
+        (row,) = read_rows(tmp_path, "simulate")
+        estimate, stderr = float(row["estimate"]), float(row["stderr"])
+        assert math.isfinite(estimate) and math.isfinite(stderr) and stderr > 0
+        assert abs(estimate - float(row["policy_value"])) <= 4 * stderr
 
     @pytest.mark.parametrize("budget, rows_budget, status", [(32, 128, 0), (31, 127, 2)])
     def test_family_truncation_budget_boundary(self, tmp_path, budget, rows_budget, status):

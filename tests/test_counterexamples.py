@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sublinexp import (
@@ -88,18 +88,27 @@ def heavy_full_sweep(K, n):
 
 
 def scan_tolerance(truncation, f, abs_scan):
-    """1e-12 of E_j[|f|], or of f's height on [1, T^2] times the 1/j^2 mass past the atom 1.
+    """1e-12 of E_j[|f|], or of f's height on [1, T^2] times the 1/j^2 mass past the atom 1,
+    plus 2^-1075 per rounding of either scan at index j.
 
     A bounded kind rounds relative to its height (a tent's 1 - |x - c|/h near
     its edges), so where E_j[|f|] is far below it neither scan is closer to
     the exact value than that; unbounded kinds are nonnegative on the atoms.
+    The relative bound vanishes where the values are subnormal, and there each
+    rounding may also err by half the least subnormal, 2^-1075 (the standard
+    model's absolute term).  At index j with k knots the atom scan rounds at
+    most 6 times in each of its j values of f (``np.interp``), j - 1 times in
+    their sum and 11 times after it, f(1) included; the closed form at most 16
+    times in each of its k + 1 segments and 11 times after them: at most
+    7j + 16k + 37 < 20 (j + k + 2) in all.
     """
     height = 0.0
     if f.bounded:
         top = float(truncation) ** 2
         height = max(abs(float(f(x))) for x in [1.0, top] + [x for x in f.knots() if 1 < x < top])
     js = np.arange(1, truncation + 1, dtype=float)
-    return 1e-12 * np.maximum(abs_scan, height / js**2)
+    underflow = np.ldexp(20 * (js + len(f.knots()) + 2), -1075)  # even multiples of 2^-1075: exact
+    return 1e-12 * np.maximum(abs_scan, height / js**2) + underflow
 
 
 def assert_matches_atom_scan(truncation, f, closed):
@@ -237,6 +246,8 @@ class TestFamilyExpect:
 class TestClosedFormScan:
     @settings(max_examples=120, deadline=None)
     @given(exm3_functions())
+    # subnormal values: at j = 98 the two scans differ by one least subnormal, 2^-1074
+    @example((276, piecewise_linear([(0, 0), (27324, 2.2250738585072014e-308)])))
     def test_matches_atom_scan(self, case):
         T, f = case
         assert_matches_atom_scan(T, f, ParametricFamily("EXM3", T).per_index_expectations(f))
@@ -368,6 +379,17 @@ class TestExm3Report:
         with pytest.raises(InputError) as e:
             exm3_report(truncation, [10], [10])
         assert e.value.code == "BAD_FAMILY"
+
+    def test_truncation_is_charged_once_every_lambda_and_m_is_read(self):
+        with pytest.raises(BudgetError, match="^STATE_BUDGET_EXCEEDED: 1000000000 family indices exceed"):
+            exm3_report(10**9, [10.0], [10])
+        for lambdas, ms in (([10.0], [0]), ([math.nan], [10])):
+            with pytest.raises(InputError) as e:
+                exm3_report(10**9, lambdas, ms)
+            assert e.value.code == "BAD_FUNCTION"
+        assert exm3_report(100, [2.0], [10], state_budget=100).m_rows
+        with pytest.raises(BudgetError, match="^STATE_BUDGET_EXCEEDED: 100 family indices exceed budget 99$"):
+            exm3_report(100, [200.0], [10], state_budget=99)  # before its 4·max λ check
 
     @pytest.mark.parametrize("m", [0, -3, 2.5])
     def test_tail_level_must_be_a_positive_integer(self, m):

@@ -8,6 +8,7 @@ helper or nowhere.  Names reached from outside the package by name are listed in
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import sublinexp
 
@@ -58,3 +59,23 @@ def test_allowlist_names_only_dead_definitions():
     defined, used = definitions_and_uses()
     assert set(ALLOWED) <= set(defined)
     assert not [name for name in ALLOWED if used.get(name.rpartition(".")[2])]
+
+
+def test_cli_charges_no_budget():
+    # the CLI reads configs and writes reports; each engine call charges its own budget
+    tree = ast.parse((SRC / "cli.py").read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "check_budget"
+    ]
+    assert not calls, f"cli.py calls check_budget at lines {calls}"
+
+
+def test_all_lists_no_submodule():
+    # so that ``from sublinexp import *`` binds no module, and no definition named like one is exempt above
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    assert not set(modules) & set(sublinexp.__all__)
+    assert sublinexp.__all__ == sorted(sublinexp.__all__)
+    assert all(not isinstance(getattr(sublinexp, name), ModuleType) for name in sublinexp.__all__)

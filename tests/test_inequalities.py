@@ -33,6 +33,13 @@ class TestOttaviani:
         if rep.status == HOLDS:
             assert rep.lhs <= rep.rhs + 1e-12
 
+    def test_doubled_alpha_past_the_doubles_is_exact(self, biased_pair):
+        # 2 alpha overflows the floats: the event is |S_k| >= 2 * 10**308 exactly
+        assert ottaviani_check(biased_pair, 4, 1e308, 0.5) == ottaviani_check(biased_pair, 4, 1e300, 0.5)
+        near = make_set([(1e308, 1.0)], step=1e308)  # S_2 = 2 * 10**308 reaches it
+        rep = ottaviani_check(near, 2, 1e308, 0.5)
+        assert (rep.premise_value, rep.lhs, rep.rhs, rep.status) == (1.0, 1.0, 2.0, VACUOUS)
+
     def test_parameter_validation(self, coin):
         with pytest.raises(InputError):
             ottaviani_check(coin, 2, 1.0, 0.0)

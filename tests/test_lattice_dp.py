@@ -292,6 +292,14 @@ class TestPolicyValue:
             policy_value(coin_or_rest, pol, 2, ABS_CLIPPED)
         assert e.value.code == "POLICY_GAP"
 
+    def test_horizon_mismatch_comes_before_the_budget(self, coin_or_rest):
+        # horizon 10**5 would exceed the default state budget
+        pol = robust_value(coin_or_rest, 3, ABS_CLIPPED).policy
+        with pytest.raises(InputError, match="^POLICY_GAP: policy is for horizon 3, not 100000$"):
+            policy_value(coin_or_rest, pol, 10**5, ABS_CLIPPED)
+        with pytest.raises(InputError, match="^BAD_HORIZON"):
+            policy_value(coin_or_rest, pol, 0, ABS_CLIPPED)
+
     def test_extracted_policy_reproduces_value_bitwise(self):
         rng = np.random.default_rng(21)
         for _ in range(25):

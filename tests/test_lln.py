@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sublinexp import (
     IDENTITY,
     BudgetError,
+    ChebyshevCheck,
     EngineError,
     InputError,
     ParametricFamily,
@@ -138,6 +139,23 @@ class TestTruncatedMeans:
 
 
 class TestConditionReport:
+    def test_rows_of_a_set_are_charged(self, biased_pair):
+        # 12 rows, each over the 2 + 2 atoms of the pair
+        assert len(peng_condition_report(biased_pair, 12, 48).rows) == 12
+        with pytest.raises(BudgetError, match="^STATE_BUDGET_EXCEEDED: 48 row atoms exceed budget 47$"):
+            peng_condition_report(biased_pair, 12, 47)
+
+    @pytest.mark.parametrize("name", ["EXM3", "HEAVY"])
+    def test_rows_of_a_family_are_charged_once_n_max_is_read(self, name):
+        family = ParametricFamily(name, 10**9)  # even one row of it exceeds the default budget
+        with pytest.raises(BudgetError, match="^STATE_BUDGET_EXCEEDED: 2000000000 row indices"):
+            peng_condition_report(family, 2)
+        with pytest.raises(InputError, match="^BAD_LEVEL: n_max must be an integer >= 2, got 1$"):
+            peng_condition_report(family, 1)
+        assert len(peng_condition_report(ParametricFamily(name, 32), 4, state_budget=128).rows) == 4
+        with pytest.raises(BudgetError, match="128 row indices exceed budget 127$"):
+            peng_condition_report(ParametricFamily(name, 32), 4, state_budget=127)
+
     def test_bounded_set_all_conditions_clean(self, biased_pair):
         rep = peng_condition_report(biased_pair, 6)
         assert [r.n for r in rep.rows] == [1, 2, 3, 4, 5, 6]
@@ -441,6 +459,14 @@ class TestChebyshev:
         with pytest.raises(InputError) as e:
             chebyshev_bound_check(coin, 2, float("nan"))
         assert e.value.code == "BAD_EPS"
+
+    def test_threshold_past_the_doubles_is_exact(self, biased_pair):
+        # n (mu + eps) overflows the floats: the event is S_n > n (mu + eps) in exact rationals
+        assert chebyshev_bound_check(biased_pair, 4, 1e308) == chebyshev_bound_check(biased_pair, 4, 1e200)
+        near = make_set([(1e308, 1.0)], step=1e308)
+        # S_2 = 2 * 10**308 exceeds 2 (2 + 9 * 10**307), not 2 (2 + 1.1 * 10**308)
+        assert chebyshev_bound_check(near, 2, 9e307) == ChebyshevCheck(1.0, 2.0, True)
+        assert chebyshev_bound_check(near, 2, 1.1e308) == ChebyshevCheck(0.0, 2.0, True)
 
     def test_eps_whose_square_underflows_gives_the_infinite_bound(self, biased_pair):
         # eps * eps is subnormal at 1e-160 (8 / (n eps^2) overflows to inf) and 0.0 at 1e-300
